@@ -5,15 +5,17 @@
 //! `ChannelKernel` one-pass path). The PR 5 acceptance target is ≥3× on the
 //! 16-operator `Kraus2::depolarizing` at n = 5.
 //!
-//! The `superop_per_state` / `superop_batch` rows compare the two
-//! `DmBackend` strategies on a 16-state batch: a per-state loop of `apply`
-//! versus one `apply_batch` call that blocks lanes of states through the
-//! kernel. The PR 6 acceptance target is ≥1.5× on the batched 2q rows.
+//! The 2q `superop_per_state` / `superop_batch` rows compare, on a
+//! 16-state batch, a per-state loop of `Kraus2::apply` with one
+//! `Kraus2::apply_batch` call that blocks lanes of states through the
+//! kernel (target ≥1.5×). Single-qubit channels have no lane-blocked path
+//! — `Kraus1::apply_batch` is the per-state loop — so the 1q group has no
+//! batch rows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetarch::prelude::*;
 
-/// States per batch in the `superop_per_state`/`superop_batch` rows: a
+/// States per batch in the 2q `superop_per_state`/`superop_batch` rows: a
 /// multiple of the lane width, sized like a cell-characterization probe set.
 const BATCH: usize = 16;
 
@@ -37,18 +39,6 @@ fn bench_kraus1(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("superop", n), &n, |b, &n| {
             let mut rho = DensityMatrix::zero_state(n);
             b.iter(|| idle.apply(&mut rho, 0));
-        });
-        group.bench_with_input(BenchmarkId::new("superop_per_state", n), &n, |b, &n| {
-            let mut states = batch_of_states(n);
-            b.iter(|| {
-                for rho in states.iter_mut() {
-                    idle.apply(rho, 0);
-                }
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("superop_batch", n), &n, |b, &n| {
-            let mut states = batch_of_states(n);
-            b.iter(|| idle.apply_batch(&mut states, 0));
         });
     }
     group.finish();

@@ -9,9 +9,9 @@
 //! * `batch` — `count_failures`: sparse bit-packed syndrome extraction
 //!   plus the empty-syndrome fast path over the packed detector table.
 //!
-//! Absolute timings on shared containers swing between CPU-frequency
-//! bands; for a band-noise-immune speedup number use the interleaved
-//! `decode_ab` bin (same workload, alternated trial by trial).
+//! Absolute timings on shared machines swing between CPU-frequency bands;
+//! for repeated, interleaved end-to-end numbers use `hetbench` (its
+//! `surface_fig7` and `rare_surface` workloads time the same decode path).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetarch::prelude::*;

@@ -23,20 +23,60 @@
 //! `HETARCH_DURATION_MS` scales event-simulation durations.
 
 /// Monte-Carlo shots, honoring the `HETARCH_SHOTS` override.
+///
+/// # Panics
+///
+/// Panics if `HETARCH_SHOTS` is set to anything but a positive integer.
 pub fn shots(default: usize) -> usize {
-    std::env::var("HETARCH_SHOTS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+    shots_from_env_str(std::env::var("HETARCH_SHOTS").ok().as_deref(), default)
+}
+
+/// Resolves a shot count from an optional `HETARCH_SHOTS` value — the
+/// testable seam behind [`shots`]. `None` (variable unset) yields
+/// `default`.
+///
+/// # Panics
+///
+/// Panics if the value is not a positive integer.
+pub fn shots_from_env_str(value: Option<&str>, default: usize) -> usize {
+    match value {
+        None => default,
+        Some(s) => match s.trim().parse::<usize>() {
+            Ok(n) if n >= 1 => n,
+            _ => panic!("HETARCH_SHOTS must be a positive integer, got `{s}`"),
+        },
+    }
 }
 
 /// Event-simulation duration in seconds, honoring `HETARCH_DURATION_MS`.
+///
+/// # Panics
+///
+/// Panics if `HETARCH_DURATION_MS` is set to anything but a positive,
+/// finite number of milliseconds.
 pub fn sim_duration(default_ms: f64) -> f64 {
-    std::env::var("HETARCH_DURATION_MS")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(default_ms)
-        * 1e-3
+    sim_duration_from_env_str(
+        std::env::var("HETARCH_DURATION_MS").ok().as_deref(),
+        default_ms,
+    )
+}
+
+/// Resolves an event-simulation duration in seconds from an optional
+/// `HETARCH_DURATION_MS` value — the testable seam behind
+/// [`sim_duration`]. `None` (variable unset) yields `default_ms`.
+///
+/// # Panics
+///
+/// Panics if the value is not a positive, finite number.
+pub fn sim_duration_from_env_str(value: Option<&str>, default_ms: f64) -> f64 {
+    let ms = match value {
+        None => default_ms,
+        Some(s) => match s.trim().parse::<f64>() {
+            Ok(ms) if ms.is_finite() && ms > 0.0 => ms,
+            _ => panic!("HETARCH_DURATION_MS must be a positive, finite number, got `{s}`"),
+        },
+    };
+    ms * 1e-3
 }
 
 /// Prints a figure/table header with provenance.
@@ -52,8 +92,61 @@ mod tests {
 
     #[test]
     fn defaults_apply_without_env() {
-        std::env::remove_var("HETARCH_SHOTS");
-        assert_eq!(shots(123), 123);
-        assert_eq!(sim_duration(2.0), 2e-3);
+        assert_eq!(shots_from_env_str(None, 123), 123);
+        assert_eq!(sim_duration_from_env_str(None, 2.0), 2e-3);
+    }
+
+    #[test]
+    fn env_values_override_defaults() {
+        assert_eq!(shots_from_env_str(Some(" 2048 "), 123), 2048);
+        assert_eq!(sim_duration_from_env_str(Some("0.5"), 2.0), 0.5e-3);
+    }
+
+    #[test]
+    #[should_panic(expected = "HETARCH_SHOTS must be a positive integer, got `abc`")]
+    fn shots_rejects_garbage() {
+        shots_from_env_str(Some("abc"), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "HETARCH_SHOTS must be a positive integer, got `0`")]
+    fn shots_rejects_zero() {
+        shots_from_env_str(Some("0"), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "HETARCH_SHOTS must be a positive integer, got `-3`")]
+    fn shots_rejects_negative() {
+        shots_from_env_str(Some("-3"), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "HETARCH_SHOTS must be a positive integer, got `NaN`")]
+    fn shots_rejects_nan() {
+        shots_from_env_str(Some("NaN"), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "HETARCH_DURATION_MS must be a positive, finite number, got `abc`")]
+    fn duration_rejects_garbage() {
+        sim_duration_from_env_str(Some("abc"), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "HETARCH_DURATION_MS must be a positive, finite number, got `0`")]
+    fn duration_rejects_zero() {
+        sim_duration_from_env_str(Some("0"), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "HETARCH_DURATION_MS must be a positive, finite number, got `-3`")]
+    fn duration_rejects_negative() {
+        sim_duration_from_env_str(Some("-3"), 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "HETARCH_DURATION_MS must be a positive, finite number, got `NaN`")]
+    fn duration_rejects_nan() {
+        sim_duration_from_env_str(Some("NaN"), 1.0);
     }
 }

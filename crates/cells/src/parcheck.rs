@@ -4,7 +4,6 @@
 //! Optimized for parity checks: move two qubits in, apply one- and two-qubit
 //! gates, measure one qubit.
 
-use hetarch_qsim::backend;
 use hetarch_qsim::bell::DistillNoise;
 use hetarch_qsim::channels::{IdleParams, Kraus1, Kraus2};
 use hetarch_qsim::measure::project_z;
@@ -180,7 +179,6 @@ impl ParCheckCell {
         // All five probes (four classical basis inputs + the Bell coherence
         // probe) run the same circuit, so they are materialized up front and
         // every channel step is one batched apply over the whole set.
-        let backend = backend::active();
         let mut states: Vec<DensityMatrix> = (0..4usize)
             .map(|input| {
                 let mut rho = DensityMatrix::zero_state(2);
@@ -203,9 +201,9 @@ impl ParCheckCell {
         for rho in states.iter_mut() {
             hetarch_qsim::gates::cnot(rho, 0, 1);
         }
-        backend.apply_2q(&depol2, &mut states, 0, 1);
-        backend.apply_1q(&idle_a_ch, &mut states, 0);
-        backend.apply_1q(&idle_b_ch, &mut states, 1);
+        depol2.apply_batch(&mut states, 0, 1);
+        idle_a_ch.apply_batch(&mut states, 0);
+        idle_b_ch.apply_batch(&mut states, 1);
 
         let mut total = 0.0;
         for (input, rho) in states.iter().take(4).enumerate() {

@@ -6,8 +6,8 @@
 //! cached: [`pauli_eigenstate_probes`] behind a `OnceLock`,
 //! [`probe_states`] behind a per-`(n, target)` map. The averaged-fidelity
 //! helpers hand the whole probe set to the caller as one slice so every
-//! channel step can run through a batched [`DmBackend`] apply
-//! (see `hetarch_qsim::backend`).
+//! channel step can run as one `Kraus1::apply_batch`/`Kraus2::apply_batch`
+//! call.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};

@@ -4,7 +4,6 @@
 //! manages input/output. Characterized by the load/save (SWAP) time and
 //! fidelity, plus the storage idle decay `T_S`.
 
-use hetarch_qsim::backend;
 use hetarch_qsim::channels::{IdleParams, Kraus2};
 use hetarch_qsim::matrix::Mat;
 use hetarch_qsim::state::DensityMatrix;
@@ -147,7 +146,6 @@ impl RegisterCell {
         // Channels are hoisted out of the probe closure so each compiles its
         // superoperator kernel once across the six Pauli-eigenstate probes;
         // each channel step is one batched apply over the whole probe set.
-        let backend = backend::active();
         let depol_swap =
             Kraus2::depolarizing(swap.error).expect("gate error validated by DeviceSpec");
         let compute_idle_ch = compute_idle
@@ -161,9 +159,9 @@ impl RegisterCell {
             for rho in states.iter_mut() {
                 rho.apply_2q(0, 1, &Mat::swap());
             }
-            backend.apply_2q(&depol_swap, states, 0, 1);
-            backend.apply_1q(&compute_idle_ch, states, 0);
-            backend.apply_1q(&storage_idle_ch, states, 1);
+            depol_swap.apply_batch(states, 0, 1);
+            compute_idle_ch.apply_batch(states, 0);
+            storage_idle_ch.apply_batch(states, 1);
         });
 
         RegisterChannel {

@@ -5,7 +5,6 @@
 //! sequential two-qubit operations between stored qubits, with parity
 //! checks available on the side.
 
-use hetarch_qsim::backend;
 use hetarch_qsim::channels::{IdleParams, Kraus1, Kraus2};
 use hetarch_qsim::complex::C64;
 use hetarch_qsim::fidelity::fidelity_with_pure;
@@ -182,11 +181,10 @@ impl SeqOpCell {
         // Qubits: 0 = s1 mode, 1 = c1, 2 = c2, 3 = s2 mode. All nine product
         // probes run the same circuit, so they are materialized up front and
         // every gate/channel step sweeps the whole batch — channel steps as
-        // one batched backend apply each.
-        let backend = backend::active();
+        // one batched apply each.
         let idle_all = |states: &mut [DensityMatrix], chs: &[(usize, Kraus1)]| {
             for (q, ch) in chs {
-                backend.apply_1q(ch, states, *q);
+                ch.apply_batch(states, *q);
             }
         };
         let probes = [0usize, 1, 2]; // 0 -> |0>, 1 -> |1>, 2 -> |+>
@@ -208,22 +206,22 @@ impl SeqOpCell {
             gates::swap(rho, 0, 1);
             gates::swap(rho, 3, 2);
         }
-        backend.apply_2q(&depol_swap1, &mut states, 0, 1);
-        backend.apply_2q(&depol_swap2, &mut states, 3, 2);
+        depol_swap1.apply_batch(&mut states, 0, 1);
+        depol_swap2.apply_batch(&mut states, 3, 2);
         idle_all(&mut states, &idle_swap);
         // Entangle (c1 drives the CNOT, so its gate quality applies).
         for rho in states.iter_mut() {
             gates::cnot(rho, 1, 2);
         }
-        backend.apply_2q(&depol_g2_c1, &mut states, 1, 2);
+        depol_g2_c1.apply_batch(&mut states, 1, 2);
         idle_all(&mut states, &idle_g2);
         // Store back.
         for rho in states.iter_mut() {
             gates::swap(rho, 0, 1);
             gates::swap(rho, 3, 2);
         }
-        backend.apply_2q(&depol_swap1, &mut states, 0, 1);
-        backend.apply_2q(&depol_swap2, &mut states, 3, 2);
+        depol_swap1.apply_batch(&mut states, 0, 1);
+        depol_swap2.apply_batch(&mut states, 3, 2);
         idle_all(&mut states, &idle_swap);
 
         let mut total = 0.0;
@@ -260,14 +258,14 @@ impl SeqOpCell {
         for rho in pstates.iter_mut() {
             gates::cnot(rho, 0, 2);
         }
-        backend.apply_2q(&depol_g2_c1, &mut pstates, 0, 2);
+        depol_g2_c1.apply_batch(&mut pstates, 0, 2);
         for rho in pstates.iter_mut() {
             gates::cnot(rho, 1, 2);
         }
-        backend.apply_2q(&depol_g2_c2, &mut pstates, 1, 2);
-        backend.apply_1q(&idle_par_c1, &mut pstates, 0);
-        backend.apply_1q(&idle_par_c2, &mut pstates, 1);
-        backend.apply_1q(&idle_par_cp, &mut pstates, 2);
+        depol_g2_c2.apply_batch(&mut pstates, 1, 2);
+        idle_par_c1.apply_batch(&mut pstates, 0);
+        idle_par_c2.apply_batch(&mut pstates, 1);
+        idle_par_cp.apply_batch(&mut pstates, 2);
         let mut ptotal = 0.0;
         for (input, rho) in pstates.iter().enumerate() {
             let parity = ((input & 1) ^ ((input >> 1) & 1)) == 1;

@@ -7,7 +7,6 @@
 //! swapped back — trading time (and hence demanding long `T_S`) for
 //! topology-agnostic error correction.
 
-use hetarch_qsim::backend;
 use hetarch_qsim::channels::{IdleParams, Kraus1, Kraus2};
 use hetarch_qsim::gates;
 use hetarch_qsim::measure::project_z;
@@ -233,11 +232,10 @@ impl UscCell {
         // Qubits: 0 = s0 mode, 1 = c0, 2 = s1 mode, 3 = c1, 4 = ancilla.
         // All four classical inputs run the same circuit, so they are
         // materialized up front and every channel step is one batched
-        // backend apply over the whole probe set.
-        let backend = backend::active();
+        // apply over the whole probe set.
         let idle_all = |states: &mut [DensityMatrix], chs: &[(usize, Kraus1)]| {
             for (q, ch) in chs {
-                backend.apply_1q(ch, states, *q);
+                ch.apply_batch(states, *q);
             }
         };
         let mut states: Vec<DensityMatrix> = (0..4usize)
@@ -257,28 +255,28 @@ impl UscCell {
             gates::swap(rho, 0, 1);
             gates::swap(rho, 2, 3);
         }
-        backend.apply_2q(&depol_swap0, &mut states, 0, 1);
-        backend.apply_2q(&depol_swap1, &mut states, 2, 3);
+        depol_swap0.apply_batch(&mut states, 0, 1);
+        depol_swap1.apply_batch(&mut states, 2, 3);
         idle_all(&mut states, &idle_swap);
         // Serial CXs to ancilla; each is driven by its register's compute
         // device, so its gate quality and duration apply.
         for rho in states.iter_mut() {
             gates::cnot(rho, 1, 4);
         }
-        backend.apply_2q(&depol_g2_c0, &mut states, 1, 4);
+        depol_g2_c0.apply_batch(&mut states, 1, 4);
         idle_all(&mut states, &idle_g2_first);
         for rho in states.iter_mut() {
             gates::cnot(rho, 3, 4);
         }
-        backend.apply_2q(&depol_g2_c1, &mut states, 3, 4);
+        depol_g2_c1.apply_batch(&mut states, 3, 4);
         idle_all(&mut states, &idle_g2_second);
         // Swap back.
         for rho in states.iter_mut() {
             gates::swap(rho, 0, 1);
             gates::swap(rho, 2, 3);
         }
-        backend.apply_2q(&depol_swap0, &mut states, 0, 1);
-        backend.apply_2q(&depol_swap1, &mut states, 2, 3);
+        depol_swap0.apply_batch(&mut states, 0, 1);
+        depol_swap1.apply_batch(&mut states, 2, 3);
         idle_all(&mut states, &idle_swap);
         // Readout window.
         idle_all(&mut states, &idle_read);

@@ -156,10 +156,7 @@ impl DistillModule {
     /// ParCheck cell's noise.
     ///
     /// The table build pushes all 16 pure-Bell input combinations through
-    /// one batched density-matrix pass on the active
-    /// [`DmBackend`](hetarch_qsim::backend::DmBackend); both backends yield
-    /// bit-identical tables, so every downstream report is
-    /// backend-independent.
+    /// one batched density-matrix pass.
     pub fn new(config: DistillConfig) -> Self {
         let table = DejmpsTable::new(&config.parcheck.distill_noise());
         DistillModule { config, table }
@@ -329,7 +326,7 @@ impl DistillModule {
     ///
     /// Every shard shares (by clone) the module's batch-built
     /// [`DejmpsTable`], so the density-matrix work behind the pair states
-    /// runs once through the batched backend rather than once per shard;
+    /// runs once, in one batched pass, rather than once per shard;
     /// the per-shard event loops then evaluate the bilinear form only.
     pub fn run_batch_on(
         &self,

@@ -14,7 +14,6 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::backend::{self, DmBackend};
 use crate::channels::{Kraus1, Kraus2, PauliProbs};
 use crate::complex::C64;
 use crate::fidelity::fidelity_with_pure;
@@ -240,24 +239,21 @@ pub fn dejmps_density(
     pair2: &BellDiagonal,
     noise: &DistillNoise,
 ) -> Option<DistillOutcome> {
-    dejmps_density_batch(&[(*pair1, *pair2)], noise, backend::active())
+    dejmps_density_batch(&[(*pair1, *pair2)], noise)
         .pop()
         .expect("batch of one yields one outcome")
 }
 
 /// Runs one DEJMPS round exactly on every input pair combination in
-/// `inputs`, pushing all 4-qubit protocol states through `backend` so a
-/// whole batch shares each channel's compiled kernel pass (see
-/// [`crate::backend`]).
+/// `inputs`, applying each noise channel to all 4-qubit protocol states in
+/// one `apply_batch` call so the whole batch shares its compiled kernel.
 ///
 /// Per state, the circuit and its operation order are exactly those of
 /// [`dejmps_density`], so outcome `k` is bit-identical to
-/// `dejmps_density(&inputs[k].0, &inputs[k].1, noise)` regardless of the
-/// backend.
+/// `dejmps_density(&inputs[k].0, &inputs[k].1, noise)`.
 pub fn dejmps_density_batch(
     inputs: &[(BellDiagonal, BellDiagonal)],
     noise: &DistillNoise,
-    backend: &dyn DmBackend,
 ) -> Vec<Option<DistillOutcome>> {
     // Qubits 0,1 = kept pair; 2,3 = sacrificed pair.
     let mut states: Vec<DensityMatrix> = inputs
@@ -275,7 +271,7 @@ pub fn dejmps_density_batch(
     if noise.p1q > 0.0 {
         let d = Kraus1::depolarizing(noise.p1q).expect("validated probability");
         for q in 0..4 {
-            backend.apply_1q(&d, &mut states, q);
+            d.apply_batch(&mut states, q);
         }
     }
     for rho in &mut states {
@@ -284,13 +280,13 @@ pub fn dejmps_density_batch(
     }
     if noise.p2q > 0.0 {
         let d = Kraus2::depolarizing(noise.p2q).expect("validated probability");
-        backend.apply_2q(&d, &mut states, 0, 2);
-        backend.apply_2q(&d, &mut states, 1, 3);
+        d.apply_batch(&mut states, 0, 2);
+        d.apply_batch(&mut states, 1, 3);
     }
     if noise.meas_flip > 0.0 {
         let f = Kraus1::bit_flip(noise.meas_flip).expect("validated probability");
-        backend.apply_1q(&f, &mut states, 2);
-        backend.apply_1q(&f, &mut states, 3);
+        f.apply_batch(&mut states, 2);
+        f.apply_batch(&mut states, 3);
     }
 
     states.iter().map(herald_equal_outcomes).collect()
@@ -353,16 +349,9 @@ impl DejmpsTable {
     /// Builds the table for a fixed per-round noise setting.
     ///
     /// All 16 pure Bell input combinations are simulated in one
-    /// [`dejmps_density_batch`] call through [`backend::active`], so the
-    /// protocol's channel kernels are compiled once and swept across the
-    /// whole probe set.
+    /// [`dejmps_density_batch`] call, so the protocol's channel kernels are
+    /// compiled once and swept across the whole probe set.
     pub fn new(noise: &DistillNoise) -> Self {
-        Self::new_with_backend(noise, backend::active())
-    }
-
-    /// [`new`](Self::new) with an explicit [`DmBackend`]; both built-in
-    /// backends yield bit-identical tables.
-    pub fn new_with_backend(noise: &DistillNoise, backend: &dyn DmBackend) -> Self {
         let mut inputs = Vec::with_capacity(16);
         for i in 0..4 {
             for j in 0..4 {
@@ -373,7 +362,7 @@ impl DejmpsTable {
                 inputs.push((BellDiagonal::new(pi), BellDiagonal::new(pj)));
             }
         }
-        let outcomes = dejmps_density_batch(&inputs, noise, backend);
+        let outcomes = dejmps_density_batch(&inputs, noise);
         let mut success = [[0.0; 4]; 4];
         let mut out = [[[0.0; 4]; 4]; 4];
         for (idx, outcome) in outcomes.iter().enumerate() {

@@ -170,19 +170,18 @@ impl Kraus1 {
         crate::conformance::debug_validate_state(rho, "Kraus1::apply");
     }
 
-    /// Applies the channel to qubit `q` of every state in `states` through
-    /// one blocked kernel pass (the [`crate::backend::BatchedBackend`]
-    /// path). Bit-identical to calling [`apply`](Kraus1::apply) on each
-    /// state; empty batches are a no-op.
+    /// Applies the channel to qubit `q` of every state in `states`, one
+    /// [`apply`](Kraus1::apply) per state. The 1q contraction is too cheap
+    /// for lane blocking across states to pay, so unlike
+    /// [`Kraus2::apply_batch`] this is a plain loop; empty batches are a
+    /// no-op.
     ///
     /// # Panics
     ///
-    /// Panics if the states disagree on qubit count or `q` is out of range.
+    /// Panics if `q` is out of range for any state.
     pub fn apply_batch(&self, states: &mut [DensityMatrix], q: usize) {
-        self.kernel().apply_batch(states, q);
-        #[cfg(feature = "validate")]
-        for rho in states.iter() {
-            crate::conformance::debug_validate_state(rho, "Kraus1::apply_batch");
+        for rho in states {
+            self.apply(rho, q);
         }
     }
 
@@ -326,9 +325,9 @@ impl Kraus2 {
     }
 
     /// Applies the channel to qubits `(q_hi, q_lo)` of every state in
-    /// `states` through one blocked kernel pass (the
-    /// [`crate::backend::BatchedBackend`] path). Bit-identical to calling
-    /// [`apply`](Kraus2::apply) on each state; empty batches are a no-op.
+    /// `states` through one kernel pass blocked across lanes of states.
+    /// Bit-identical to calling [`apply`](Kraus2::apply) on each state;
+    /// empty batches are a no-op.
     ///
     /// # Panics
     ///

@@ -42,11 +42,13 @@
 //! performs exactly the floating-point operations of the `C64` product in
 //! the same order, so results are bit-identical to the interleaved form.
 //!
-//! `apply_batch` pushes one compiled kernel through a whole slice of states
-//! (the [`crate::backend::BatchedBackend`] path): coefficient loads, block
-//! index arithmetic, and bounds checks are amortized across the batch, and
-//! the innermost loop runs across states — independent lanes with no
-//! cross-state data flow, so each state still sees its exact scalar result.
+//! [`ChannelKernel2::apply_batch`] pushes one compiled kernel through a
+//! whole slice of states: coefficient loads, block index arithmetic, and
+//! bounds checks are amortized across the batch, and the innermost loop
+//! runs across states — independent lanes with no cross-state data flow, so
+//! each state still sees its exact scalar result. Single-qubit kernels have
+//! no batch form: their 4×4 contraction is too cheap for lane blocking to
+//! pay, so `Kraus1::apply_batch` loops over [`ChannelKernel1::apply`].
 
 use hetarch_obs as obs;
 
@@ -128,19 +130,6 @@ impl ChannelKernel1 {
     pub fn apply(&self, rho: &mut DensityMatrix, q: usize) {
         OBS_APPLIES.inc();
         rho.apply_superop_1q(q, self);
-    }
-
-    /// Applies the channel to qubit `q` of every state in `states`,
-    /// blocking over states so the compiled coefficients stay hot and the
-    /// inner loop vectorizes across the batch. Each state receives exactly
-    /// the floats [`apply`](Self::apply) would have produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the states disagree on qubit count or `q` is out of range.
-    pub fn apply_batch(&self, states: &mut [DensityMatrix], q: usize) {
-        OBS_APPLIES.add(states.len() as u64);
-        DensityMatrix::apply_superop_1q_batch(states, q, self);
     }
 
     /// The dense 4×4 superoperator, row-major in the vectorization

@@ -16,9 +16,6 @@
 //!   depolarizing gate error, Pauli twirling),
 //! * [`kernel`] — precompiled superoperator kernels, the allocation-free
 //!   fast path behind every channel application,
-//! * [`backend`] — pluggable apply strategies ([`DmBackend`](backend::DmBackend)):
-//!   a scalar reference backend and a batched backend that blocks one kernel
-//!   pass across many states,
 //! * [`measure`] — projective measurement and post-selection,
 //! * [`fidelity`] — fidelity metrics used in cell characterization,
 //! * [`bell`] — Bell-diagonal pair states and the DEJMPS distillation round.
@@ -46,7 +43,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod backend;
 pub mod bell;
 pub mod channels;
 pub mod complex;
@@ -61,7 +57,6 @@ pub mod state;
 
 /// Convenient re-exports of the most used items.
 pub mod prelude {
-    pub use crate::backend::{BatchedBackend, DmBackend, ScalarBackend};
     pub use crate::bell::{BellDiagonal, BellState, DejmpsTable, DistillNoise};
     pub use crate::channels::{IdleParams, Kraus1, Kraus2, PauliProbs};
     pub use crate::complex::C64;

@@ -15,18 +15,11 @@ use crate::error::QsimError;
 use crate::kernel::{ChannelKernel1, ChannelKernel2};
 use crate::matrix::Mat;
 
-/// States per blocked lane group in the batched superoperator traversals.
-/// Four f64 pairs fill a 512-bit vector register; the tail of a batch falls
-/// back to the single-state path, which computes identical floats.
+/// States per blocked lane group in the batched two-qubit superoperator
+/// traversal. Four f64 pairs fill a 512-bit vector register; the tail of a
+/// batch falls back to the single-state path, which computes identical
+/// floats.
 const LANES: usize = 4;
-
-/// Largest qubit count for which the 1q batched apply lane-blocks over
-/// states. At n = 4 a lane group is 4 × 4 KiB — comfortably within L1 —
-/// while at n = 5 it is 4 × 16 KiB and the strided gathers start missing;
-/// the 1q contraction is too cheap to hide that. Beyond the cutoff the
-/// batch degenerates to a per-state loop (identical floats, so the choice
-/// is invisible to callers).
-const BATCH_1Q_MAX_QUBITS: usize = 4;
 
 /// A density matrix over `n` qubits.
 ///
@@ -376,106 +369,6 @@ impl DensityMatrix {
         }
     }
 
-    /// Applies a precompiled single-qubit channel superoperator to qubit
-    /// `q` of every state in `states`, blocking over states: full lane
-    /// groups of [`LANES`] states are gathered block-position by
-    /// block-position (component-major, so the innermost loop runs across
-    /// states), the remainder goes through the single-state path. Per state
-    /// the arithmetic and its order are identical to
-    /// [`apply_superop_1q`](Self::apply_superop_1q) — batching never mixes
-    /// floats between states — so results are bit-identical to applying the
-    /// kernel to each state in turn.
-    ///
-    /// Lane blocking only pays while a whole lane group of states fits in
-    /// the fast cache — the 1q contraction does so little arithmetic per
-    /// block (4 outputs × 4 terms) that strided gathers across large states
-    /// cost more than they amortize. Above [`BATCH_1Q_MAX_QUBITS`] the
-    /// states are processed one at a time instead; because the per-state
-    /// float path is identical either way, the cutoff affects speed only,
-    /// never results.
-    ///
-    /// An empty batch is a no-op. This is the hot path behind
-    /// [`crate::kernel::ChannelKernel1::apply_batch`] and the batched
-    /// backend in [`crate::backend`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the states disagree on qubit count or `q` is out of range.
-    pub fn apply_superop_1q_batch(states: &mut [DensityMatrix], q: usize, kernel: &ChannelKernel1) {
-        let Some(first) = states.first() else {
-            return;
-        };
-        let n = first.n;
-        assert!(q < n, "qubit {q} out of range for {n} qubits");
-        for s in states.iter() {
-            assert_eq!(s.n, n, "batched states must share the qubit count");
-        }
-        if n > BATCH_1Q_MAX_QUBITS {
-            for st in states {
-                st.apply_superop_1q(q, kernel);
-            }
-            return;
-        }
-        let (s_re, s_im) = kernel.split();
-        let mask = 1usize << q;
-        let low = mask - 1;
-        let dim = first.dim;
-        let half = dim / 2;
-        let mut chunks = states.chunks_exact_mut(LANES);
-        for chunk in chunks.by_ref() {
-            for br in 0..half {
-                let r0 = ((br & !low) << 1) | (br & low);
-                let row0 = r0 * dim;
-                let row1 = (r0 | mask) * dim;
-                for bc in 0..half {
-                    let c0 = ((bc & !low) << 1) | (bc & low);
-                    let c1 = c0 | mask;
-                    let idx = [row0 + c0, row0 + c1, row1 + c0, row1 + c1];
-                    let mut b_re = [[0.0f64; LANES]; 4];
-                    let mut b_im = [[0.0f64; LANES]; 4];
-                    for (l, st) in chunk.iter().enumerate() {
-                        for (j, &ix) in idx.iter().enumerate() {
-                            let z = st.data[ix];
-                            b_re[j][l] = z.re;
-                            b_im[j][l] = z.im;
-                        }
-                    }
-                    let mut o_re = [[0.0f64; LANES]; 4];
-                    let mut o_im = [[0.0f64; LANES]; 4];
-                    // Output-major: only one pair of lane accumulators is
-                    // live inside the j loop, so they stay in vector
-                    // registers. Per (i, l) the j-ascending order matches the
-                    // single-state path exactly.
-                    for i in 0..4 {
-                        let mut acc_re = [0.0f64; LANES];
-                        let mut acc_im = [0.0f64; LANES];
-                        for j in 0..4 {
-                            let sr = s_re[i * 4 + j];
-                            let si = s_im[i * 4 + j];
-                            for l in 0..LANES {
-                                acc_re[l] += sr * b_re[j][l] - si * b_im[j][l];
-                                acc_im[l] += sr * b_im[j][l] + si * b_re[j][l];
-                            }
-                        }
-                        o_re[i] = acc_re;
-                        o_im[i] = acc_im;
-                    }
-                    for (l, st) in chunk.iter_mut().enumerate() {
-                        for (i, &ix) in idx.iter().enumerate() {
-                            st.data[ix] = C64 {
-                                re: o_re[i][l],
-                                im: o_im[i][l],
-                            };
-                        }
-                    }
-                }
-            }
-        }
-        for st in chunks.into_remainder() {
-            st.apply_superop_1q(q, kernel);
-        }
-    }
-
     /// Applies a precompiled two-qubit channel superoperator to qubits
     /// `(q_hi, q_lo)` in one allocation-free pass. Each 4×4 block of ρ
     /// (row and column sub-indices `(bit_hi << 1) | bit_lo`) is gathered
@@ -557,8 +450,7 @@ impl DensityMatrix {
     /// results are bit-identical to applying the kernel per state.
     ///
     /// An empty batch is a no-op. This is the hot path behind
-    /// [`crate::kernel::ChannelKernel2::apply_batch`] and the batched
-    /// backend in [`crate::backend`].
+    /// [`crate::kernel::ChannelKernel2::apply_batch`].
     ///
     /// # Panics
     ///
@@ -793,8 +685,8 @@ impl DensityMatrix {
 
     /// Mutably borrows the row-major backing data.
     ///
-    /// Backend implementations (see [`crate::backend`]) may rely on the
-    /// following layout invariants, which are stable API:
+    /// Callers may rely on the following layout invariants, which are
+    /// stable API:
     ///
     /// - the slice holds exactly `dim² = 4^n` entries, where
     ///   `dim = 2^n = self.dim()`;

@@ -9,7 +9,7 @@ use std::io::{self, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
-use crate::json::{self, Json};
+use hetarch_devices::json::{self, Json};
 
 /// Default cap on response frames the client will accept.
 const MAX_RESPONSE_LEN: u32 = 1 << 24;

@@ -16,8 +16,8 @@ use hetarch_exec::{CancelToken, Cancelled, WorkerPool};
 use hetarch_modules::uec::{UecModule, UecNoise};
 use hetarch_stab::codes::rotated_surface_code;
 
-use crate::json::Json;
 use crate::query::Query;
+use hetarch_devices::json::Json;
 
 /// Compute coherence pinned for every query (the §4 UEC calibration);
 /// queries sweep the *storage* axis.

@@ -26,7 +26,6 @@
 pub mod cache;
 pub mod client;
 pub mod eval;
-pub mod json;
 pub mod query;
 pub mod queue;
 pub mod server;
@@ -34,7 +33,6 @@ pub mod server;
 pub use cache::{Admit, JobSlot, Outcome, QueryCache};
 pub use client::Client;
 pub use eval::evaluate;
-pub use json::Json;
 pub use query::{parse_query, Query, QueryKey};
 pub use queue::JobQueue;
 pub use server::{Server, ServerConfig, ServerStats};

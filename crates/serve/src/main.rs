@@ -9,7 +9,7 @@
 
 use std::process::ExitCode;
 
-use hetarch_serve::json::Json;
+use hetarch_devices::json::Json;
 use hetarch_serve::{Client, Server, ServerConfig};
 
 fn main() -> ExitCode {

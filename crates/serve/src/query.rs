@@ -17,7 +17,7 @@ use serde::{Deserialize, Serialize};
 use hetarch_devices::calib::CalibSnapshot;
 use hetarch_exec::rare::RareConfig;
 
-use crate::json::Json;
+use hetarch_devices::json::Json;
 
 /// Default Monte-Carlo shots per sweep point.
 pub const DEFAULT_SHOTS: u32 = 4096;
@@ -394,7 +394,7 @@ fn f64_field_required(body: &Json, key: &str) -> Result<f64, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::parse;
+    use hetarch_devices::json::parse;
 
     #[test]
     fn reordered_axes_share_a_key() {

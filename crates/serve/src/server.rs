@@ -44,9 +44,9 @@ use hetarch_obs as obs;
 
 use crate::cache::{Admit, Outcome, QueryCache};
 use crate::eval::evaluate;
-use crate::json::{self, Json};
 use crate::query::{parse_query, Query};
 use crate::queue::JobQueue;
+use hetarch_devices::json::{self, Json};
 
 // Serve metrics (no-ops unless the `obs` feature is on and `HETARCH_OBS=1`).
 static OBS_REQUESTS: obs::Counter = obs::Counter::new("serve.requests");

@@ -5,7 +5,7 @@
 use proptest::collection::vec;
 use proptest::prelude::*;
 
-use hetarch_serve::json::{parse, Json};
+use hetarch_devices::json::{parse, Json};
 use hetarch_serve::query::{parse_query, Query, DEFAULT_SEED, DEFAULT_SHOTS};
 
 /// The distances the server accepts (USC capacity bound).

@@ -27,7 +27,6 @@
 
 use hetarch_cells::channel::compose_errors;
 use hetarch_exec::WorkerPool;
-use hetarch_qsim::backend::{self, DmBackend};
 use hetarch_qsim::channels::Kraus1;
 use hetarch_qsim::state::DensityMatrix;
 use hetarch_qsim::{gates, measure};
@@ -85,14 +84,11 @@ pub struct DiffOracle {
     sigma: f64,
     workers: usize,
     depol_scale: f64,
-    backend: &'static dyn DmBackend,
 }
 
 impl DiffOracle {
     /// Creates an oracle running `shots` Monte-Carlo shots per check at RNG
-    /// seed `seed`, with the default `5σ` statistical contract. The exact
-    /// path applies channels through the process-wide active
-    /// [`DmBackend`](hetarch_qsim::backend::DmBackend).
+    /// seed `seed`, with the default `5σ` statistical contract.
     pub fn new(shots: usize, seed: u64) -> Self {
         assert!(shots > 0, "oracle needs at least one shot");
         DiffOracle {
@@ -101,7 +97,6 @@ impl DiffOracle {
             sigma: 5.0,
             workers: 4,
             depol_scale: 1.0,
-            backend: backend::active(),
         }
     }
 
@@ -109,15 +104,6 @@ impl DiffOracle {
     pub fn with_sigma(mut self, sigma: f64) -> Self {
         assert!(sigma > 0.0);
         self.sigma = sigma;
-        self
-    }
-
-    /// Closes the oracle's exact path over an explicit
-    /// [`DmBackend`](hetarch_qsim::backend::DmBackend): every depolarizing
-    /// event is routed through `backend`, so the three-path differential
-    /// (exact vs composed vs sampled) exercises that backend end to end.
-    pub fn with_backend(mut self, backend: &'static dyn DmBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -177,8 +163,7 @@ impl DiffOracle {
                 }
                 NoisyOp::Depol(q, p) => {
                     let ch = Kraus1::depolarizing(p).expect("generated probability is valid");
-                    self.backend
-                        .apply_1q(&ch, std::slice::from_mut(&mut dm), q as usize);
+                    ch.apply(&mut dm, q as usize);
                 }
             }
         }

@@ -1,20 +1,20 @@
-//! Differential property suite for the `DmBackend` abstraction: the batched
-//! backend (`apply_superop_*_batch`, lane-blocked over states) must agree
-//! with the scalar reference backend (per-state kernel application) and with
-//! the Kraus-sum reference (`apply_reference`) on random mixed states and
-//! random batch sizes — including the degenerate sizes 0 and 1 and sizes
-//! that exercise both the full-lane path and the scalar remainder. On top
-//! of the ≤1e-12 analytic bound, the scalar and batched outputs are checked
-//! *bit-identical*: lane blocking never mixes floats between states, so the
-//! two backends perform the same operations in the same order per state.
+//! Differential property suite for the batched density-matrix apply path:
+//! `Kraus2::apply_batch` (`apply_superop_2q_batch`, lane-blocked over
+//! states) and `Kraus1::apply_batch` (a per-state loop) must agree with
+//! per-state `apply` and with the Kraus-sum reference (`apply_reference`)
+//! on random mixed states and random batch sizes — including the
+//! degenerate sizes 0 and 1 and sizes that exercise both the full-lane path
+//! and the per-state remainder. On top of the ≤1e-12 analytic bound, the
+//! batched and per-state outputs are checked *bit-identical*: lane blocking
+//! never mixes floats between states, so both perform the same operations
+//! in the same order per state.
 //!
 //! The suite closes the contract at the module layer too:
 //! `DistillModule::run_batch_on` (whose DEJMPS table and pair states ride
 //! the batched path) must stay worker-count invariant, and the
-//! cross-simulator [`DiffOracle`] must pass when pinned to either backend.
+//! cross-simulator [`DiffOracle`] must pass on the exact path.
 
 use hetarch::modules::distill::{DistillConfig, DistillModule};
-use hetarch::qsim::backend::{DmBackend, BATCHED, SCALAR};
 use hetarch::qsim::channels::{IdleParams, Kraus1, Kraus2};
 use hetarch::qsim::gates;
 use hetarch::qsim::state::DensityMatrix;
@@ -105,11 +105,9 @@ fn kraus2_strategy() -> impl Strategy<Value = Kraus2> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The tentpole property for single-qubit channels: on every state of a
-    /// random batch, the batched backend agrees with the scalar backend
-    /// bitwise and with the Kraus-sum reference to ≤1e-12. Batch sizes 0
-    /// and 1 are generated (0..=9), covering empty input, the pure remainder
-    /// path, full lanes, and lanes-plus-remainder.
+    /// Single-qubit channels: on every state of a random batch,
+    /// `apply_batch` agrees with per-state `apply` bitwise and with the
+    /// Kraus-sum reference to ≤1e-12, for batch sizes 0..=9.
     fn backend_1q_matches_scalar_and_reference(
         ch in kraus1_strategy(),
         angles in proptest::collection::vec(0.0..std::f64::consts::TAU, 9),
@@ -119,12 +117,14 @@ proptest! {
     ) {
         let via_batched = {
             let mut states = random_batch(3, count, &angles, noise);
-            BATCHED.apply_1q(&ch, &mut states, q);
+            ch.apply_batch(&mut states, q);
             states
         };
         let via_scalar = {
             let mut states = random_batch(3, count, &angles, noise);
-            SCALAR.apply_1q(&ch, &mut states, q);
+            for rho in states.iter_mut() {
+                ch.apply(rho, q);
+            }
             states
         };
         let via_reference = {
@@ -135,14 +135,15 @@ proptest! {
             states
         };
         prop_assert_eq!(via_batched.len(), count);
-        // Bitwise: lane blocking performs the same float ops per state.
         prop_assert_eq!(&via_batched, &via_scalar);
         for (b, r) in via_batched.iter().zip(&via_reference) {
             assert_states_close(b, r);
         }
     }
 
-    /// The same property for two-qubit channels on 4-qubit states.
+    /// The same property for two-qubit channels on 4-qubit states. Batch
+    /// sizes 0..=9 cover empty input, the pure remainder path, full lanes,
+    /// and lanes-plus-remainder.
     fn backend_2q_matches_scalar_and_reference(
         ch in kraus2_strategy(),
         angles in proptest::collection::vec(0.0..std::f64::consts::TAU, 12),
@@ -152,12 +153,14 @@ proptest! {
     ) {
         let via_batched = {
             let mut states = random_batch(4, count, &angles, noise);
-            BATCHED.apply_2q(&ch, &mut states, pair.0, pair.1);
+            ch.apply_batch(&mut states, pair.0, pair.1);
             states
         };
         let via_scalar = {
             let mut states = random_batch(4, count, &angles, noise);
-            SCALAR.apply_2q(&ch, &mut states, pair.0, pair.1);
+            for rho in states.iter_mut() {
+                ch.apply(rho, pair.0, pair.1);
+            }
             states
         };
         let via_reference = {
@@ -168,29 +171,16 @@ proptest! {
             states
         };
         prop_assert_eq!(via_batched.len(), count);
+        // Bitwise: lane blocking performs the same float ops per state.
         prop_assert_eq!(&via_batched, &via_scalar);
         for (b, r) in via_batched.iter().zip(&via_reference) {
             assert_states_close(b, r);
         }
     }
-
-    /// The single-state convenience wrappers route through the same code as
-    /// the slice entry points.
-    fn backend_one_state_wrappers_agree(
-        ch in kraus1_strategy(),
-        angles in proptest::collection::vec(0.0..std::f64::consts::TAU, 9),
-        q in 0usize..3,
-    ) {
-        let mut via_one = random_state(3, &angles, 0.05);
-        let mut via_slice = via_one.clone();
-        BATCHED.apply_1q_one(&ch, &mut via_one, q);
-        BATCHED.apply_1q(&ch, std::slice::from_mut(&mut via_slice), q);
-        prop_assert_eq!(via_one, via_slice);
-    }
 }
 
 /// The module-layer closure: `DistillModule::run_batch_on` threads its pair
-/// states and DEJMPS lookup table through the active (batched) backend, and
+/// states and DEJMPS lookup table through the batched apply path, and
 /// the result must stay bit-identical across worker counts — batching is a
 /// per-shard layout decision, never a semantic one.
 #[test]
@@ -207,11 +197,10 @@ fn distill_batch_reports_are_worker_count_invariant() {
     }
 }
 
-/// Cross-model closure: the differential oracle passes when pinned to
-/// either backend explicitly — the sampler and composed-error models agree
-/// with the exact path regardless of how the exact path batches.
+/// Cross-model closure: the sampler and composed-error models agree with
+/// the exact density-matrix path.
 #[test]
-fn oracle_agrees_under_both_backends() {
+fn oracle_agrees_with_exact_path() {
     let circuit = NoisyCircuit {
         num_qubits: 3,
         ops: vec![
@@ -224,10 +213,5 @@ fn oracle_agrees_under_both_backends() {
             NoisyOp::Depol(2, 0.09),
         ],
     };
-    DiffOracle::new(40_000, 29)
-        .with_backend(&SCALAR)
-        .assert_agrees(&circuit);
-    DiffOracle::new(40_000, 29)
-        .with_backend(&BATCHED)
-        .assert_agrees(&circuit);
+    DiffOracle::new(40_000, 29).assert_agrees(&circuit);
 }

@@ -160,35 +160,6 @@ fn stratified_rare_report_is_worker_count_invariant() {
 }
 
 #[test]
-fn stratified_rare_report_is_dm_backend_invariant() {
-    use hetarch::qsim::backend::{force_active, BackendChoice};
-    // The UEC module characterizes its cells through the density-matrix
-    // backend before any stabilizer sampling happens; both backends are
-    // bit-identical by contract, so the stratified stratum tallies must not
-    // move when `HETARCH_DM_BACKEND` (here: the runtime override) flips.
-    let config = RareConfig {
-        max_strata: 4,
-        rel_tol: 0.5,
-        shots_per_stratum: 512,
-        enumerate_threshold: 64,
-        ..RareConfig::default()
-    };
-    let pool = WorkerPool::new(4);
-    let batched = UecModule::new(steane(), usc(50e-3), UecNoise::default())
-        .logical_error_rate_rare_on(&pool, config, 29)
-        .into_report();
-    force_active(Some(BackendChoice::Scalar));
-    let scalar = UecModule::new(steane(), usc(50e-3), UecNoise::default())
-        .logical_error_rate_rare_on(&pool, config, 29)
-        .into_report();
-    force_active(None);
-    assert_eq!(
-        batched, scalar,
-        "stratum tallies must not depend on the DM backend"
-    );
-}
-
-#[test]
 fn dse_sweep_is_worker_count_invariant() {
     let space = DesignSpace::new(vec![
         Axis::new("ts", vec![1e-3, 5e-3, 25e-3]),

@@ -188,7 +188,7 @@ fn rare_report_snapshot(pool: &WorkerPool) -> Snapshot {
 /// is fully sequential on one connection, so every counter is exact, and
 /// the caller asserts worker-count invariance across server pools.
 fn serve_stats_snapshot(workers: usize) -> Snapshot {
-    use hetarch::serve::json::Json;
+    use hetarch::devices::json::Json;
     use hetarch::serve::{Client, Server, ServerConfig};
 
     let server = Server::start(ServerConfig {

@@ -140,3 +140,92 @@ fn runtime_gate_off_records_nothing_and_results_match() {
     let on = uec_workload(&pool);
     assert_eq!(off, on, "instrumentation must not perturb results");
 }
+
+/// One small run through every instrumented layer — cold cell
+/// characterization, cached cell lookups, a surface memory, a rare-event
+/// estimate and a UEC module — leaves a report that explains itself: the
+/// kernel caches compile far fewer times than they apply, the union-find
+/// decoder does real growth and peeling work without leaking parity, the
+/// stratified estimator reports its strata and error budget, and the
+/// sharded engine and cell cache record their traffic.
+#[test]
+fn report_run_covers_every_layer() {
+    let _guard = serialized();
+    obs::force_enabled(true);
+    obs::reset();
+    let pool = WorkerPool::new(2);
+
+    let compute = catalog::coherence_limited_compute(0.5e-3);
+    let storage = catalog::coherence_limited_storage(50e-3);
+    RegisterCell::new(compute.clone(), storage.clone())
+        .unwrap()
+        .characterize();
+    ParCheckCell::new(compute.clone(), compute.clone())
+        .unwrap()
+        .characterize();
+    SeqOpCell::new(compute.clone(), storage.clone())
+        .unwrap()
+        .characterize();
+    let lib = CellLibrary::new();
+    for _ in 0..4 {
+        lib.get::<RegisterCell>(&compute, &storage);
+    }
+
+    surface_workload(&pool);
+    let quiet = SurfaceNoise {
+        t_data: 10.0,
+        t_anc: 10.0,
+        p1: 2e-5,
+        p2: 2e-4,
+        p_meas: 1e-4,
+        ..SurfaceNoise::default()
+    };
+    let config = RareConfig {
+        max_strata: 4,
+        shots_per_stratum: 256,
+        ..RareConfig::default()
+    };
+    let rare = SurfaceMemory::new(3, 2, quiet)
+        .logical_error_rate_rare_on(&pool, SurfaceDecoder::UnionFind, config, 31)
+        .into_report();
+    uec_workload(&pool);
+
+    let report = obs::report();
+    let counter = |name: &str| report.counters.get(name).copied().unwrap_or(0);
+
+    let (compiles, applies) = (
+        counter("qsim.kernel.compiles"),
+        counter("qsim.kernel.applies"),
+    );
+    assert!(applies > 0, "the superoperator kernel path must run");
+    assert!(
+        0 < compiles && compiles < applies,
+        "kernel caches must keep compiles ({compiles}) below applies ({applies})"
+    );
+
+    for name in [
+        "decodes",
+        "empty_fast_path",
+        "growth_passes",
+        "unions",
+        "peel_discharges",
+    ] {
+        assert!(
+            counter(&format!("stab.decoder.{name}")) > 0,
+            "stab.decoder.{name} is zero"
+        );
+    }
+    assert_eq!(counter("stab.decoder.peel_leaks"), 0);
+    assert!(report.histograms.contains_key("stab.decode_ns"));
+
+    assert!(counter("exec.rare.strata") > 0);
+    assert!(counter("exec.rare.shots") > 0);
+    assert!(rare.truncation_bound >= 0.0);
+
+    assert!(counter("exec.shards_executed") > 0);
+    assert_eq!(counter("modules.uec.shots"), UEC_SHOTS as u64);
+    assert!(
+        counter("cells.register.hits") > 0,
+        "repeated register lookups must hit the cell cache"
+    );
+}

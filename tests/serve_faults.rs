@@ -8,7 +8,7 @@ use std::sync::atomic::Ordering::Relaxed;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-use hetarch::serve::json::Json;
+use hetarch::devices::json::Json;
 use hetarch::serve::{Client, Server, ServerConfig};
 
 /// Serializes tests: the obs registry (asserted under `--features obs`) is
@@ -37,7 +37,7 @@ fn block_request(millis: i64) -> Json {
 }
 
 fn status_of(reply: &[u8]) -> String {
-    let parsed = hetarch::serve::json::parse(std::str::from_utf8(reply).unwrap()).unwrap();
+    let parsed = hetarch::devices::json::parse(std::str::from_utf8(reply).unwrap()).unwrap();
     parsed
         .get("status")
         .and_then(Json::as_str)

@@ -9,7 +9,7 @@
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
-use hetarch::serve::json::Json;
+use hetarch::devices::json::Json;
 use hetarch::serve::{evaluate, server, Client, Query, Server, ServerConfig};
 use hetarch_cells::CellLibrary;
 use hetarch_exec::{CancelToken, WorkerPool};
