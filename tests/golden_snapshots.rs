@@ -111,6 +111,80 @@ fn uec_rate_snapshot(pool: &WorkerPool) -> Snapshot {
     s
 }
 
+/// Rates of the two other lookup-decoded modules at a pinned seed: Steane
+/// on USC chains with one and two extension links, and rotated d=3 on the
+/// homogeneous square-lattice baseline, plus small rare-event reports of the
+/// baseline and of the single-USC module (their `FaultDriver` replays).
+fn chain_hom_rate_snapshot(pool: &WorkerPool) -> Snapshot {
+    use hetarch::modules::uec::ChainUecModule;
+
+    let shots = 2_000;
+    let seed = 61;
+    let usc = UscCell::new(
+        catalog::coherence_limited_compute(0.5e-3),
+        catalog::coherence_limited_storage(5e-3),
+    )
+    .unwrap()
+    .characterize();
+    let mut s = Snapshot::new(
+        "chain and homogeneous-baseline logical error rates, 2000 shots, seed 61; \
+         rare-event reports, seed 43",
+    );
+    for n_ext in [1, 2] {
+        let r = ChainUecModule::new(steane(), usc.clone(), n_ext, UecNoise::default())
+            .logical_error_rate_on(pool, shots, seed);
+        s.section(&format!("chain Steane n_ext={n_ext}"));
+        s.f64("logical_error_rate", r.logical_error_rate)
+            .f64("cycle_duration", r.cycle_duration)
+            .field("shots", r.shots);
+    }
+    for tc_ms in [0.5, 5.0] {
+        let r = HomModule::new(rotated_surface_code(3), tc_ms * 1e-3, UecNoise::default())
+            .logical_error_rate_on(pool, shots, seed);
+        s.section(&format!("hom SC3 tc={tc_ms}ms"));
+        s.f64("logical_error_rate", r.logical_error_rate)
+            .f64("cycle_duration", r.cycle_duration)
+            .field("swaps_per_cycle", r.swaps_per_cycle);
+    }
+    let config = RareConfig {
+        max_strata: 4,
+        rel_tol: 0.5,
+        shots_per_stratum: 1_024,
+        enumerate_threshold: 64,
+        ..RareConfig::default()
+    };
+    let hom = HomModule::new(rotated_surface_code(3), 5e-3, UecNoise::default())
+        .logical_error_rate_rare_on(pool, config, 43);
+    rare_sections(&mut s, "hom SC3 rare", "hom SC3 rare ", hom);
+    let uec = UecModule::new(steane(), usc, UecNoise::default())
+        .logical_error_rate_rare_on(pool, config, 43);
+    rare_sections(&mut s, "uec Steane rare", "uec Steane rare ", uec);
+    s
+}
+
+/// Renders a rare-event outcome: the headline estimate and error budget in
+/// section `head`, then one `{stratum_prefix}stratum w=k` section per
+/// stratum.
+fn rare_sections(s: &mut Snapshot, head: &str, stratum_prefix: &str, outcome: RareOutcome) {
+    let converged = outcome.is_converged();
+    let report = outcome.into_report();
+    s.section(head);
+    s.f64("p_l", report.p_l)
+        .f64("sigma", report.sigma)
+        .f64("truncation_bound", report.truncation_bound)
+        .field("total_shots", report.total_shots)
+        .field("num_sites", report.num_sites)
+        .field("converged", converged);
+    for stratum in &report.strata {
+        s.section(&format!("{stratum_prefix}stratum w={}", stratum.weight));
+        s.f64("prior", stratum.prior)
+            .f64("failure_rate", stratum.failure_rate)
+            .field("shots", stratum.shots)
+            .field("failures", stratum.failures)
+            .field("enumerated", stratum.enumerated);
+    }
+}
+
 /// Distillation module report for the paper's heterogeneous configuration
 /// at a pinned seed.
 fn distill_snapshot() -> Snapshot {
@@ -158,25 +232,8 @@ fn rare_report_snapshot(pool: &WorkerPool) -> Snapshot {
         config,
         41,
     );
-    let converged = outcome.is_converged();
-    let report = outcome.into_report();
-
     let mut s = Snapshot::new("d=5 rare-event report: stratified estimator, seed 41");
-    s.section("report");
-    s.f64("p_l", report.p_l)
-        .f64("sigma", report.sigma)
-        .f64("truncation_bound", report.truncation_bound)
-        .field("total_shots", report.total_shots)
-        .field("num_sites", report.num_sites)
-        .field("converged", converged);
-    for stratum in &report.strata {
-        s.section(&format!("stratum w={}", stratum.weight));
-        s.f64("prior", stratum.prior)
-            .f64("failure_rate", stratum.failure_rate)
-            .field("shots", stratum.shots)
-            .field("failures", stratum.failures)
-            .field("enumerated", stratum.enumerated);
-    }
+    rare_sections(&mut s, "report", "", outcome);
     s
 }
 
@@ -282,6 +339,18 @@ fn uec_rate_goldens_are_worker_count_invariant() {
         "UEC rate curve must not depend on the worker count"
     );
     assert_golden(&golden_dir(), "uec_rates", &single);
+}
+
+#[test]
+fn chain_hom_rate_golden_is_worker_count_invariant() {
+    let single = chain_hom_rate_snapshot(&WorkerPool::new(1));
+    let four = chain_hom_rate_snapshot(&WorkerPool::new(4));
+    assert_eq!(
+        single.render(),
+        four.render(),
+        "chain and baseline rates must not depend on the worker count"
+    );
+    assert_golden(&golden_dir(), "chain_hom_rates", &single);
 }
 
 #[test]
