@@ -18,13 +18,10 @@ use serde::{Deserialize, Serialize};
 
 use hetarch_qsim::channels::{IdleParams, PauliProbs};
 use hetarch_stab::codes::StabilizerCode;
-use hetarch_stab::decoder::LookupDecoder;
 use hetarch_stab::pauli::PauliString;
 
 use crate::faults::{stratified_rate, FaultDriver, RecordFaults, RngFaults};
-use crate::uec::sim::{combine, first_order_table, pack_syndrome, UecNoise};
-
-use std::collections::HashMap;
+use crate::uec::sim::{combine, CycleDecoder, UecNoise};
 
 // Homogeneous-baseline Monte-Carlo metrics (no-ops unless the `obs` feature
 // is on and `HETARCH_OBS=1`).
@@ -149,8 +146,7 @@ pub struct HomModule {
     idle: IdleParams,
     embedding: Embedding,
     layers: Vec<Vec<usize>>,
-    decoder: LookupDecoder,
-    fault_table: HashMap<u64, PauliString>,
+    decoder: CycleDecoder,
     t_2q: f64,
     t_meas: f64,
 }
@@ -173,8 +169,7 @@ impl HomModule {
         let embedding = embed(&code);
         let layers = layer_checks(&code);
         let weight_cap = (code.distance().div_ceil(2)).clamp(1, 3);
-        let decoder = LookupDecoder::new(&code, weight_cap);
-        let fault_table = first_order_table(&code, &layers);
+        let decoder = CycleDecoder::new(&code, weight_cap, &layers);
         HomModule {
             code,
             noise,
@@ -182,7 +177,6 @@ impl HomModule {
             embedding,
             layers,
             decoder,
-            fault_table,
             t_2q: 100e-9,
             t_meas: 1e-6,
         }
@@ -400,15 +394,7 @@ impl HomModule {
                 }
             }
         }
-        let correction = self
-            .fault_table
-            .get(&syndrome)
-            .cloned()
-            .unwrap_or_else(|| self.decoder.decode_bits(syndrome));
-        let residual = error.xor(&correction);
-        let true_syn = pack_syndrome(&self.code.syndrome_of(&residual));
-        let final_error = residual.xor(&self.decoder.decode_bits(true_syn));
-        !self.code.in_normalizer(&final_error) || self.code.is_logical_error(&final_error)
+        self.decoder.fails(&self.code, syndrome, &mut error)
     }
 }
 

@@ -76,9 +76,11 @@ impl Assignment {
 /// Searches for a good assignment of `code`'s data qubits to `registers`
 /// registers with `modes` modes each.
 ///
-/// Exhaustive for small codes (≤ 10 qubits); greedy placement plus
-/// hill-climbing otherwise (the paper's brute force is likewise "a first
-/// study" and flags scalable search as future work).
+/// Exact for small codes (≤ 10 qubits, ≤ 3 registers): a branch-and-bound
+/// search returning the first minimum-cost assignment in lexicographic
+/// order. Greedy placement plus hill-climbing otherwise (the paper's brute
+/// force is likewise "a first study" and flags scalable search as future
+/// work).
 ///
 /// # Panics
 ///
@@ -91,10 +93,18 @@ pub fn search_assignment(code: &StabilizerCode, registers: u32, modes: u32) -> A
         registers * modes
     );
     if n <= 10 && registers <= 3 {
-        exhaustive(code, registers, modes)
+        exhaustive(&check_supports(code), n, registers, modes)
     } else {
         hill_climb(code, registers, modes)
     }
+}
+
+/// The data qubits of each stabilizer generator, in generator order.
+fn check_supports(code: &StabilizerCode) -> Vec<Vec<usize>> {
+    code.stabilizers()
+        .iter()
+        .map(|s| s.iter_support().map(|(q, _)| q).collect())
+        .collect()
 }
 
 fn capacity_ok(of_qubit: &[u32], registers: u32, modes: u32) -> bool {
@@ -105,40 +115,112 @@ fn capacity_ok(of_qubit: &[u32], registers: u32, modes: u32) -> bool {
     counts.into_iter().all(|c| c <= modes)
 }
 
-fn exhaustive(code: &StabilizerCode, registers: u32, modes: u32) -> Assignment {
-    let n = code.num_qubits();
-    let mut best: Option<(usize, Vec<u32>)> = None;
-    let mut of_qubit = vec![0u32; n];
-    // Qubit 0 pinned to register 0 (register labels are symmetric).
-    fn rec(
-        q: usize,
-        of_qubit: &mut Vec<u32>,
-        code: &StabilizerCode,
-        registers: u32,
-        modes: u32,
-        best: &mut Option<(usize, Vec<u32>)>,
-    ) {
-        let n = of_qubit.len();
-        if q == n {
-            if !capacity_ok(of_qubit, registers, modes) {
-                return;
-            }
-            let a = Assignment::new(registers, of_qubit.clone());
-            let cost = a.cost(code);
-            if best.as_ref().map(|(c, _)| cost < *c).unwrap_or(true) {
-                *best = Some((cost, of_qubit.clone()));
-            }
-            return;
-        }
-        let limit = if q == 0 { 1 } else { registers };
-        for r in 0..limit {
-            of_qubit[q] = r;
-            rec(q + 1, of_qubit, code, registers, modes, best);
+/// The cheapest assignment of `n` qubits to `registers` registers of
+/// `modes` modes, where the cost is the sum over `supports` of each check's
+/// largest per-register group.
+///
+/// Visits assignments depth-first in lexicographic order with qubit 0
+/// pinned to register 0 (register labels are symmetric) and keeps the
+/// first strictly cheaper one, so among equal-cost optima it returns the
+/// lexicographically first. A branch is cut when its register is full, or
+/// when its partial cost already reaches the best found: a check's largest
+/// group never shrinks as qubits are added, so no leaf below it is cheaper.
+fn exhaustive(supports: &[Vec<usize>], n: usize, registers: u32, modes: u32) -> Assignment {
+    let mut checks_of = vec![Vec::new(); n];
+    for (c, support) in supports.iter().enumerate() {
+        for &q in support {
+            checks_of[q].push(c);
         }
     }
-    rec(0, &mut of_qubit, code, registers, modes, &mut best);
-    let (_, map) = best.expect("at least one assignment exists");
-    Assignment::new(registers, map)
+    let mut search = BranchAndBound {
+        checks_of,
+        registers: registers as usize,
+        modes,
+        counts: vec![0; supports.len() * registers as usize],
+        max_group: vec![0; supports.len()],
+        load: vec![0; registers as usize],
+        cost: 0,
+        of_qubit: vec![0; n],
+        best_cost: usize::MAX,
+        best: vec![0; n],
+    };
+    search.descend(0);
+    assert!(
+        search.best_cost < usize::MAX,
+        "at least one assignment exists"
+    );
+    Assignment::new(registers, search.best)
+}
+
+/// In-place state of [`exhaustive`]'s depth-first search: every field is
+/// updated on placing a qubit and restored on removing it, so the search
+/// allocates nothing per node.
+struct BranchAndBound {
+    /// Checks whose support contains each qubit.
+    checks_of: Vec<Vec<usize>>,
+    registers: usize,
+    modes: u32,
+    /// Placed qubits of check `c` in register `r`, at `c * registers + r`.
+    counts: Vec<u32>,
+    /// Largest entry of each check's row of `counts`.
+    max_group: Vec<u32>,
+    /// Placed qubits per register.
+    load: Vec<u32>,
+    /// Sum of `max_group`: the partial cost.
+    cost: usize,
+    of_qubit: Vec<u32>,
+    best_cost: usize,
+    best: Vec<u32>,
+}
+
+impl BranchAndBound {
+    fn descend(&mut self, q: usize) {
+        if self.cost >= self.best_cost {
+            return;
+        }
+        if q == self.of_qubit.len() {
+            self.best_cost = self.cost;
+            self.best.copy_from_slice(&self.of_qubit);
+            return;
+        }
+        let limit = if q == 0 { 1 } else { self.registers };
+        for r in 0..limit {
+            if self.load[r] == self.modes {
+                continue;
+            }
+            self.place(q, r);
+            self.descend(q + 1);
+            self.remove(q, r);
+        }
+    }
+
+    fn place(&mut self, q: usize, r: usize) {
+        self.of_qubit[q] = r as u32;
+        self.load[r] += 1;
+        for &c in &self.checks_of[q] {
+            let count = &mut self.counts[c * self.registers + r];
+            *count += 1;
+            if *count > self.max_group[c] {
+                self.max_group[c] = *count;
+                self.cost += 1;
+            }
+        }
+    }
+
+    fn remove(&mut self, q: usize, r: usize) {
+        self.load[r] -= 1;
+        for &c in &self.checks_of[q] {
+            let row = c * self.registers;
+            self.counts[row + r] -= 1;
+            let max = self.counts[row..row + self.registers]
+                .iter()
+                .copied()
+                .max()
+                .unwrap_or(0);
+            self.cost -= (self.max_group[c] - max) as usize;
+            self.max_group[c] = max;
+        }
+    }
 }
 
 fn hill_climb(code: &StabilizerCode, registers: u32, modes: u32) -> Assignment {
@@ -231,7 +313,8 @@ mod tests {
     use super::*;
     use hetarch_cells::UscCell;
     use hetarch_devices::catalog::{coherence_limited_compute, coherence_limited_storage};
-    use hetarch_stab::codes::{rotated_surface_code, steane};
+    use hetarch_stab::codes::{repetition_code, rotated_surface_code, steane};
+    use proptest::prelude::*;
 
     fn usc_channel() -> UscChannel {
         UscCell::new(
@@ -299,6 +382,116 @@ mod tests {
         let t_good = build_schedule(&code, &good, &usc).cycle_duration;
         let t_bad = build_schedule(&code, &bad, &usc).cycle_duration;
         assert!(t_good < t_bad);
+    }
+
+    /// The brute-force leaf scan the branch-and-bound search replaced: every
+    /// assignment with qubit 0 in register 0, in lexicographic order,
+    /// keeping the first strictly cheaper one that fits.
+    fn leaf_scan(supports: &[Vec<usize>], n: usize, registers: u32, modes: u32) -> Assignment {
+        fn cost(supports: &[Vec<usize>], a: &Assignment) -> usize {
+            supports.iter().map(|s| a.max_group(s)).sum()
+        }
+        fn rec(
+            q: usize,
+            of_qubit: &mut Vec<u32>,
+            supports: &[Vec<usize>],
+            registers: u32,
+            modes: u32,
+            best: &mut Option<(usize, Vec<u32>)>,
+        ) {
+            if q == of_qubit.len() {
+                if !capacity_ok(of_qubit, registers, modes) {
+                    return;
+                }
+                let c = cost(supports, &Assignment::new(registers, of_qubit.clone()));
+                if best.as_ref().is_none_or(|(b, _)| c < *b) {
+                    *best = Some((c, of_qubit.clone()));
+                }
+                return;
+            }
+            let limit = if q == 0 { 1 } else { registers };
+            for r in 0..limit {
+                of_qubit[q] = r;
+                rec(q + 1, of_qubit, supports, registers, modes, best);
+            }
+        }
+        let mut best = None;
+        rec(0, &mut vec![0; n], supports, registers, modes, &mut best);
+        let (_, map) = best.expect("at least one assignment exists");
+        Assignment::new(registers, map)
+    }
+
+    #[test]
+    fn branch_and_bound_matches_leaf_scan_on_shipped_codes() {
+        let mut codes = vec![steane(), rotated_surface_code(2), rotated_surface_code(3)];
+        codes.extend((3..=10).map(repetition_code));
+        for code in codes {
+            let n = code.num_qubits();
+            let supports = check_supports(&code);
+            for (registers, modes) in [(3, 10), (3, 4), (2, 10), (2, 5), (1, 10), (3, 3)] {
+                if n > (registers * modes) as usize {
+                    continue;
+                }
+                assert_eq!(
+                    exhaustive(&supports, n, registers, modes),
+                    leaf_scan(&supports, n, registers, modes),
+                    "{} on {registers} registers of {modes} modes",
+                    code.name()
+                );
+            }
+        }
+    }
+
+    /// A random search instance: `n` qubits, `registers` registers with
+    /// enough modes to fit, and check supports of distinct qubits.
+    #[derive(Debug)]
+    struct Instance {
+        n: usize,
+        registers: u32,
+        modes: u32,
+        supports: Vec<Vec<usize>>,
+    }
+
+    fn arb_instance() -> impl Strategy<Value = Instance> {
+        (
+            1usize..=10,
+            1u32..=3,
+            0u32..=10,
+            proptest::collection::vec(proptest::collection::btree_set(0usize..10, 1..=6), 1..=12),
+        )
+            .prop_map(|(n, registers, extra_modes, raw)| {
+                let min_modes = (n as u32).div_ceil(registers);
+                let modes = min_modes + extra_modes % (10 - min_modes + 1);
+                let supports = raw
+                    .into_iter()
+                    .map(|set| {
+                        let mut s: Vec<usize> = set.into_iter().map(|q| q % n).collect();
+                        s.sort_unstable();
+                        s.dedup();
+                        s
+                    })
+                    .collect();
+                Instance {
+                    n,
+                    registers,
+                    modes,
+                    supports,
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn branch_and_bound_matches_leaf_scan(inst in arb_instance()) {
+            prop_assert_eq!(
+                exhaustive(&inst.supports, inst.n, inst.registers, inst.modes),
+                leaf_scan(&inst.supports, inst.n, inst.registers, inst.modes),
+                "{:?}",
+                inst
+            );
+        }
     }
 
     #[test]

@@ -16,12 +16,10 @@ use serde::{Deserialize, Serialize};
 use hetarch_cells::UscChannel;
 use hetarch_qsim::channels::PauliProbs;
 use hetarch_stab::codes::StabilizerCode;
-use hetarch_stab::decoder::LookupDecoder;
 use hetarch_stab::pauli::PauliString;
 
 use crate::uec::sim::{
-    combine, first_order_table, pack_syndrome, sample_pauli_into, UecNoise, UEC_FAILURES,
-    UEC_RUN_NS, UEC_SHOTS,
+    combine, sample_pauli_into, CycleDecoder, UecNoise, UEC_FAILURES, UEC_RUN_NS, UEC_SHOTS,
 };
 use hetarch_obs as obs;
 
@@ -244,8 +242,7 @@ pub struct ChainUecModule {
     usc: UscChannel,
     noise: UecNoise,
     schedule: ChainSchedule,
-    decoder: LookupDecoder,
-    fault_table: std::collections::HashMap<u64, PauliString>,
+    decoder: CycleDecoder,
 }
 
 impl ChainUecModule {
@@ -259,20 +256,18 @@ impl ChainUecModule {
         let assignment = search_chain_assignment(&code, &shape);
         let schedule = build_chain_schedule(&code, &assignment, &usc);
         let weight_cap = (code.distance().div_ceil(2)).clamp(1, 2);
-        let decoder = LookupDecoder::new(&code, weight_cap);
         let groups: Vec<Vec<usize>> = schedule
             .waves
             .iter()
             .map(|w| w.iter().map(|c| c.stabilizer).collect())
             .collect();
-        let fault_table = first_order_table(&code, &groups);
+        let decoder = CycleDecoder::new(&code, weight_cap, &groups);
         ChainUecModule {
             code,
             usc,
             noise,
             schedule,
             decoder,
-            fault_table,
         }
     }
 
@@ -388,15 +383,7 @@ impl ChainUecModule {
                     }
                 }
             }
-            let correction = self
-                .fault_table
-                .get(&syndrome)
-                .cloned()
-                .unwrap_or_else(|| self.decoder.decode_bits(syndrome));
-            let residual = error.xor(&correction);
-            let true_syn = pack_syndrome(&self.code.syndrome_of(&residual));
-            let final_error = residual.xor(&self.decoder.decode_bits(true_syn));
-            !self.code.in_normalizer(&final_error) || self.code.is_logical_error(&final_error)
+            self.decoder.fails(&self.code, syndrome, &mut error)
         };
         let span = obs::span!(UEC_RUN_NS);
         let failures = pool.fold_shards(

@@ -8,4 +8,4 @@ pub mod sim;
 
 pub use assign::{build_schedule, search_assignment, Assignment, CheckSlot, CycleSchedule};
 pub use chain::{ChainAssignment, ChainSchedule, ChainShape, ChainUecModule};
-pub use sim::{UecModule, UecNoise, UecResult};
+pub use sim::{CycleDecoder, UecModule, UecNoise, UecResult};

@@ -82,8 +82,7 @@ pub struct UecModule {
     noise: UecNoise,
     assignment: Assignment,
     schedule: CycleSchedule,
-    decoder: LookupDecoder,
-    fault_table: HashMap<u64, PauliString>,
+    decoder: CycleDecoder,
 }
 
 impl UecModule {
@@ -98,11 +97,10 @@ impl UecModule {
         let assignment = search_assignment(&code, usc.registers, usc.capacity / usc.registers);
         let schedule = build_schedule(&code, &assignment, &usc);
         let weight_cap = (code.distance().div_ceil(2)).clamp(1, 3);
-        let decoder = LookupDecoder::new(&code, weight_cap);
         // Serialized extraction: one stabilizer per temporal step, in
         // schedule order.
         let groups: Vec<Vec<usize>> = schedule.checks.iter().map(|c| vec![c.stabilizer]).collect();
-        let fault_table = first_order_table(&code, &groups);
+        let decoder = CycleDecoder::new(&code, weight_cap, &groups);
         UecModule {
             code,
             usc,
@@ -110,7 +108,6 @@ impl UecModule {
             assignment,
             schedule,
             decoder,
-            fault_table,
         }
     }
 
@@ -284,6 +281,10 @@ impl UecModule {
             .map(|slot| {
                 let stab = &stabs[slot.stabilizer];
                 let support: Vec<usize> = stab.iter_support().map(|(q, _)| q).collect();
+                let mut involved = vec![false; self.code.num_qubits()];
+                for &q in &support {
+                    involved[q] = true;
+                }
                 let anc_idle = self.usc.compute_idle.twirl_probs(slot.duration);
                 // X/Y on the ancilla flips its Z readout; each CX can also
                 // deposit a flipping component (8 of 15 depolarizing terms).
@@ -301,6 +302,7 @@ impl UecModule {
                     compute_exposure: self.usc.compute_idle.twirl_probs(slot.exposure),
                     anc_flip,
                     support,
+                    involved,
                 }
             })
             .collect()
@@ -320,8 +322,7 @@ impl UecModule {
         let mut syndrome: u64 = 0;
         for (slot, sn) in self.schedule.checks.iter().zip(slots) {
             // Idle noise on every data qubit for this slot.
-            for q in 0..n {
-                let involved = sn.support.contains(&q);
+            for (q, &involved) in sn.involved.iter().enumerate() {
                 let probs = if involved {
                     sn.storage_involved
                 } else {
@@ -368,20 +369,7 @@ impl UecModule {
                 syndrome |= 1 << slot.stabilizer;
             }
         }
-        // Decode with the (noisy) measured syndrome using the
-        // first-order circuit-fault table (partial syndromes from
-        // mid-cycle errors decode to their own fault, never to a
-        // spurious multi-qubit correction)...
-        let correction = self
-            .fault_table
-            .get(&syndrome)
-            .cloned()
-            .unwrap_or_else(|| self.decoder.decode_bits(syndrome));
-        let residual = error.xor(&correction);
-        // ...then a perfect round resolves any leftover syndrome.
-        let true_syn = pack_syndrome(&self.code.syndrome_of(&residual));
-        let final_error = residual.xor(&self.decoder.decode_bits(true_syn));
-        !self.code.in_normalizer(&final_error) || self.code.is_logical_error(&final_error)
+        self.decoder.fails(&self.code, syndrome, &mut error)
     }
 }
 
@@ -392,6 +380,49 @@ struct SlotNoise {
     compute_exposure: PauliProbs,
     anc_flip: f64,
     support: Vec<usize>,
+    /// `involved[q]` when data qubit `q` is in `support`.
+    involved: Vec<bool>,
+}
+
+/// The decode tail shared by every lookup-decoded module: the measured
+/// syndrome of one cycle decodes through the first-order circuit-fault
+/// table (partial syndromes from mid-cycle errors decode to their own
+/// fault, never to a spurious multi-qubit correction) with the
+/// minimum-weight [`LookupDecoder`] as fallback, then a perfect round
+/// resolves any leftover syndrome.
+#[derive(Clone, Debug)]
+pub struct CycleDecoder {
+    lookup: LookupDecoder,
+    fault_table: HashMap<u64, PauliString>,
+}
+
+impl CycleDecoder {
+    /// Builds the lookup table over errors of weight ≤ `weight_cap` and
+    /// the [`first_order_table`] of the extraction order `temporal_groups`.
+    pub fn new(code: &StabilizerCode, weight_cap: usize, temporal_groups: &[Vec<usize>]) -> Self {
+        CycleDecoder {
+            lookup: LookupDecoder::new(code, weight_cap),
+            fault_table: first_order_table(code, temporal_groups),
+        }
+    }
+
+    /// Applies the correction of measured `syndrome` and then of the
+    /// perfect round to `error` in place, and reports whether the final
+    /// error is a logical failure (a leftover syndrome or a logical flip).
+    /// Allocates nothing.
+    pub fn fails(&self, code: &StabilizerCode, syndrome: u64, error: &mut PauliString) -> bool {
+        let correction = self
+            .fault_table
+            .get(&syndrome)
+            .or_else(|| self.lookup.correction(syndrome));
+        if let Some(c) = correction {
+            error.xor_assign(c);
+        }
+        if let Some(c) = self.lookup.correction(code.syndrome_bits(error)) {
+            error.xor_assign(c);
+        }
+        !code.in_normalizer(error) || code.is_logical_error(error)
+    }
 }
 
 /// Builds the first-order circuit-fault decoding table for a temporally
@@ -461,12 +492,6 @@ pub fn first_order_table(
 
 pub(crate) fn combine(a: f64, b: f64) -> f64 {
     a * (1.0 - b) + b * (1.0 - a)
-}
-
-pub(crate) fn pack_syndrome(bits: &[bool]) -> u64 {
-    bits.iter()
-        .enumerate()
-        .fold(0u64, |acc, (i, &b)| acc | ((b as u64) << i))
 }
 
 pub(crate) fn sample_pauli_into<R: Rng + ?Sized>(

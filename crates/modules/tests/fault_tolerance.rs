@@ -7,43 +7,23 @@
 use hetarch_cells::UscCell;
 use hetarch_devices::catalog::{coherence_limited_compute, coherence_limited_storage};
 use hetarch_modules::baseline::layer_checks;
-use hetarch_modules::uec::sim::first_order_table;
-use hetarch_modules::uec::{build_schedule, search_assignment};
+use hetarch_modules::uec::{build_schedule, search_assignment, CycleDecoder};
 use hetarch_stab::codes::{color_17, reed_muller_15, rotated_surface_code, steane, StabilizerCode};
-use hetarch_stab::decoder::LookupDecoder;
 use hetarch_stab::pauli::{Pauli, PauliString};
-
-fn pack(bits: &[bool]) -> u64 {
-    bits.iter()
-        .enumerate()
-        .fold(0u64, |acc, (i, &b)| acc | ((b as u64) << i))
-}
 
 /// Runs the full decode pipeline for a single injected fault and asserts it
 /// never produces a logical error.
 fn assert_single_faults_covered(code: &StabilizerCode, groups: &[Vec<usize>]) {
     let n = code.num_qubits();
     let stabs = code.stabilizers();
-    let table = first_order_table(code, groups);
     let weight_cap = (code.distance().div_ceil(2)).clamp(1, 3);
-    let lookup = LookupDecoder::new(code, weight_cap);
+    let decoder = CycleDecoder::new(code, weight_cap, groups);
 
     let decode = |symptom: u64, error: &PauliString| {
-        let correction = table
-            .get(&symptom)
-            .cloned()
-            .unwrap_or_else(|| lookup.decode_bits(symptom));
-        let residual = error.xor(&correction);
-        let true_syn = pack(&code.syndrome_of(&residual));
-        let final_error = residual.xor(&lookup.decode_bits(true_syn));
+        let mut final_error = error.clone();
         assert!(
-            code.in_normalizer(&final_error),
-            "{}: residual syndrome survives",
-            code.name()
-        );
-        assert!(
-            !code.is_logical_error(&final_error),
-            "{}: single fault caused a logical error (symptom {symptom:#x})",
+            !decoder.fails(code, symptom, &mut final_error),
+            "{}: single fault left a syndrome or a logical error (symptom {symptom:#x})",
             code.name()
         );
     };

@@ -502,19 +502,29 @@ fn serve_compute(stream: &TcpStream, shared: &Shared, query: &Query) -> Option<V
     }
 }
 
-/// Non-destructive liveness probe: with the frame protocol strictly
-/// request/response per connection *per in-flight request*, readable data
-/// can only be a pipelined next request (alive) and `Ok(0)` is EOF.
+/// Non-destructive, non-blocking liveness probe: with the frame protocol
+/// strictly request/response per connection *per in-flight request*,
+/// readable data can only be a pipelined next request (alive), `Ok(0)` is
+/// EOF and nothing to read (`WouldBlock`) is an idle, healthy client.
+///
+/// The peek runs with the socket switched to non-blocking mode, so an idle
+/// client never stalls the handler for the connection's read timeout (a
+/// query finishing meanwhile would be answered that much later). A socket
+/// whose mode cannot be switched, or switched back, counts as gone.
 fn client_disconnected(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return true;
+    }
     let mut probe = [0u8; 1];
-    match stream.peek(&mut probe) {
+    let gone = match stream.peek(&mut probe) {
         Ok(0) => true,
         Ok(_) => false,
         Err(e) => !matches!(
             e.kind(),
             io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
         ),
-    }
+    };
+    stream.set_nonblocking(false).is_err() || gone
 }
 
 fn executor_loop(shared: &Arc<Shared>) {
@@ -643,4 +653,45 @@ pub fn write_frame(mut stream: &TcpStream, body: &[u8]) -> io::Result<()> {
     stream.write_all(&len.to_le_bytes())?;
     stream.write_all(body)?;
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::time::Instant;
+
+    #[test]
+    fn liveness_probe_does_not_block_on_an_idle_client() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let (server_side, _) = listener.accept().expect("accept");
+        server_side
+            .set_read_timeout(Some(Duration::from_secs(1)))
+            .unwrap();
+
+        let start = Instant::now();
+        assert!(!client_disconnected(&server_side), "idle client is alive");
+        let elapsed = start.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(250),
+            "probe blocked for {elapsed:?}"
+        );
+        // The probe restores blocking mode: a read still waits for the
+        // read timeout rather than failing at once.
+        let mut byte = [0u8; 1];
+        let start = Instant::now();
+        let err = (&server_side).read(&mut byte).unwrap_err();
+        assert!(matches!(
+            err.kind(),
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+        ));
+        assert!(start.elapsed() >= Duration::from_millis(500));
+
+        drop(client);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !client_disconnected(&server_side) {
+            assert!(Instant::now() < deadline, "dropped client never seen");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
 }

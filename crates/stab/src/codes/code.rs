@@ -162,10 +162,26 @@ impl StabilizerCode {
             .collect()
     }
 
+    /// The syndrome of a Pauli error packed into a word: bit `i` is set
+    /// when the error anticommutes with stabilizer `i`. Allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the code has more than 64 stabilizer generators.
+    pub fn syndrome_bits(&self, error: &PauliString) -> u64 {
+        assert!(self.stabilizers.len() <= 64, "syndrome must fit in 64 bits");
+        self.stabilizers
+            .iter()
+            .enumerate()
+            .fold(0u64, |acc, (i, s)| {
+                acc | ((!s.commutes_with(error) as u64) << i)
+            })
+    }
+
     /// True when `error` has trivial syndrome (commutes with every
     /// stabilizer generator).
     pub fn in_normalizer(&self, error: &PauliString) -> bool {
-        self.syndrome_of(error).iter().all(|&b| !b)
+        self.stabilizers.iter().all(|s| s.commutes_with(error))
     }
 
     /// For a residual error with trivial syndrome, reports which logical
@@ -269,6 +285,9 @@ mod tests {
         assert_eq!(code.syndrome_of(&e0), vec![true, false]);
         assert_eq!(code.syndrome_of(&e1), vec![true, true]);
         assert_eq!(code.syndrome_of(&e2), vec![false, true]);
+        assert_eq!(code.syndrome_bits(&e0), 0b01);
+        assert_eq!(code.syndrome_bits(&e1), 0b11);
+        assert_eq!(code.syndrome_bits(&e2), 0b10);
     }
 
     #[test]

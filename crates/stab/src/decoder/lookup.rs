@@ -51,22 +51,39 @@ impl LookupDecoder {
         let n = code.num_qubits();
         let r = code.stabilizers().len();
         assert!(r < 64, "syndrome must fit in 64 bits");
+        // The syndrome is linear, so extending a string onto an untouched
+        // qubit XORs in that single-qubit Pauli's syndrome.
+        let single: Vec<[u64; 3]> = (0..n)
+            .map(|q| PAULIS.map(|p| code.syndrome_bits(&PauliString::from_sparse(n, &[(q, p)]))))
+            .collect();
         let mut table: HashMap<u64, PauliString> = HashMap::new();
         table.insert(0, PauliString::identity(n));
-        let mut frontier: Vec<PauliString> = vec![PauliString::identity(n)];
-        for _w in 1..=max_weight {
+        // Every string of the current weight, with its syndrome and the
+        // first qubit past its support: extending only beyond the last
+        // touched qubit enumerates each support set exactly once.
+        let mut frontier: Vec<(PauliString, u64, usize)> = vec![(PauliString::identity(n), 0, 0)];
+        for w in 1..=max_weight {
+            let last = w == max_weight;
             let mut next = Vec::new();
-            for base in &frontier {
-                // Extend support beyond the last touched qubit to enumerate
-                // each support set exactly once.
-                let start = base.iter_support().last().map(|(q, _)| q + 1).unwrap_or(0);
-                for q in start..n {
-                    for p in [Pauli::X, Pauli::Y, Pauli::Z] {
-                        let mut e = base.clone();
-                        e.set(q, p);
-                        let syn = syndrome_bits(code, &e);
-                        table.entry(syn).or_insert_with(|| e.clone());
-                        next.push(e);
+            for (base, base_syn, start) in &frontier {
+                for (q, q_syn) in single.iter().enumerate().skip(*start) {
+                    for (p, &p_syn) in PAULIS.into_iter().zip(q_syn) {
+                        let syn = base_syn ^ p_syn;
+                        let extend = || {
+                            let mut e = base.clone();
+                            e.set(q, p);
+                            e
+                        };
+                        if last {
+                            // No later weight extends this one: build a
+                            // string only when it is the first for its
+                            // syndrome.
+                            table.entry(syn).or_insert_with(extend);
+                        } else {
+                            let e = extend();
+                            table.entry(syn).or_insert_with(|| e.clone());
+                            next.push((e, syn, q + 1));
+                        }
                     }
                 }
             }
@@ -118,26 +135,67 @@ impl LookupDecoder {
     /// extraction discipline of the union-find batch path (DESIGN.md §5k).
     #[inline]
     pub fn decode_bits(&self, bits: u64) -> PauliString {
-        self.table
-            .get(&bits)
+        self.correction(bits)
             .cloned()
             .unwrap_or_else(|| PauliString::identity(self.num_qubits))
     }
+
+    /// The recorded correction of a packed syndrome, borrowed; `None` for
+    /// a syndrome above the table's weight cap (where [`Self::decode_bits`]
+    /// returns the identity).
+    #[inline]
+    pub fn correction(&self, bits: u64) -> Option<&PauliString> {
+        self.table.get(&bits)
+    }
 }
 
-fn syndrome_bits(code: &StabilizerCode, error: &PauliString) -> u64 {
-    code.stabilizers()
-        .iter()
-        .enumerate()
-        .fold(0u64, |acc, (i, s)| {
-            acc | ((!s.commutes_with(error) as u64) << i)
-        })
-}
+const PAULIS: [Pauli; 3] = [Pauli::X, Pauli::Y, Pauli::Z];
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codes::{color_17, reed_muller_15, steane};
+    use crate::codes::{color_17, reed_muller_15, rotated_surface_code, steane};
+
+    /// The plain breadth-first build: every string of each weight is
+    /// materialized, its syndrome computed from scratch, and the first
+    /// string per syndrome kept.
+    fn reference_table(code: &StabilizerCode, max_weight: usize) -> HashMap<u64, PauliString> {
+        let n = code.num_qubits();
+        let mut table = HashMap::new();
+        table.insert(0, PauliString::identity(n));
+        let mut frontier = vec![PauliString::identity(n)];
+        for _ in 1..=max_weight {
+            let mut next = Vec::new();
+            for base in &frontier {
+                let start = base.iter_support().last().map(|(q, _)| q + 1).unwrap_or(0);
+                for q in start..n {
+                    for p in [Pauli::X, Pauli::Y, Pauli::Z] {
+                        let mut e = base.clone();
+                        e.set(q, p);
+                        let syn = code.syndrome_bits(&e);
+                        table.entry(syn).or_insert_with(|| e.clone());
+                        next.push(e);
+                    }
+                }
+            }
+            frontier = next;
+        }
+        table
+    }
+
+    #[test]
+    fn table_matches_reference_breadth_first_build() {
+        for code in [steane(), color_17(), rotated_surface_code(5)] {
+            for cap in 1..=3 {
+                let dec = LookupDecoder::new(&code, cap);
+                assert!(
+                    dec.table == reference_table(&code, cap),
+                    "{} at weight cap {cap}",
+                    code.name()
+                );
+            }
+        }
+    }
 
     #[test]
     fn all_single_errors_corrected_exactly() {

@@ -245,14 +245,24 @@ impl PauliString {
     /// [`PauliString::mul`] this never panics; use it for error/correction
     /// arithmetic where the global phase is irrelevant.
     pub fn xor(&self, other: &PauliString) -> PauliString {
-        assert_eq!(self.n, other.n, "pauli string length mismatch");
         let mut out = self.clone();
-        out.neg = false;
-        for w in 0..out.x.len() {
-            out.x[w] ^= other.x[w];
-            out.z[w] ^= other.z[w];
-        }
+        out.xor_assign(other);
         out
+    }
+
+    /// In-place [`PauliString::xor`] (`self ← self ⊕ other`, sign cleared):
+    /// the allocation-free form for per-shot correction arithmetic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if lengths differ.
+    pub fn xor_assign(&mut self, other: &PauliString) {
+        assert_eq!(self.n, other.n, "pauli string length mismatch");
+        self.neg = false;
+        for w in 0..self.x.len() {
+            self.x[w] ^= other.x[w];
+            self.z[w] ^= other.z[w];
+        }
     }
 
     /// Iterates over the non-identity support as `(qubit, Pauli)` pairs.
