@@ -37,6 +37,12 @@ fn bench_event_simulation(c: &mut Criterion) {
         let module = DistillModule::new(DistillConfig::heterogeneous(12.5e-3, 1e6, 3));
         b.iter(|| module.run(sim_time));
     });
+    // At 10 MHz EP arrivals outnumber DEJMPS rounds ~15:1, so this case
+    // is dominated by the per-arrival cost (memory decay, Pauli kernels).
+    group.bench_function("het_10MHz_1ms", |b| {
+        let module = DistillModule::new(DistillConfig::heterogeneous(12.5e-3, 10e6, 3));
+        b.iter(|| module.run(sim_time));
+    });
     group.bench_function("hom_1MHz_1ms", |b| {
         let module = DistillModule::new(DistillConfig::homogeneous(1e6, 3));
         b.iter(|| module.run(sim_time));

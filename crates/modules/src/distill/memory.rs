@@ -7,7 +7,7 @@
 //! halves.
 
 use hetarch_qsim::bell::BellDiagonal;
-use hetarch_qsim::channels::IdleParams;
+use hetarch_qsim::channels::{IdleParams, PauliProbs};
 use serde::{Deserialize, Serialize};
 
 /// One stored entangled pair.
@@ -76,11 +76,25 @@ impl PairMemory {
     }
 
     /// Advances every stored pair to time `t`.
+    ///
+    /// Slots last updated at the same instant share one idle step, so the
+    /// twirl probabilities are computed once per run of equal `dt` (after
+    /// the first decay every slot sits at the same `last_update`). The twirl
+    /// is a pure function of `dt`, so reusing it is bit-identical to
+    /// recomputing it per slot.
     pub fn decay_to(&mut self, t: f64) {
+        let mut memo: Option<(f64, PauliProbs)> = None;
         for s in &mut self.slots {
             let dt = t - s.last_update;
             if dt > 0.0 {
-                let probs = self.idle.twirl_probs(dt);
+                let probs = match memo {
+                    Some((memo_dt, probs)) if memo_dt == dt => probs,
+                    _ => {
+                        let probs = self.idle.twirl_probs(dt);
+                        memo = Some((dt, probs));
+                        probs
+                    }
+                };
                 s.pair.idle(probs, probs);
                 s.last_update = t;
             }
@@ -88,18 +102,21 @@ impl PairMemory {
     }
 
     /// Inserts a pair; when full, the worst-fidelity pair (including the
-    /// candidate) is dropped. Returns `true` when the candidate was kept.
+    /// candidate) is dropped. Returns `true` when the candidate was kept; a
+    /// zero-capacity memory keeps nothing.
     pub fn insert(&mut self, pair: StoredPair) -> bool {
         if !self.is_full() {
             self.slots.push(pair);
             return true;
         }
-        let (worst_idx, worst) = self
+        let Some((worst_idx, worst)) = self
             .slots
             .iter()
             .enumerate()
             .min_by(|a, b| a.1.pair.fidelity().total_cmp(&b.1.pair.fidelity()))
-            .expect("memory is full, hence non-empty");
+        else {
+            return false;
+        };
         if worst.pair.fidelity() < pair.pair.fidelity() {
             self.slots[worst_idx] = pair;
             true
@@ -146,9 +163,88 @@ impl PairMemory {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn idle() -> IdleParams {
         IdleParams::new(0.5e-3, 0.5e-3).unwrap()
+    }
+
+    /// The per-slot twirl that [`PairMemory::decay_to`] memoizes: the
+    /// differential oracle for it.
+    fn decay_to_reference(m: &mut PairMemory, t: f64) {
+        for s in &mut m.slots {
+            let dt = t - s.last_update;
+            if dt > 0.0 {
+                let probs = m.idle.twirl_probs(dt);
+                s.pair.idle(probs, probs);
+                s.last_update = t;
+            }
+        }
+    }
+
+    fn slot_bits(m: &PairMemory) -> Vec<([u64; 4], u64, u32)> {
+        m.slots()
+            .iter()
+            .map(|s| {
+                (
+                    s.pair.components().map(f64::to_bits),
+                    s.last_update.to_bits(),
+                    s.rounds,
+                )
+            })
+            .collect()
+    }
+
+    /// A memory whose slots were last updated at a few shared instants (so
+    /// runs of equal and of differing `dt` interleave), some of them after
+    /// the decay times drawn below.
+    fn arb_memory() -> impl Strategy<Value = PairMemory> {
+        (
+            1e-4..1e-1,
+            0.1..1.0,
+            proptest::collection::vec((0.0..0.5, 0usize..5), 0..=12),
+        )
+            .prop_map(|(t1, t2_frac, raw)| {
+                let idle = IdleParams::new(t1, 2.0 * t1 * t2_frac).unwrap();
+                let instants = [0.0, 1e-6, 1e-6, 3.7e-6, 2e-5];
+                let mut m = PairMemory::new(raw.len(), idle);
+                for (infid, k) in raw {
+                    m.slots.push(StoredPair::new(
+                        BellDiagonal::werner(1.0 - infid),
+                        instants[k],
+                    ));
+                }
+                m
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn memoized_decay_matches_per_slot_twirl(
+            memory in arb_memory(),
+            t1 in 0.0..2.5e-5,
+            dt2 in prop_oneof![Just(0.0), 0.0..1e-4],
+        ) {
+            let mut fast = memory.clone();
+            let mut oracle = memory;
+            for t in [t1, t1 + dt2] {
+                fast.decay_to(t);
+                decay_to_reference(&mut oracle, t);
+                prop_assert_eq!(slot_bits(&fast), slot_bits(&oracle), "t = {}", t);
+            }
+        }
+    }
+
+    #[test]
+    fn zero_capacity_memory_rejects_every_pair() {
+        let mut m = PairMemory::new(0, idle());
+        assert!(m.is_full());
+        assert!(!m.insert(StoredPair::new(BellDiagonal::perfect(), 0.0)));
+        assert!(m.is_empty());
+        assert!(m.take_best().is_none());
+        assert_eq!(m.best_fidelity(1e-6), None);
     }
 
     #[test]

@@ -17,7 +17,6 @@ use hetarch_qsim::channels::PauliProbs;
 use crate::distill::memory::{PairMemory, StoredPair};
 use crate::distill::scheduler::{choose_action, Action, Policy};
 use crate::epsource::EpSource;
-use crate::event::EventQueue;
 
 // Distillation-module metrics (no-ops unless the `obs` feature is on and
 // `HETARCH_OBS=1`).
@@ -137,11 +136,71 @@ impl DistillConfig {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
+/// The module's event kinds; each has at most one pending instance.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Ev {
     Arrival,
     DistillDone,
     Sample,
+}
+
+/// The pending events of one run: one timer slot per [`Ev`] kind.
+///
+/// An arrival schedules the next arrival, a sample the next sample, and a
+/// round is started only while no round is in flight, so no kind is ever
+/// pending twice and three slots replace a priority queue.
+/// Events pop in `(time, seq)` order, `seq` counting schedule calls, which
+/// is the order of a time-ordered queue that breaks ties by insertion.
+struct Timers {
+    slots: [Option<(f64, u64)>; 3],
+    seq: u64,
+    now: f64,
+}
+
+impl Timers {
+    const KINDS: [Ev; 3] = [Ev::Arrival, Ev::DistillDone, Ev::Sample];
+
+    fn new() -> Self {
+        Timers {
+            slots: [None; 3],
+            seq: 0,
+            now: 0.0,
+        }
+    }
+
+    /// Schedules `ev` at absolute time `time`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `time` is in the past or not finite, or if an `ev` is
+    /// already pending.
+    fn schedule(&mut self, time: f64, ev: Ev) {
+        assert!(
+            time.is_finite() && time >= self.now,
+            "cannot schedule {ev:?} at {time} (now = {})",
+            self.now
+        );
+        let slot = &mut self.slots[ev as usize];
+        assert!(slot.is_none(), "{ev:?} is already pending");
+        *slot = Some((time, self.seq));
+        self.seq += 1;
+    }
+
+    /// Pops the earliest pending event, advancing the clock.
+    fn pop(&mut self) -> Option<(f64, Ev)> {
+        let mut next: Option<(usize, f64, u64)> = None;
+        for (k, slot) in self.slots.iter().enumerate() {
+            if let Some((t, seq)) = *slot {
+                if next.is_none_or(|(_, nt, nseq)| t < nt || (t == nt && seq < nseq)) {
+                    next = Some((k, t, seq));
+                }
+            }
+        }
+        let (k, t, _) = next?;
+        self.slots[k] = None;
+        self.now = t;
+        Some((t, Self::KINDS[k]))
+    }
 }
 
 /// The event-driven distillation module simulator.
@@ -185,11 +244,30 @@ impl DistillModule {
     }
 
     /// Runs the module for `duration` seconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics with "invalid distillation run" naming the value when
+    /// `duration` is negative, NaN or infinite, or when
+    /// `config.trace_interval` is set to a value that is not finite and
+    /// positive. The event loop would otherwise never end (an unbounded
+    /// duration, a sample rescheduled at the same instant) or fail deep
+    /// inside it (a negative interval).
     pub fn run(&self, duration: f64) -> DistillReport {
-        let span = obs::span!(DISTILL_RUN_NS);
         let c = &self.config;
+        assert!(
+            duration.is_finite() && duration >= 0.0,
+            "invalid distillation run: duration = {duration} s (must be finite and >= 0)"
+        );
+        if let Some(dt) = c.trace_interval {
+            assert!(
+                dt.is_finite() && dt > 0.0,
+                "invalid distillation run: trace_interval = {dt} s (must be finite and > 0)"
+            );
+        }
+        let span = obs::span!(DISTILL_RUN_NS);
         let mut rng = StdRng::seed_from_u64(c.seed);
-        let mut queue: EventQueue<Ev> = EventQueue::new();
+        let mut queue = Timers::new();
         let mut raw = PairMemory::new(c.input_capacity, c.register.storage_idle);
         let mut staged = PairMemory::new(c.input_capacity, c.register.storage_idle);
         let mut output = PairMemory::new(c.output_capacity, c.register.storage_idle);
@@ -234,7 +312,7 @@ impl DistillModule {
                     // register port).
                     pair.pair.idle(move_noise, move_noise);
                     raw.insert(pair);
-                    queue.schedule_in(c.source.next_interarrival(&mut rng), Ev::Arrival);
+                    queue.schedule(t + c.source.next_interarrival(&mut rng), Ev::Arrival);
                 }
                 Ev::DistillDone => {
                     let (mut a, mut b) = busy.take().expect("distiller was busy");
@@ -277,7 +355,7 @@ impl DistillModule {
                         output_infidelity: output.best_fidelity(t).map(|f| 1.0 - f),
                     });
                     if let Some(dt) = c.trace_interval {
-                        queue.schedule_in(dt, Ev::Sample);
+                        queue.schedule(t + dt, Ev::Sample);
                     }
                 }
             }
@@ -298,7 +376,7 @@ impl DistillModule {
                     b.pair.idle(move_noise, move_noise);
                     busy = Some((a, b));
                     report.rounds_attempted += 1;
-                    queue.schedule_in(round_time, Ev::DistillDone);
+                    queue.schedule(t + round_time, Ev::DistillDone);
                 }
             }
         }
@@ -421,6 +499,92 @@ mod tests {
         let b = DistillModule::new(config(2.5e-3, 1e6)).run(1e-3);
         assert_eq!(a.delivered, b.delivered);
         assert_eq!(a.rounds_attempted, b.rounds_attempted);
+    }
+
+    #[test]
+    fn zero_capacity_memories_drop_pairs_instead_of_panicking() {
+        let mut no_input = config(12.5e-3, 2e6);
+        no_input.input_capacity = 0;
+        let report = DistillModule::new(no_input).run(50e-6);
+        assert!(report.arrivals > 0);
+        assert_eq!(report.rounds_attempted, 0, "nothing is ever stored");
+
+        let mut no_output = config(12.5e-3, 2e6);
+        no_output.output_capacity = 0;
+        no_output.consume_output = false;
+        no_output.trace_interval = Some(1e-6);
+        let report = DistillModule::new(no_output).run(100e-6);
+        assert!(report.delivered > 0, "{report:?}");
+        assert!(report.trace.iter().all(|p| p.output_infidelity.is_none()));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid distillation run: duration = NaN")]
+    fn nan_duration_is_rejected() {
+        DistillModule::new(config(12.5e-3, 1e6)).run(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid distillation run: duration = inf")]
+    fn infinite_duration_is_rejected() {
+        DistillModule::new(config(12.5e-3, 1e6)).run(f64::INFINITY);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid distillation run: duration = -0.001")]
+    fn negative_duration_is_rejected() {
+        DistillModule::new(config(12.5e-3, 1e6)).run(-1e-3);
+    }
+
+    fn run_with_trace_interval(dt: f64) {
+        let mut cfg = config(12.5e-3, 1e6);
+        cfg.trace_interval = Some(dt);
+        DistillModule::new(cfg).run(10e-6);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid distillation run: trace_interval = 0")]
+    fn zero_trace_interval_is_rejected() {
+        run_with_trace_interval(0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid distillation run: trace_interval = NaN")]
+    fn nan_trace_interval_is_rejected() {
+        run_with_trace_interval(f64::NAN);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid distillation run: trace_interval = -0.000001")]
+    fn negative_trace_interval_is_rejected() {
+        run_with_trace_interval(-1e-6);
+    }
+
+    #[test]
+    fn timers_pop_in_time_then_schedule_order() {
+        let mut q = Timers::new();
+        q.schedule(2.0, Ev::Sample);
+        q.schedule(1.0, Ev::DistillDone);
+        q.schedule(2.0, Ev::Arrival);
+        let order: Vec<(f64, Ev)> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(
+            order,
+            vec![
+                (1.0, Ev::DistillDone),
+                (2.0, Ev::Sample),
+                (2.0, Ev::Arrival)
+            ]
+        );
+        assert_eq!(q.now, 2.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule Arrival at 1")]
+    fn timers_reject_the_past() {
+        let mut q = Timers::new();
+        q.schedule(5.0, Ev::Sample);
+        q.pop();
+        q.schedule(1.0, Ev::Arrival);
     }
 
     #[test]

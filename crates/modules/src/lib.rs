@@ -12,7 +12,6 @@ pub mod baseline;
 pub mod ct;
 pub mod distill;
 pub mod epsource;
-pub mod event;
 pub mod faults;
 pub mod hierarchy;
 pub mod uec;

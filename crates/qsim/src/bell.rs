@@ -176,18 +176,20 @@ impl BellDiagonal {
     /// Applies a stochastic Pauli channel to **one** qubit of the pair.
     /// X, Y and Z errors permute the Bell components:
     /// X: Φ±↔Ψ±, Z: Φ+↔Φ−, Ψ+↔Ψ−, Y: Φ+↔Ψ−, Φ−↔Ψ+.
+    ///
+    /// Each component is `p0·own + px·X-partner + py·Y-partner +
+    /// pz·Z-partner`, summed left to right, with the permutations written
+    /// out literally.
     pub fn apply_pauli_noise(&mut self, probs: PauliProbs) {
         let p0 = (1.0 - probs.total()).max(0.0);
-        let old = self.p;
-        let perm_x = [2usize, 3, 0, 1];
-        let perm_z = [1usize, 0, 3, 2];
-        let perm_y = [3usize, 2, 1, 0];
-        for k in 0..4 {
-            self.p[k] = p0 * old[k]
-                + probs.px * old[perm_x[k]]
-                + probs.py * old[perm_y[k]]
-                + probs.pz * old[perm_z[k]];
-        }
+        let PauliProbs { px, py, pz } = probs;
+        let [a, b, c, d] = self.p;
+        self.p = [
+            p0 * a + px * c + py * d + pz * b,
+            p0 * b + px * d + py * c + pz * a,
+            p0 * c + px * a + py * b + pz * d,
+            p0 * d + px * b + py * a + pz * c,
+        ];
     }
 
     /// Idles the pair for `t` seconds with (possibly different) twirled idle
@@ -380,6 +382,12 @@ impl DejmpsTable {
 
     /// Evaluates one DEJMPS round via the bilinear form.
     ///
+    /// The 16 input weights are accumulated in row-major `(i, j)` order
+    /// without branches. A zero weight adds a signed zero, which leaves the
+    /// `+0.0`-initialised sums unchanged as long as the table entries and the
+    /// input components are finite (every constructor guarantees both), so
+    /// skipping zero weights would give the same bits.
+    ///
     /// Returns `None` when the heralding probability is numerically zero.
     pub fn round(&self, pair1: &BellDiagonal, pair2: &BellDiagonal) -> Option<DistillOutcome> {
         let a = pair1.components();
@@ -387,18 +395,14 @@ impl DejmpsTable {
         let mut s = 0.0;
         let mut comp = [0.0; 4];
         for (i, &ai) in a.iter().enumerate() {
-            if ai == 0.0 {
-                continue;
-            }
             for (j, &bj) in b.iter().enumerate() {
                 let w = ai * bj;
-                if w == 0.0 {
-                    continue;
-                }
                 s += w * self.success[i][j];
-                for (ck, &ok) in comp.iter_mut().zip(&self.out[i][j]) {
-                    *ck += w * ok;
-                }
+                let out = &self.out[i][j];
+                comp[0] += w * out[0];
+                comp[1] += w * out[1];
+                comp[2] += w * out[2];
+                comp[3] += w * out[3];
             }
         }
         if s <= 1e-15 {
@@ -415,8 +419,167 @@ impl DejmpsTable {
 mod tests {
     use super::*;
     use crate::channels::IdleParams;
+    use proptest::prelude::*;
 
     const TOL: f64 = 1e-10;
+
+    /// The permutation-table kernel that [`BellDiagonal::apply_pauli_noise`]
+    /// unrolls: the differential oracle for it.
+    fn apply_pauli_noise_reference(pair: &mut BellDiagonal, probs: PauliProbs) {
+        let p0 = (1.0 - probs.total()).max(0.0);
+        let old = pair.p;
+        let perm_x = [2usize, 3, 0, 1];
+        let perm_z = [1usize, 0, 3, 2];
+        let perm_y = [3usize, 2, 1, 0];
+        for k in 0..4 {
+            pair.p[k] = p0 * old[k]
+                + probs.px * old[perm_x[k]]
+                + probs.py * old[perm_y[k]]
+                + probs.pz * old[perm_z[k]];
+        }
+    }
+
+    /// The zero-skipping accumulation that [`DejmpsTable::round`] makes
+    /// branch-free: the differential oracle for it.
+    fn round_reference(
+        table: &DejmpsTable,
+        pair1: &BellDiagonal,
+        pair2: &BellDiagonal,
+    ) -> Option<DistillOutcome> {
+        let a = pair1.components();
+        let b = pair2.components();
+        let mut s = 0.0;
+        let mut comp = [0.0; 4];
+        for (i, &ai) in a.iter().enumerate() {
+            if ai == 0.0 {
+                continue;
+            }
+            for (j, &bj) in b.iter().enumerate() {
+                let w = ai * bj;
+                if w == 0.0 {
+                    continue;
+                }
+                s += w * table.success[i][j];
+                for (ck, &ok) in comp.iter_mut().zip(&table.out[i][j]) {
+                    *ck += w * ok;
+                }
+            }
+        }
+        if s <= 1e-15 {
+            return None;
+        }
+        Some(DistillOutcome {
+            pair: BellDiagonal::new(comp),
+            success_prob: s,
+        })
+    }
+
+    fn bits(p: &BellDiagonal) -> [u64; 4] {
+        p.p.map(f64::to_bits)
+    }
+
+    fn outcome_bits(o: Option<DistillOutcome>) -> Option<(u64, [u64; 4])> {
+        o.map(|o| (o.success_prob.to_bits(), bits(&o.pair)))
+    }
+
+    /// A nonnegative value that is exactly zero, subnormal, tiny-normal or
+    /// of order one, each a quarter of the time.
+    fn arb_entry() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            0.0..f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE..1e-200,
+            0.0..1.0,
+        ]
+    }
+
+    /// Raw Bell components, not renormalized, so exact zeros and subnormals
+    /// reach the kernels as drawn.
+    fn arb_pair() -> impl Strategy<Value = BellDiagonal> {
+        (arb_entry(), arb_entry(), arb_entry(), arb_entry())
+            .prop_map(|(a, b, c, d)| BellDiagonal { p: [a, b, c, d] })
+    }
+
+    fn arb_probs() -> impl Strategy<Value = PauliProbs> {
+        (arb_entry(), arb_entry(), arb_entry()).prop_map(|(x, y, z)| PauliProbs {
+            px: x / 3.0,
+            py: y / 3.0,
+            pz: z / 3.0,
+        })
+    }
+
+    /// A table with arbitrary finite entries; every `out[i][j]` keeps one
+    /// positive component so a heralded outcome always normalizes.
+    fn arb_table() -> impl Strategy<Value = DejmpsTable> {
+        proptest::collection::vec(arb_entry(), 80..=80).prop_map(|v| {
+            let mut table = DejmpsTable {
+                success: [[0.0; 4]; 4],
+                out: [[[0.0; 4]; 4]; 4],
+            };
+            for (idx, chunk) in v.chunks(5).enumerate() {
+                let (i, j) = (idx / 4, idx % 4);
+                table.success[i][j] = chunk[0];
+                table.out[i][j] = [chunk[1] + 0.5, chunk[2], chunk[3], chunk[4]];
+            }
+            table
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn unrolled_pauli_noise_matches_permutation_tables(
+            pair in arb_pair(),
+            probs in arb_probs(),
+        ) {
+            let mut fast = pair;
+            fast.apply_pauli_noise(probs);
+            let mut oracle = pair;
+            apply_pauli_noise_reference(&mut oracle, probs);
+            prop_assert_eq!(bits(&fast), bits(&oracle), "{:?} {:?}", pair, probs);
+        }
+
+        #[test]
+        fn branch_free_round_matches_zero_skipping_loop(
+            table in arb_table(),
+            a in arb_pair(),
+            b in arb_pair(),
+        ) {
+            prop_assert_eq!(
+                outcome_bits(table.round(&a, &b)),
+                outcome_bits(round_reference(&table, &a, &b)),
+                "{:?} {:?} {:?}",
+                table,
+                a,
+                b
+            );
+        }
+    }
+
+    #[test]
+    fn branch_free_round_matches_oracle_on_protocol_tables() {
+        let noisy = DistillNoise {
+            p2q: 0.005,
+            p1q: 0.0005,
+            meas_flip: 0.002,
+        };
+        let mut rng = proptest::test_runner::TestRng::deterministic();
+        let pair = arb_pair();
+        for table in [
+            DejmpsTable::new(&DistillNoise::default()),
+            DejmpsTable::new(&noisy),
+        ] {
+            for _ in 0..512 {
+                let (a, b) = (pair.generate(&mut rng), pair.generate(&mut rng));
+                assert_eq!(
+                    outcome_bits(table.round(&a, &b)),
+                    outcome_bits(round_reference(&table, &a, &b)),
+                    "{a:?} {b:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn bell_vectors_are_orthonormal() {

@@ -203,6 +203,49 @@ fn distill_snapshot() -> Snapshot {
     s
 }
 
+/// Renders the scalar fields of a distillation report.
+fn distill_report_fields(s: &mut Snapshot, report: &DistillReport) {
+    s.f64("duration", report.duration)
+        .field("arrivals", report.arrivals)
+        .field("rounds_attempted", report.rounds_attempted)
+        .field("rounds_succeeded", report.rounds_succeeded)
+        .field("delivered", report.delivered)
+        .f64("delivered_rate_hz", report.delivered_rate_hz)
+        .f64("best_fidelity", report.best_fidelity)
+        .field("trace_points", report.trace.len());
+}
+
+/// Distillation paths the consumed-output 1 MHz golden does not reach: a
+/// Fig. 3 trace run (output kept and decaying in the output memory,
+/// fidelity sampled every microsecond) and a homogeneous report at 10 MHz,
+/// where EP arrivals dominate the event count.
+fn distill_trace_snapshot() -> Snapshot {
+    let mut s = Snapshot::new(
+        "distillation: Fig. 3 trace (heterogeneous ts=12.5ms, 2 MHz, seed 3, output kept, \
+         1 us samples, 100 us) and homogeneous 10 MHz report (seed 7, 0.5 ms)",
+    );
+    let mut cfg = DistillConfig::heterogeneous(12.5e-3, 2e6, 3);
+    cfg.consume_output = false;
+    cfg.trace_interval = Some(1e-6);
+    let report = DistillModule::new(cfg).run(100e-6);
+    s.section("fig3 trace");
+    distill_report_fields(&mut s, &report);
+    for (i, p) in report.trace.iter().enumerate() {
+        s.field(
+            &format!("trace.{i}"),
+            format!(
+                "t={:?} memory={:?} output={:?}",
+                p.time, p.memory_infidelity, p.output_infidelity
+            ),
+        );
+    }
+    let report = DistillModule::new(DistillConfig::homogeneous(10e6, 7)).run(0.5e-3);
+    s.section("homogeneous 10MHz");
+    distill_report_fields(&mut s, &report);
+    s.serde_hex("serde", &report);
+    s
+}
+
 /// Weight-stratified rare-event report for a d=5 surface memory at a
 /// pinned seed: headline estimate, error budget and the full per-stratum
 /// tallies (prior, conditional failure rate, shots, enumeration flag).
@@ -359,6 +402,14 @@ fn distill_report_golden_is_bit_stable() {
     let second = distill_snapshot();
     assert_eq!(first.render(), second.render());
     assert_golden(&golden_dir(), "distill_report", &first);
+}
+
+#[test]
+fn distill_trace_golden_is_bit_stable() {
+    let first = distill_trace_snapshot();
+    let second = distill_trace_snapshot();
+    assert_eq!(first.render(), second.render());
+    assert_golden(&golden_dir(), "distill_trace", &first);
 }
 
 /// Calibration-snapshot sweep golden: the committed fleet fixture drives a
