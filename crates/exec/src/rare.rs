@@ -109,43 +109,58 @@ impl WeightPrior {
 /// Exact sampler of weight-`w` site subsets, conditioned on the
 /// heterogeneous trigger probabilities.
 ///
-/// Built on the suffix dynamic program `S[i][j] = P(X_i + … + X_{n-1} = j)`;
-/// a forward walk then takes site `i` with probability
-/// `p_i · S[i+1][r-1] / S[i][r]` where `r` triggers remain — the exact
-/// conditional distribution, so sampled subsets are distributed identically
-/// to the true noise process restricted to weight `w`.
+/// Built on the suffix dynamic program `S[i][j] = P(X_i + … + X_{n-1} = j)`:
+/// a forward walk takes site `i` with probability
+/// `take = p_i · S[i+1][r-1] / S[i][r]` where `r` triggers remain — the
+/// exact conditional distribution, so sampled subsets are distributed
+/// identically to the true noise process restricted to weight `w`.
+///
+/// [`ConditionalSampler::new`] folds every `take` into an integer
+/// threshold `thr[r][i] = ceil(take · 2^53)` (`0` when `take` is NaN or
+/// `≤ 0`, `u64::MAX` when `take ≥ 1`), so the walk does no floating-point
+/// work. **Stream contract:** the walk consumes exactly one 64-bit word
+/// `x` per visited site and takes the site iff `(x >> 11) < thr[r][i]`.
+/// Since `m = x >> 11` is an integer, that is exactly `m · 2^-53 < take`,
+/// the test the walk made when it drew `rng.gen::<f64>()` and divided per
+/// site; the same words therefore give the same subsets and leave the
+/// stream in the same state, which keeps every `shard_seed`-derived
+/// stream and every golden unchanged.
 #[derive(Clone, Debug)]
 pub struct ConditionalSampler {
-    probs: Vec<f64>,
+    num_sites: usize,
     weight: usize,
-    /// Flattened `(n+1) × (w+1)` suffix table.
-    suffix: Vec<f64>,
+    feasible: bool,
+    /// Row-major by remaining count: `thr[(r-1)·n + i]` for `r = 1..=w`, so
+    /// a run of skipped sites scans one contiguous slice.
+    thr: Vec<u64>,
 }
 
 impl ConditionalSampler {
-    /// Prepares the suffix table for drawing weight-`weight` subsets of the
-    /// sites described by `probs`.
+    /// Prepares the threshold table for drawing weight-`weight` subsets of
+    /// the sites described by `probs`.
     pub fn new(probs: &[f64], weight: usize) -> Self {
         let n = probs.len();
         let cols = weight + 1;
-        let mut suffix = vec![0.0; (n + 1) * cols];
-        suffix[n * cols] = 1.0;
+        // Two rolling rows of the suffix table: `next` is `S[i+1][·]`.
+        let mut next = vec![0.0; cols];
+        let mut here = vec![0.0; cols];
+        next[0] = 1.0;
+        let mut thr = vec![0u64; weight * n];
         for i in (0..n).rev() {
             let p = probs[i];
-            for j in 0..cols {
-                let keep = (1.0 - p) * suffix[(i + 1) * cols + j];
-                let take = if j > 0 {
-                    p * suffix[(i + 1) * cols + (j - 1)]
-                } else {
-                    0.0
-                };
-                suffix[i * cols + j] = keep + take;
+            here[0] = (1.0 - p) * next[0];
+            for r in 1..cols {
+                let num = p * next[r - 1];
+                here[r] = (1.0 - p) * next[r] + num;
+                thr[(r - 1) * n + i] = threshold(num / here[r]);
             }
+            std::mem::swap(&mut here, &mut next);
         }
         ConditionalSampler {
-            probs: probs.to_vec(),
+            num_sites: n,
             weight,
-            suffix,
+            feasible: next[weight] > 0.0,
+            thr,
         }
     }
 
@@ -153,38 +168,52 @@ impl ConditionalSampler {
     /// `w` exceeds the number of sites that can trigger, or when too many
     /// certain sites force a higher weight).
     pub fn is_feasible(&self) -> bool {
-        self.suffix[self.weight] > 0.0
+        self.feasible
     }
 
     /// Draws one subset into `out` (cleared first, ascending site order),
-    /// consuming uniform `[0,1)` variates from `u01`.
+    /// consuming one word of `next_u64` per visited site (see the stream
+    /// contract on [`ConditionalSampler`]).
     ///
     /// # Panics
     ///
     /// Panics if the stratum is infeasible (see
     /// [`ConditionalSampler::is_feasible`]).
-    pub fn sample_into(&self, u01: &mut dyn FnMut() -> f64, out: &mut Vec<usize>) {
+    pub fn sample_into(&self, next_u64: &mut impl FnMut() -> u64, out: &mut Vec<usize>) {
         assert!(
-            self.is_feasible(),
+            self.feasible,
             "no weight-{} subset of {} sites has positive probability",
-            self.weight,
-            self.probs.len()
+            self.weight, self.num_sites
         );
         out.clear();
-        let cols = self.weight + 1;
-        let mut remaining = self.weight;
-        for (i, &p) in self.probs.iter().enumerate() {
-            if remaining == 0 {
-                break;
-            }
-            let here = self.suffix[i * cols + remaining];
-            let take = p * self.suffix[(i + 1) * cols + (remaining - 1)] / here;
-            if u01() < take {
-                out.push(i);
-                remaining -= 1;
+        let n = self.num_sites;
+        let mut start = 0;
+        for r in (1..=self.weight).rev() {
+            let row = &self.thr[(r - 1) * n + start..r * n];
+            match row.iter().position(|&t| (next_u64() >> 11) < t) {
+                Some(k) => {
+                    out.push(start + k);
+                    start += k + 1;
+                }
+                None => break,
             }
         }
         debug_assert_eq!(out.len(), self.weight);
+    }
+}
+
+/// `ceil(take · 2^53)`: the integer form of `u < take` for the 53-bit
+/// uniforms `u = m · 2^-53`, `m < 2^53` (`m < ceil(t)` iff `m < t` for
+/// integer `m`). The scaling by a power of two is exact, and `take < 1`
+/// keeps the result below `2^53`.
+fn threshold(take: f64) -> u64 {
+    if take >= 1.0 {
+        u64::MAX
+    } else if take > 0.0 {
+        (take * (1u64 << 53) as f64).ceil() as u64
+    } else {
+        // `take ≤ 0` or NaN: `u < take` never holds.
+        0
     }
 }
 
@@ -249,18 +278,12 @@ pub fn enumerate_configs(
         return None;
     }
 
-    // Depth-first enumeration carrying the running (unnormalized)
-    // probability product; normalized by the accumulated total at the end.
     let mut configs = Vec::with_capacity(ways[weight] as usize);
-    let mut stack: Vec<(usize, usize)> = Vec::with_capacity(weight);
-    dfs(
+    walk_configs(
         trigger_probs,
         &effective,
         variant_weight,
-        0,
         weight,
-        1.0,
-        &mut stack,
         &mut configs,
     );
     let total: f64 = configs.iter().map(|c| c.weight).sum();
@@ -272,54 +295,79 @@ pub fn enumerate_configs(
     Some(configs)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn dfs(
-    probs: &[f64],
-    effective: &[Vec<usize>],
-    variant_weight: &dyn Fn(usize, usize) -> f64,
+/// One pending node of [`walk_configs`]: sites `..i` are decided, with
+/// `remaining` triggers left and running probability `product`.
+struct Frame {
     i: usize,
     remaining: usize,
     product: f64,
-    stack: &mut Vec<(usize, usize)>,
+    /// Next choice at site `i`: 0 = skip, `k ≥ 1` = variant `effective[i][k-1]`.
+    choice: usize,
+    /// Whether entering this node pushed a triggered site onto the path.
+    triggered: bool,
+}
+
+/// Depth-first enumeration carrying the running (unnormalized) probability
+/// product. Each node first skips site `i`, then triggers it with each
+/// viable variant. The explicit frame stack lives on the heap: a skip chain
+/// is as deep as the site count, far more than a thread stack holds on
+/// large circuits.
+fn walk_configs(
+    probs: &[f64],
+    effective: &[Vec<usize>],
+    variant_weight: &dyn Fn(usize, usize) -> f64,
+    weight: usize,
     out: &mut Vec<FaultConfig>,
 ) {
-    if remaining == 0 {
-        // Remaining sites all stay idle.
-        let idle: f64 = probs[i..].iter().map(|&p| 1.0 - p).product();
-        out.push(FaultConfig {
-            sites: stack.clone(),
-            weight: product * idle,
-        });
-        return;
-    }
-    if i >= probs.len() {
-        return;
-    }
-    // Skip site i.
-    dfs(
-        probs,
-        effective,
-        variant_weight,
-        i + 1,
-        remaining,
-        product * (1.0 - probs[i]),
-        stack,
-        out,
-    );
-    // Trigger site i with each viable variant.
-    for &v in &effective[i] {
-        stack.push((i, v));
-        dfs(
-            probs,
-            effective,
-            variant_weight,
-            i + 1,
-            remaining - 1,
-            product * probs[i] * variant_weight(i, v),
-            stack,
-            out,
-        );
-        stack.pop();
+    let mut path: Vec<(usize, usize)> = Vec::with_capacity(weight);
+    let mut frames = vec![Frame {
+        i: 0,
+        remaining: weight,
+        product: 1.0,
+        choice: 0,
+        triggered: false,
+    }];
+    while let Some(top) = frames.last_mut() {
+        let (i, remaining, product, choice) = (top.i, top.remaining, top.product, top.choice);
+        let done = if remaining == 0 {
+            // Remaining sites all stay idle.
+            let idle: f64 = probs[i..].iter().map(|&p| 1.0 - p).product();
+            out.push(FaultConfig {
+                sites: path.clone(),
+                weight: product * idle,
+            });
+            true
+        } else {
+            i >= probs.len() || choice > effective[i].len()
+        };
+        if done {
+            if top.triggered {
+                path.pop();
+            }
+            frames.pop();
+            continue;
+        }
+        top.choice += 1;
+        let child = if choice == 0 {
+            Frame {
+                i: i + 1,
+                remaining,
+                product: product * (1.0 - probs[i]),
+                choice: 0,
+                triggered: false,
+            }
+        } else {
+            let v = effective[i][choice - 1];
+            path.push((i, v));
+            Frame {
+                i: i + 1,
+                remaining: remaining - 1,
+                product: product * probs[i] * variant_weight(i, v),
+                choice: 0,
+                triggered: true,
+            }
+        };
+        frames.push(child);
     }
 }
 
@@ -597,6 +645,8 @@ impl<'a> StratifiedEstimator<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::{rngs::StdRng, Rng, RngCore, SeedableRng};
 
     fn choose(n: usize, k: usize) -> f64 {
         if k > n {
@@ -605,14 +655,108 @@ mod tests {
         (0..k).fold(1.0, |acc, i| acc * (n - i) as f64 / (i + 1) as f64)
     }
 
-    /// Deterministic uniform stream for sampler tests.
-    fn lcg_stream(mut state: u64) -> impl FnMut() -> f64 {
+    /// Deterministic raw-word stream for sampler tests.
+    fn lcg_stream(mut state: u64) -> impl FnMut() -> u64 {
         move || {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64
+            state
         }
+    }
+
+    /// The f64 walk the threshold table replaces, kept as the oracle: the
+    /// full `(n+1) × (w+1)` suffix table, then one division and one
+    /// `u01() < take` test per visited site.
+    struct ReferenceSampler {
+        probs: Vec<f64>,
+        weight: usize,
+        suffix: Vec<f64>,
+    }
+
+    impl ReferenceSampler {
+        fn new(probs: &[f64], weight: usize) -> Self {
+            let n = probs.len();
+            let cols = weight + 1;
+            let mut suffix = vec![0.0; (n + 1) * cols];
+            suffix[n * cols] = 1.0;
+            for i in (0..n).rev() {
+                let p = probs[i];
+                for j in 0..cols {
+                    let keep = (1.0 - p) * suffix[(i + 1) * cols + j];
+                    let take = if j > 0 {
+                        p * suffix[(i + 1) * cols + (j - 1)]
+                    } else {
+                        0.0
+                    };
+                    suffix[i * cols + j] = keep + take;
+                }
+            }
+            ReferenceSampler {
+                probs: probs.to_vec(),
+                weight,
+                suffix,
+            }
+        }
+
+        fn is_feasible(&self) -> bool {
+            self.suffix[self.weight] > 0.0
+        }
+
+        fn sample_into(&self, u01: &mut dyn FnMut() -> f64, out: &mut Vec<usize>) {
+            out.clear();
+            let cols = self.weight + 1;
+            let mut remaining = self.weight;
+            for (i, &p) in self.probs.iter().enumerate() {
+                if remaining == 0 {
+                    break;
+                }
+                let here = self.suffix[i * cols + remaining];
+                let take = p * self.suffix[(i + 1) * cols + (remaining - 1)] / here;
+                if u01() < take {
+                    out.push(i);
+                    remaining -= 1;
+                }
+            }
+        }
+    }
+
+    /// Adapts a word source to the vendored `RngCore`, so the oracle draws
+    /// its uniforms through the same `gen::<f64>()` the callers used.
+    struct Words<F>(F);
+
+    impl<F: FnMut() -> u64> RngCore for Words<F> {
+        fn next_u64(&mut self) -> u64 {
+            (self.0)()
+        }
+    }
+
+    /// One draw of each walk from the front of `words`: the subset and the
+    /// number of words consumed, threshold walk first.
+    fn draw_both(
+        fast: &ConditionalSampler,
+        oracle: &ReferenceSampler,
+        words: &[u64],
+    ) -> [(Vec<usize>, usize); 2] {
+        let mut out = Vec::new();
+        let mut used = 0;
+        fast.sample_into(
+            &mut || {
+                used += 1;
+                words[used - 1]
+            },
+            &mut out,
+        );
+        let fast_draw = (out.clone(), used);
+        let mut used = 0;
+        {
+            let mut rng = Words(|| {
+                used += 1;
+                words[used - 1]
+            });
+            oracle.sample_into(&mut || rng.gen::<f64>(), &mut out);
+        }
+        [fast_draw, (out, used)]
     }
 
     #[test]
@@ -703,6 +847,153 @@ mod tests {
     }
 
     #[test]
+    fn threshold_maps_edge_probabilities() {
+        for take in [f64::NAN, 0.0, -0.0, -1.0, f64::NEG_INFINITY] {
+            assert_eq!(threshold(take), 0, "take {take}");
+        }
+        for take in [1.0, 1.5, f64::INFINITY] {
+            assert_eq!(threshold(take), u64::MAX, "take {take}");
+        }
+        // The smallest subnormal still admits the all-zero word.
+        assert_eq!(threshold(f64::from_bits(1)), 1);
+        assert_eq!(threshold(0.5), 1 << 52);
+        assert_eq!(threshold(1.0 - f64::EPSILON / 2.0), (1 << 53) - 1);
+    }
+
+    #[test]
+    fn threshold_boundary_words_match_the_f64_walk() {
+        // The suffix DP depends only on `probs[i..]`, so the first word of a
+        // draw from `probs[i..]` at weight `r` decides site `i` with `r`
+        // triggers remaining. Feed it `thr − 1` (taken) and `thr` (skipped).
+        let probs = [0.3, 0.2, 1e-12, 0.5, 2.5e-310, 0.7, 1e-3, 0.9, 0.05];
+        let mut rest = lcg_stream(11);
+        let mut checked = 0;
+        for i in 0..probs.len() {
+            for r in 1..=probs.len() - i {
+                let fast = ConditionalSampler::new(&probs[i..], r);
+                let oracle = ReferenceSampler::new(&probs[i..], r);
+                assert_eq!(fast.is_feasible(), oracle.is_feasible());
+                let t = fast.thr[(r - 1) * (probs.len() - i)];
+                if !fast.is_feasible() || t == 0 || t == u64::MAX {
+                    continue;
+                }
+                for (m, low) in [(t - 1, 0), (t - 1, 0x7ff), (t, 0), (t, 0x7ff)] {
+                    let mut words = vec![(m << 11) | low];
+                    words.extend((1..probs.len()).map(|_| rest()));
+                    let [a, b] = draw_both(&fast, &oracle, &words);
+                    assert_eq!(a, b, "site {i}, r = {r}, word >> 11 = {m}, thr = {t}");
+                    assert_eq!(a.0.first() == Some(&0), m < t);
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked >= 40, "only {checked} boundary words checked");
+    }
+
+    #[test]
+    fn rng_state_after_draws_matches_the_f64_walk() {
+        // A memory-sized vector: heterogeneous sub-percent sites and idle ones.
+        let mut g = lcg_stream(3);
+        let probs: Vec<f64> = (0..1200)
+            .map(|_| match g() % 4 {
+                0 => 0.0,
+                1 => 1e-3,
+                2 => 2e-3 / 3.0,
+                _ => 2e-3 * ((g() >> 11) as f64 / (1u64 << 53) as f64),
+            })
+            .collect();
+        for w in 1..=5 {
+            let fast = ConditionalSampler::new(&probs, w);
+            let oracle = ReferenceSampler::new(&probs, w);
+            let mut a = StdRng::seed_from_u64(w as u64);
+            let mut b = a.clone();
+            let (mut x, mut y) = (Vec::new(), Vec::new());
+            for shot in 0..200 {
+                fast.sample_into(&mut || a.next_u64(), &mut x);
+                oracle.sample_into(&mut || b.gen::<f64>(), &mut y);
+                assert_eq!(x, y, "w = {w}, shot {shot}");
+            }
+            assert_eq!(a, b, "w = {w}: streams diverged");
+        }
+    }
+
+    /// Site probabilities spanning every regime the threshold must keep
+    /// exact: impossible and forced sites, subnormals, underflow-prone
+    /// products and ordinary rates.
+    fn arb_prob() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(0.0),
+            Just(1.0),
+            Just(f64::from_bits(1)),
+            Just(2.5e-310),
+            Just(1e-300),
+            Just(1e-12),
+            1e-4..0.05f64,
+            0.0..1.0f64,
+        ]
+    }
+
+    /// One word of a differential stream: half uniform, half with `>> 11`
+    /// on a threshold boundary of `marks` (random low bits).
+    fn boundary_word(rng: &mut StdRng, marks: &[u64]) -> u64 {
+        if rng.gen_bool(0.5) {
+            rng.next_u64()
+        } else {
+            (marks[rng.gen_range(0..marks.len())] << 11) | (rng.next_u64() & 0x7ff)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Failures name the word-stream seed; the vector and weight are in
+        /// the message too.
+        #[test]
+        fn threshold_walk_matches_the_f64_walk(
+            probs in proptest::collection::vec(arb_prob(), 0..=24),
+            w in 0usize..=8,
+            seed in 0u64..u64::MAX,
+        ) {
+            let w = w.min(probs.len());
+            let fast = ConditionalSampler::new(&probs, w);
+            let oracle = ReferenceSampler::new(&probs, w);
+            prop_assert_eq!(
+                fast.is_feasible(),
+                oracle.is_feasible(),
+                "seed {:#x}: probs {:?}, w = {}",
+                seed,
+                probs,
+                w
+            );
+            if fast.is_feasible() {
+                let mut marks: Vec<u64> = fast
+                    .thr
+                    .iter()
+                    .filter(|&&t| t > 0 && t < 1 << 53)
+                    .flat_map(|&t| [t - 1, t])
+                    .collect();
+                marks.extend([0, 1, (1 << 53) - 1]);
+                let mut rng = StdRng::seed_from_u64(seed);
+                for draw in 0..16 {
+                    let words: Vec<u64> =
+                        (0..probs.len()).map(|_| boundary_word(&mut rng, &marks)).collect();
+                    let [a, b] = draw_both(&fast, &oracle, &words);
+                    prop_assert_eq!(
+                        &a,
+                        &b,
+                        "seed {:#x}, draw {}: probs {:?}, w = {}",
+                        seed,
+                        draw,
+                        &probs,
+                        w
+                    );
+                    prop_assert_eq!(a.0.len(), w);
+                }
+            }
+        }
+    }
+
+    #[test]
     fn enumeration_counts_and_normalizes() {
         // 3 sites × 3 variants each, weight 2: C(3,2)·3² = 27 configs.
         let probs = [0.01, 0.02, 0.03];
@@ -737,6 +1028,119 @@ mod tests {
         // Weight-1: site 0 (1 variant) + site 2 (3 variants) = 4 configs.
         assert_eq!(configs.len(), 4);
         assert!(configs.iter().all(|c| c.sites[0].0 != 1));
+    }
+
+    /// The recursive walk [`walk_configs`] replaces, kept as the oracle.
+    #[allow(clippy::too_many_arguments)]
+    fn dfs(
+        probs: &[f64],
+        effective: &[Vec<usize>],
+        variant_weight: &dyn Fn(usize, usize) -> f64,
+        i: usize,
+        remaining: usize,
+        product: f64,
+        stack: &mut Vec<(usize, usize)>,
+        out: &mut Vec<FaultConfig>,
+    ) {
+        if remaining == 0 {
+            let idle: f64 = probs[i..].iter().map(|&p| 1.0 - p).product();
+            out.push(FaultConfig {
+                sites: stack.clone(),
+                weight: product * idle,
+            });
+            return;
+        }
+        if i >= probs.len() {
+            return;
+        }
+        dfs(
+            probs,
+            effective,
+            variant_weight,
+            i + 1,
+            remaining,
+            product * (1.0 - probs[i]),
+            stack,
+            out,
+        );
+        for &v in &effective[i] {
+            stack.push((i, v));
+            dfs(
+                probs,
+                effective,
+                variant_weight,
+                i + 1,
+                remaining - 1,
+                product * probs[i] * variant_weight(i, v),
+                stack,
+                out,
+            );
+            stack.pop();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn iterative_walk_matches_recursive_dfs(
+            sites in proptest::collection::vec(
+                (
+                    prop_oneof![Just(0.0), Just(1.0), 1e-4..0.05f64, 0.0..1.0f64],
+                    proptest::collection::vec(prop_oneof![Just(0.0), 0.0..1.0f64], 0..=4),
+                ),
+                0..=9,
+            ),
+            weight in 0usize..=4,
+        ) {
+            let probs: Vec<f64> = sites.iter().map(|s| s.0).collect();
+            let vw = |i: usize, v: usize| sites[i].1[v];
+            let effective: Vec<Vec<usize>> = sites
+                .iter()
+                .map(|(p, ws)| {
+                    if *p <= 0.0 {
+                        Vec::new()
+                    } else {
+                        (0..ws.len()).filter(|&v| ws[v] > 0.0).collect()
+                    }
+                })
+                .collect();
+            let mut iterative = Vec::new();
+            walk_configs(&probs, &effective, &vw, weight, &mut iterative);
+            let mut recursive = Vec::new();
+            dfs(&probs, &effective, &vw, 0, weight, 1.0, &mut Vec::new(), &mut recursive);
+            prop_assert_eq!(iterative.len(), recursive.len(), "{:?}, w = {}", &sites, weight);
+            for (a, b) in iterative.iter().zip(&recursive) {
+                prop_assert_eq!(&a.sites, &b.sites);
+                prop_assert_eq!(a.weight.to_bits(), b.weight.to_bits(), "{:?}", &a.sites);
+            }
+        }
+    }
+
+    #[test]
+    fn enumeration_over_many_sites_fits_a_small_thread_stack() {
+        // 40 000 sites, 8 triggerable: the skip chain before the first
+        // trigger is as long as the vector, and a recursive walk overflows
+        // a 2 MiB stack on it.
+        let configs = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                let mut probs = vec![0.0; 40_000];
+                for k in 0..8 {
+                    probs[k * 5_000 + 17] = 1e-3 * (k + 1) as f64;
+                }
+                enumerate_configs(&probs, 1, 1_000, &|_| 3, &|_, _| 1.0 / 3.0)
+            })
+            .unwrap()
+            .join()
+            .expect("enumeration thread overflowed or panicked")
+            .expect("24 configurations fit the budget");
+        assert_eq!(configs.len(), 24);
+        // Skip-first order: the last triggerable site comes out first.
+        assert_eq!(configs[0].sites, vec![(35_017, 0)]);
+        assert_eq!(configs[23].sites, vec![(17, 2)]);
+        let total: f64 = configs.iter().map(|c| c.weight).sum();
+        assert!((total - 1.0).abs() < 1e-12);
     }
 
     #[test]

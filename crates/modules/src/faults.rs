@@ -26,7 +26,7 @@ use hetarch_exec::rare::{
 };
 use hetarch_exec::{shard_seed, CancelToken, Cancelled, WorkerPool};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use hetarch_qsim::channels::PauliProbs;
 use hetarch_stab::pauli::{Pauli, PauliString};
@@ -344,7 +344,7 @@ where
                     let mut driver = ForcedFaults::new(sites.len(), &[]);
                     (0..shard.len)
                         .filter(|_| {
-                            sampler.sample_into(&mut || rng.gen::<f64>(), &mut subset);
+                            sampler.sample_into(&mut || rng.next_u64(), &mut subset);
                             hits.clear();
                             for &i in &subset {
                                 hits.push((i, sites[i].sample_variant(&mut rng)));

@@ -14,7 +14,7 @@
 use hetarch_exec::rare::{enumerate_configs, ConditionalSampler, FaultConfig, WeightPrior};
 use hetarch_exec::{shard_seed, WorkerPool};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use crate::bits::BitTable;
 use crate::circuit::{Circuit, Gate1, Gate2, Instruction};
@@ -632,6 +632,13 @@ impl FrameSampler {
 /// run — so the result is **bit-identical for every worker count**, the
 /// same contract as [`FrameSampler::sample`].
 ///
+/// The subset walk takes one 64-bit word of stream 0 per visited site and
+/// keeps site `i` iff `(x >> 11) < ceil(take · 2^53)`, an integer threshold
+/// precomputed per site and remaining count. That is the same decision,
+/// on the same words, as `rng.gen::<f64>() < take`, so every `shard_seed`
+/// stream, and every golden and fingerprint built on them, is unchanged by
+/// the integer form.
+///
 /// # Panics
 ///
 /// Panics if no weight-`weight` configuration has positive probability
@@ -659,7 +666,7 @@ pub fn sample_at_weight(
         let mut site_hits: Vec<Vec<(u32, u8)>> = vec![Vec::new(); model.num_sites()];
         let mut subset = Vec::with_capacity(weight);
         for shot in 0..shard.len {
-            sampler.sample_into(&mut || rng.gen::<f64>(), &mut subset);
+            sampler.sample_into(&mut || rng.next_u64(), &mut subset);
             for &site in &subset {
                 let v = model.sample_variant(site, &mut rng);
                 site_hits[site].push((shot as u32, v));
