@@ -150,7 +150,7 @@ fn main() {
         ("union-find (production)", SurfaceDecoder::UnionFind),
         ("greedy matching", SurfaceDecoder::GreedyMatching),
     ] {
-        let (_, per_round) = mem.logical_error_rate_with(which, n, 13);
+        let (_, per_round) = mem.logical_error_rate_on(WorkerPool::global(), which, n, 13);
         println!("   {name:<24} logical/round {per_round:.5}");
     }
 }

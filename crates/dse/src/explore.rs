@@ -8,6 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use hetarch_exec::rare::RareConfig;
+use hetarch_exec::WorkerPool;
 use hetarch_modules::distill::{DistillConfig, DistillModule};
 
 use crate::space::{Axis, DesignSpace};
@@ -140,7 +141,7 @@ pub enum SurfaceEstimator {
         shots: usize,
     },
     /// Weight-stratified rare-event estimator
-    /// ([`hetarch_stab::codes::SurfaceMemory::logical_error_rate_rare`]).
+    /// ([`hetarch_stab::codes::SurfaceMemory::logical_error_rate_rare_on`]).
     Rare(RareConfig),
 }
 
@@ -205,8 +206,12 @@ pub fn explore_surface_coherence_with(
                 (per_round, sigma, 0.0, true)
             }
             SurfaceEstimator::Rare(config) => {
-                let outcome =
-                    memory.logical_error_rate_rare(SurfaceDecoder::UnionFind, config, seed);
+                let outcome = memory.logical_error_rate_rare_on(
+                    WorkerPool::global(),
+                    SurfaceDecoder::UnionFind,
+                    config,
+                    seed,
+                );
                 let converged = outcome.is_converged();
                 let report = outcome.report();
                 (

@@ -33,16 +33,6 @@ where
     sweep_on(WorkerPool::global(), space.points(), f)
 }
 
-/// Like [`sweep`] with an explicit worker count (1 gives a fully serial
-/// execution useful in tests).
-pub fn sweep_with_workers<T, F>(points: Vec<Point>, f: F, workers: usize) -> Vec<(Point, T)>
-where
-    T: Send,
-    F: Fn(&Point) -> T + Sync,
-{
-    sweep_on(&WorkerPool::new(workers), points, f)
-}
-
 /// Evaluates `f` at every point on an explicit [`WorkerPool`], preserving
 /// point order in the output regardless of which worker evaluated which
 /// point.
@@ -51,23 +41,18 @@ where
     T: Send,
     F: Fn(&Point) -> T + Sync,
 {
-    SWEEPS.inc();
-    let values = pool.map_indexed(points.len(), |i| {
-        let span = obs::span!(POINT_LATENCY_NS);
-        let value = f(&points[i]);
-        drop(span);
-        POINTS_EVALUATED.inc();
-        value
-    });
-    points.into_iter().zip(values).collect()
+    match sweep_inner(pool, points, None, f) {
+        Ok(out) => out,
+        Err(Cancelled) => unreachable!("no token, no cancellation"),
+    }
 }
 
 /// As [`sweep_on`] with a cooperative [`CancelToken`] checked before each
 /// point is dispatched: a fired token stops the sweep after at most one
 /// in-flight point per worker and returns [`Cancelled`]. This is the
 /// re-entrant entry point the serving layer drives — `f` itself may also
-/// observe the token (e.g. via the cancellable module paths) to stop inside
-/// a long per-point Monte-Carlo run.
+/// observe the token (e.g. via the module estimators' cancellable runs) to
+/// stop inside a long per-point Monte-Carlo run.
 pub fn try_sweep_on<T, F>(
     pool: &WorkerPool,
     points: Vec<Point>,
@@ -78,14 +63,31 @@ where
     T: Send,
     F: Fn(&Point) -> T + Sync,
 {
+    sweep_inner(pool, points, Some(token), f)
+}
+
+fn sweep_inner<T, F>(
+    pool: &WorkerPool,
+    points: Vec<Point>,
+    token: Option<&CancelToken>,
+    f: F,
+) -> Result<Vec<(Point, T)>, Cancelled>
+where
+    T: Send,
+    F: Fn(&Point) -> T + Sync,
+{
     SWEEPS.inc();
-    let values = pool.try_map_indexed(points.len(), token, |i| {
+    let eval = |i: usize| {
         let span = obs::span!(POINT_LATENCY_NS);
         let value = f(&points[i]);
         drop(span);
         POINTS_EVALUATED.inc();
         value
-    })?;
+    };
+    let values = match token {
+        None => pool.map_indexed(points.len(), eval),
+        Some(token) => pool.try_map_indexed(points.len(), token, eval)?,
+    };
     Ok(points.into_iter().zip(values).collect())
 }
 
@@ -100,8 +102,12 @@ mod tests {
             Axis::new("a", (1..=5).map(f64::from).collect()),
             Axis::new("b", (1..=4).map(f64::from).collect()),
         ]);
-        let serial = sweep_with_workers(space.points(), |p| p.get("a") * p.get("b"), 1);
-        let parallel = sweep_with_workers(space.points(), |p| p.get("a") * p.get("b"), 8);
+        let serial = sweep_on(&WorkerPool::new(1), space.points(), |p| {
+            p.get("a") * p.get("b")
+        });
+        let parallel = sweep_on(&WorkerPool::new(8), space.points(), |p| {
+            p.get("a") * p.get("b")
+        });
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.0, p.0);
@@ -128,7 +134,7 @@ mod tests {
     #[test]
     fn many_workers_few_points() {
         let space = DesignSpace::new(vec![Axis::new("x", vec![1.0, 2.0])]);
-        let out = sweep_with_workers(space.points(), |p| p.get("x"), 16);
+        let out = sweep_on(&WorkerPool::new(16), space.points(), |p| p.get("x"));
         let xs: Vec<f64> = out.iter().map(|(_, v)| *v).collect();
         assert_eq!(xs, vec![1.0, 2.0]);
     }

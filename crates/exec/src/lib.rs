@@ -26,7 +26,8 @@
 //!
 //! // Estimate a failure count over 10_000 trials, sharded by 1024.
 //! let count = |pool: &WorkerPool| {
-//!     pool.fold_shards(10_000, 1024, 42, |shard| shard.len, 0usize, |a, b| a + b)
+//!     let per_shard = pool.run_shards(10_000, 1024, 42, |shard| shard.len);
+//!     per_shard.into_iter().sum::<usize>()
 //! };
 //! assert_eq!(count(&WorkerPool::new(1)), 10_000);
 //! assert_eq!(count(&WorkerPool::new(8)), 10_000);
@@ -62,8 +63,7 @@ static CANCELLATIONS: obs::Counter = obs::Counter::new("exec.cancellations");
 /// The token is a cheap clonable handle over one shared flag. Cancellation
 /// is **cooperative**: the engine checks the flag at its checkpoints (before
 /// dispatching each work item in [`WorkerPool::try_map_indexed`], i.e.
-/// between shards in [`WorkerPool::try_run_shards`] /
-/// [`WorkerPool::try_fold_shards`]), finishes the items already in flight,
+/// between shards in [`WorkerPool::try_run_shards`]), finishes the items already in flight,
 /// and returns [`Cancelled`]. A shard body is never interrupted mid-shot, so
 /// cancellation can never corrupt a result that *is* delivered — a
 /// cancelled run delivers nothing at all.
@@ -388,55 +388,6 @@ impl WorkerPool {
         SHARDS_EXECUTED.add(plan.len() as u64);
         self.try_map_indexed(plan.len(), token, |i| f(&plan[i]))
     }
-
-    /// [`WorkerPool::run_shards`] followed by an in-order fold: starts from
-    /// `init` and applies `reduce` to each shard result in shard-index
-    /// order. With `total == 0` no shards run and `init` is returned.
-    pub fn fold_shards<T, R, F, G>(
-        &self,
-        total: usize,
-        shard_size: usize,
-        seed: u64,
-        f: F,
-        init: T,
-        reduce: G,
-    ) -> T
-    where
-        R: Send,
-        F: Fn(&Shard) -> R + Sync,
-        G: FnMut(T, R) -> T,
-    {
-        self.run_shards(total, shard_size, seed, f)
-            .into_iter()
-            .fold(init, reduce)
-    }
-
-    /// As [`WorkerPool::fold_shards`] with a cooperative [`CancelToken`]:
-    /// the token is checked between shards (the `should_stop` checkpoint a
-    /// long fold previously lacked), so cancelling releases the pool's
-    /// workers after at most one in-flight shard each instead of after the
-    /// whole fold.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_fold_shards<T, R, F, G>(
-        &self,
-        total: usize,
-        shard_size: usize,
-        seed: u64,
-        token: &CancelToken,
-        f: F,
-        init: T,
-        reduce: G,
-    ) -> Result<T, Cancelled>
-    where
-        R: Send,
-        F: Fn(&Shard) -> R + Sync,
-        G: FnMut(T, R) -> T,
-    {
-        Ok(self
-            .try_run_shards(total, shard_size, seed, token, f)?
-            .into_iter()
-            .fold(init, reduce))
-    }
 }
 
 #[inline]
@@ -510,14 +461,10 @@ mod tests {
         // A reduction whose result depends on fold order (string concat)
         // must still be identical across worker counts.
         let run = |workers| {
-            WorkerPool::new(workers).fold_shards(
-                257,
-                16,
-                7,
-                |s| format!("{}:{:x};", s.index, s.seed),
-                String::new(),
-                |acc, s| acc + &s,
-            )
+            WorkerPool::new(workers)
+                .run_shards(257, 16, 7, |s| format!("{}:{:x};", s.index, s.seed))
+                .into_iter()
+                .fold(String::new(), |acc, s| acc + &s)
         };
         let reference = run(1);
         for workers in [2, 3, 8] {
@@ -528,8 +475,8 @@ mod tests {
     #[test]
     fn zero_total_runs_no_shards() {
         let pool = WorkerPool::new(4);
-        let out = pool.fold_shards(0, 64, 1, |_| 1usize, 0usize, |a, b| a + b);
-        assert_eq!(out, 0);
+        let out = pool.run_shards(0, 64, 1, |_| 1usize);
+        assert!(out.is_empty());
         assert!(shards(0, 64, 1).is_empty());
     }
 
@@ -598,9 +545,9 @@ mod tests {
             let plain = pool.map_indexed(37, |i| i * i);
             let tried = pool.try_map_indexed(37, &token, |i| i * i).unwrap();
             assert_eq!(plain, tried);
-            let plain = pool.fold_shards(1000, 64, 7, |s| s.seed, 0u64, |a, b| a ^ b);
+            let plain = pool.run_shards(1000, 64, 7, |s| s.seed);
             let tried = pool
-                .try_fold_shards(1000, 64, 7, &token, |s| s.seed, 0u64, |a, b| a ^ b)
+                .try_run_shards(1000, 64, 7, &token, |s| s.seed)
                 .unwrap();
             assert_eq!(plain, tried);
         }
@@ -635,9 +582,9 @@ mod tests {
 
     #[test]
     fn cancelled_fold_releases_workers_promptly() {
-        // The regression the serving layer exposed: a long fold_shards had
+        // The regression the serving layer exposed: a long sharded run had
         // no checkpoint between shards, so a dead request kept its workers
-        // until the whole fold finished. With the token checked per shard,
+        // until the whole run finished. With the token checked per shard,
         // cancelling mid-run must return within roughly one shard body per
         // worker — far below the full runtime (~10k shards x 500µs = 5s).
         let pool = WorkerPool::new(2);
@@ -649,24 +596,16 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(50));
                 canceller.cancel();
             });
-            let out = pool.try_fold_shards(
-                10_000,
-                1,
-                3,
-                &token,
-                |_| {
-                    std::thread::sleep(std::time::Duration::from_micros(500));
-                    1usize
-                },
-                0usize,
-                |a, b| a + b,
-            );
+            let out = pool.try_run_shards(10_000, 1, 3, &token, |_| {
+                std::thread::sleep(std::time::Duration::from_micros(500));
+                1usize
+            });
             assert_eq!(out, Err(Cancelled));
         });
         let elapsed = start.elapsed();
         assert!(
             elapsed < std::time::Duration::from_millis(1500),
-            "cancelled fold held its workers for {elapsed:?}"
+            "cancelled shard run held its workers for {elapsed:?}"
         );
     }
 

@@ -9,25 +9,22 @@
 //! which converges to the same first-order SWAP counts for these small
 //! circuits.
 
-use hetarch_exec::rare::{RareConfig, RareOutcome};
-use hetarch_exec::{CancelToken, Cancelled, WorkerPool};
-use hetarch_obs as obs;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use hetarch_exec::WorkerPool;
 use serde::{Deserialize, Serialize};
 
 use hetarch_qsim::channels::{IdleParams, PauliProbs};
 use hetarch_stab::codes::StabilizerCode;
 use hetarch_stab::pauli::PauliString;
 
-use crate::faults::{stratified_rate, FaultDriver, RecordFaults, RngFaults};
+use crate::faults::{plain_rate, FaultDriver, ShotMetrics, ShotModel};
 use crate::uec::sim::{combine, CycleDecoder, UecNoise};
 
-// Homogeneous-baseline Monte-Carlo metrics (no-ops unless the `obs` feature
-// is on and `HETARCH_OBS=1`).
-static HOM_SHOTS: obs::Counter = obs::Counter::new("modules.baseline.shots");
-static HOM_FAILURES: obs::Counter = obs::Counter::new("modules.baseline.failures");
-static HOM_RUN_NS: obs::Histogram = obs::Histogram::new("modules.baseline.run_ns");
+// Homogeneous-baseline Monte-Carlo metrics.
+static HOM_METRICS: ShotMetrics = ShotMetrics::new(
+    "modules.baseline.shots",
+    "modules.baseline.failures",
+    "modules.baseline.run_ns",
+);
 
 /// A square-lattice embedding of a code: data coordinates plus one ancilla
 /// coordinate per stabilizer, with per-qubit routing distances.
@@ -149,6 +146,7 @@ pub struct HomModule {
     decoder: CycleDecoder,
     t_2q: f64,
     t_meas: f64,
+    plan: ShotPlan,
 }
 
 /// Result of a homogeneous baseline run.
@@ -170,7 +168,7 @@ impl HomModule {
         let layers = layer_checks(&code);
         let weight_cap = (code.distance().div_ceil(2)).clamp(1, 3);
         let decoder = CycleDecoder::new(&code, weight_cap, &layers);
-        HomModule {
+        let mut module = HomModule {
             code,
             noise,
             idle: IdleParams::new(tc, tc).expect("physical coherence"),
@@ -179,7 +177,10 @@ impl HomModule {
             decoder,
             t_2q: 100e-9,
             t_meas: 1e-6,
-        }
+            plan: ShotPlan::default(),
+        };
+        module.plan = module.layer_noise();
+        module
     }
 
     /// The embedding in use.
@@ -215,116 +216,20 @@ impl HomModule {
     ///
     /// Shots are sharded over the global [`WorkerPool`] with the same
     /// `(seed, shard)` contract as [`crate::uec::UecModule`]: the result is
-    /// bit-identical for every worker count. `shots == 0` reports zero.
+    /// bit-identical for every worker count. `shots == 0` reports zero. For
+    /// the rare-event estimator or a cancellation token, call
+    /// [`estimate`](crate::faults::estimate) on the module directly.
     pub fn logical_error_rate(&self, shots: usize, seed: u64) -> HomResult {
         self.logical_error_rate_on(WorkerPool::global(), shots, seed)
     }
 
     /// As [`Self::logical_error_rate`] with an explicit worker pool.
     pub fn logical_error_rate_on(&self, pool: &WorkerPool, shots: usize, seed: u64) -> HomResult {
-        let plan = self.layer_noise();
-        let cycle_duration = self.cycle_duration();
-        let span = obs::span!(HOM_RUN_NS);
-        let failures = pool.fold_shards(
-            shots,
-            crate::uec::sim::MC_SHARD_SHOTS,
-            seed,
-            |shard| {
-                let mut rng = StdRng::seed_from_u64(shard.seed);
-                (0..shard.len)
-                    .filter(|_| self.run_shot(&plan, &mut RngFaults::new(&mut rng)))
-                    .count()
-            },
-            0usize,
-            |acc, f| acc + f,
-        );
-        drop(span);
-        HOM_SHOTS.add(shots as u64);
-        HOM_FAILURES.add(failures as u64);
         HomResult {
-            logical_error_rate: if shots == 0 {
-                0.0
-            } else {
-                failures as f64 / shots as f64
-            },
-            cycle_duration,
+            logical_error_rate: plain_rate(self, pool, shots, seed),
+            cycle_duration: self.cycle_duration(),
             swaps_per_cycle: self.embedding.total_swaps(),
         }
-    }
-
-    /// As [`Self::logical_error_rate_on`] with a cooperative
-    /// [`CancelToken`] checked between shards; a fired token returns
-    /// [`Cancelled`] instead of finishing the run. An uncancelled call is
-    /// bit-identical to [`Self::logical_error_rate_on`].
-    pub fn try_logical_error_rate_on(
-        &self,
-        pool: &WorkerPool,
-        shots: usize,
-        seed: u64,
-        token: &CancelToken,
-    ) -> Result<HomResult, Cancelled> {
-        let plan = self.layer_noise();
-        let cycle_duration = self.cycle_duration();
-        let span = obs::span!(HOM_RUN_NS);
-        let failures = pool.try_fold_shards(
-            shots,
-            crate::uec::sim::MC_SHARD_SHOTS,
-            seed,
-            token,
-            |shard| {
-                let mut rng = StdRng::seed_from_u64(shard.seed);
-                (0..shard.len)
-                    .filter(|_| self.run_shot(&plan, &mut RngFaults::new(&mut rng)))
-                    .count()
-            },
-            0usize,
-            |acc, f| acc + f,
-        )?;
-        drop(span);
-        HOM_SHOTS.add(shots as u64);
-        HOM_FAILURES.add(failures as u64);
-        Ok(HomResult {
-            logical_error_rate: if shots == 0 {
-                0.0
-            } else {
-                failures as f64 / shots as f64
-            },
-            cycle_duration,
-            swaps_per_cycle: self.embedding.total_swaps(),
-        })
-    }
-
-    /// Estimates the per-cycle logical error rate with the weight-stratified
-    /// rare-event estimator (see [`hetarch_exec::rare`]) on the global
-    /// [`WorkerPool`]; resolves deep-subthreshold rates the plain estimator
-    /// cannot, with an explicit sigma and truncation bound.
-    pub fn logical_error_rate_rare(&self, config: RareConfig, seed: u64) -> RareOutcome {
-        self.logical_error_rate_rare_on(WorkerPool::global(), config, seed)
-    }
-
-    /// As [`Self::logical_error_rate_rare`] with an explicit worker pool.
-    pub fn logical_error_rate_rare_on(
-        &self,
-        pool: &WorkerPool,
-        config: RareConfig,
-        seed: u64,
-    ) -> RareOutcome {
-        let plan = self.layer_noise();
-        let mut recorder = RecordFaults::new();
-        self.run_shot(&plan, &mut recorder);
-        let sites = recorder.into_sites();
-        let span = obs::span!(HOM_RUN_NS);
-        let outcome = stratified_rate(
-            pool,
-            &sites,
-            config,
-            seed,
-            crate::uec::sim::MC_SHARD_SHOTS,
-            |driver| self.run_shot(&plan, driver),
-        );
-        drop(span);
-        HOM_SHOTS.add(outcome.report().total_shots as u64);
-        outcome
     }
 
     /// Per-layer noise precomputation.
@@ -346,10 +251,17 @@ impl HomModule {
                 .collect(),
         }
     }
+}
+
+impl ShotModel for HomModule {
+    fn metrics(&self) -> &'static ShotMetrics {
+        &HOM_METRICS
+    }
 
     /// One QEC cycle against an arbitrary [`FaultDriver`]; the site-visit
     /// order is static, exactly as in [`crate::uec::UecModule`].
-    fn run_shot<D: FaultDriver>(&self, plan: &ShotPlan, driver: &mut D) -> bool {
+    fn run_shot<D: FaultDriver>(&self, driver: &mut D) -> bool {
+        let plan = &self.plan;
         let n = self.code.num_qubits();
         let stabs = self.code.stabilizers();
         let mut error = PauliString::identity(n);
@@ -399,12 +311,14 @@ impl HomModule {
 }
 
 /// Per-layer noise table of the homogeneous baseline.
+#[derive(Clone, Debug)]
 struct LayerNoise {
     idle: PauliProbs,
     checks: Vec<usize>,
 }
 
 /// Precomputed per-cycle tables shared by every shot.
+#[derive(Clone, Debug, Default)]
 struct ShotPlan {
     layers: Vec<LayerNoise>,
     /// Support qubits of each stabilizer.
@@ -438,6 +352,8 @@ pub fn hom_surface_logical_error(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{estimate, Estimator, RunCtx};
+    use hetarch_exec::rare::RareConfig;
     use hetarch_stab::codes::{color_17, reed_muller_15, rotated_surface_code, steane};
 
     #[test]
@@ -524,7 +440,16 @@ mod tests {
             shots_per_stratum: 4_000,
             ..RareConfig::default()
         };
-        let report = m.logical_error_rate_rare(config, 31).into_report();
+        let ctx = RunCtx {
+            pool: WorkerPool::global(),
+            seed: 31,
+            cancel: None,
+        };
+        let report = estimate(&m, Estimator::Rare(config), &ctx)
+            .unwrap()
+            .into_rare()
+            .unwrap()
+            .into_report();
         assert!(report.p_l > 0.0);
         let tolerance = 5.0 * (plain_sigma + report.sigma) + report.truncation_bound;
         assert!(

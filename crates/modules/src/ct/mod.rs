@@ -192,8 +192,8 @@ impl CtModule {
             p2q: c.p2q,
             ..UecNoise::default()
         };
-        let plus_a = self.plus_state_error(&c.code_a, noise, c.seed + 11);
-        let plus_b = self.plus_state_error(&c.code_b, noise, c.seed + 13);
+        let plus_a = self.plus_state_error(&c.code_a, noise, c.seed.wrapping_add(11));
+        let plus_b = self.plus_state_error(&c.code_b, noise, c.seed.wrapping_add(13));
 
         // --- Step 4: transversal CNOT layer between CAT and |+> states.
         // Physical faults here are subsequently error-corrected; only
@@ -293,6 +293,18 @@ mod tests {
     fn quick(mut cfg: CtConfig) -> CtResult {
         cfg.shots = 3000;
         CtModule::new(cfg).evaluate()
+    }
+
+    #[test]
+    fn maximal_seed_does_not_overflow() {
+        // The |+> sub-evaluations derive their seeds by offsetting the
+        // configured one; `u64::MAX` must wrap, not panic in debug builds.
+        let mut cfg =
+            CtConfig::heterogeneous(rotated_surface_code(3), rotated_surface_code(3), 5e-3);
+        cfg.shots = 64;
+        cfg.seed = u64::MAX;
+        let r = CtModule::new(cfg).evaluate();
+        assert!((0.0..=1.0).contains(&r.logical_error_probability));
     }
 
     #[test]

@@ -17,21 +17,22 @@
 //! * [`ForcedFaults`] replays a fixed weight-`w` fault configuration — the
 //!   conditioned shots of the stratified estimator.
 //!
-//! [`stratified_rate`] wires the three together under
-//! [`hetarch_exec::rare::StratifiedEstimator`].
+//! A module implements [`ShotModel`] once, and [`estimate`] wires the
+//! three drivers together into either estimator — plain Monte Carlo or the
+//! weight-stratified [`hetarch_exec::rare::StratifiedEstimator`] — on any
+//! pool, with or without a cancellation token.
 
 use hetarch_exec::rare::{
     enumerate_configs, ConditionalSampler, RareConfig, RareOutcome, StratifiedEstimator,
     StratumEval, WeightPrior,
 };
-use hetarch_exec::{shard_seed, CancelToken, Cancelled, WorkerPool};
+use hetarch_exec::{shard_seed, CancelToken, Cancelled, Shard, WorkerPool};
+use hetarch_obs as obs;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use hetarch_qsim::channels::PauliProbs;
 use hetarch_stab::pauli::{Pauli, PauliString};
-
-use crate::uec::sim::sample_pauli_into;
 
 /// One shot's source of fault decisions.
 ///
@@ -225,85 +226,209 @@ impl FaultDriver for ForcedFaults {
     }
 }
 
-/// Runs the weight-stratified rare-event estimator over a recorded site
-/// table.
-///
-/// `run_shot` executes one shot against a [`ForcedFaults`] driver and
-/// returns whether it failed. Per stratum the driver either enumerates every
-/// fault configuration (at most `config.enumerate_threshold` of them) or
-/// draws `config.shots_per_stratum` conditioned samples, sharded over `pool`
-/// at `shard_shots` shots per shard with the per-stratum seed
-/// `shard_seed(seed, w)` — the result is bit-identical for every worker
-/// count.
-pub fn stratified_rate<F>(
-    pool: &WorkerPool,
-    sites: &[SiteProbs],
-    config: RareConfig,
-    seed: u64,
-    shard_shots: usize,
-    run_shot: F,
-) -> RareOutcome
-where
-    F: Fn(&mut ForcedFaults) -> bool + Sync,
-{
-    match stratified_rate_inner(pool, sites, config, seed, shard_shots, None, run_shot) {
-        Ok(outcome) => outcome,
-        Err(Cancelled) => unreachable!("no token, no cancellation"),
+/// Shots per shard of every module Monte-Carlo loop, plain and conditioned.
+/// Fixed (never derived from the worker count) so shard boundaries — and
+/// therefore results — are identical for every worker count.
+const MC_SHARD_SHOTS: usize = 512;
+
+/// The obs metrics one shot model reports under (no-ops unless the `obs`
+/// feature is on and `HETARCH_OBS=1`).
+pub struct ShotMetrics {
+    shots: obs::Counter,
+    failures: obs::Counter,
+    run_ns: obs::Histogram,
+}
+
+impl ShotMetrics {
+    /// Metrics named `shots`, `failures` and `run_ns`; `const`, so they can
+    /// live in a `static`.
+    pub const fn new(shots: &'static str, failures: &'static str, run_ns: &'static str) -> Self {
+        ShotMetrics {
+            shots: obs::Counter::new(shots),
+            failures: obs::Counter::new(failures),
+            run_ns: obs::Histogram::new(run_ns),
+        }
     }
 }
 
-/// As [`stratified_rate`] with a cooperative [`CancelToken`]: the token is
-/// checked between shards of each sampled stratum and periodically inside
-/// enumerated strata, so cancelling a deep-subthreshold estimate releases
-/// the pool promptly instead of finishing every stratum.
-pub fn try_stratified_rate<F>(
-    pool: &WorkerPool,
-    sites: &[SiteProbs],
-    config: RareConfig,
-    seed: u64,
-    shard_shots: usize,
-    token: &CancelToken,
-    run_shot: F,
-) -> Result<RareOutcome, Cancelled>
-where
-    F: Fn(&mut ForcedFaults) -> bool + Sync,
-{
-    stratified_rate_inner(
-        pool,
-        sites,
-        config,
-        seed,
-        shard_shots,
-        Some(token),
-        run_shot,
-    )
+/// A static-order shot body: one simulated cycle that visits its fault
+/// sites through a [`FaultDriver`] in an order that never depends on
+/// sampled outcomes, and reports whether the cycle failed.
+///
+/// That property is what lets [`estimate`] run the same body as plain
+/// Monte Carlo ([`RngFaults`]), as the dry site recorder ([`RecordFaults`])
+/// and as the conditioned replays of the rare-event estimator
+/// ([`ForcedFaults`]).
+pub trait ShotModel: Sync {
+    /// The metrics this model's runs are counted and timed under.
+    fn metrics(&self) -> &'static ShotMetrics;
+
+    /// Runs one shot against `driver`; returns whether it failed.
+    fn run_shot<D: FaultDriver>(&self, driver: &mut D) -> bool;
 }
 
-fn stratified_rate_inner<F>(
+/// Which estimator [`estimate`] runs.
+#[derive(Clone, Copy, Debug)]
+pub enum Estimator {
+    /// Plain Monte Carlo over `shots` shots.
+    Plain {
+        /// Shots to simulate.
+        shots: usize,
+    },
+    /// The weight-stratified rare-event estimator (see
+    /// [`hetarch_exec::rare`]), which resolves rates far below `1/shots`
+    /// with an explicit sigma and truncation bound.
+    Rare(RareConfig),
+}
+
+/// Where and how an [`estimate`] runs.
+#[derive(Clone, Copy, Debug)]
+pub struct RunCtx<'a> {
+    /// The pool the shards run on.
+    pub pool: &'a WorkerPool,
+    /// Master seed of every shard and stratum stream.
+    pub seed: u64,
+    /// A cooperative cancellation token, checked between shards (and
+    /// periodically inside enumerated strata).
+    pub cancel: Option<&'a CancelToken>,
+}
+
+/// The result of [`estimate`].
+#[derive(Clone, Debug, PartialEq)]
+pub enum Estimate {
+    /// `failures` of `shots` plain Monte-Carlo shots failed.
+    Plain {
+        /// Failed shots.
+        failures: usize,
+        /// Simulated shots.
+        shots: usize,
+    },
+    /// The stratified estimate with its error budget.
+    Rare(RareOutcome),
+}
+
+impl Estimate {
+    /// The point estimate of the per-shot failure probability (zero for a
+    /// plain run of zero shots).
+    pub fn rate(&self) -> f64 {
+        match self {
+            Estimate::Plain { shots: 0, .. } => 0.0,
+            Estimate::Plain { failures, shots } => *failures as f64 / *shots as f64,
+            Estimate::Rare(outcome) => outcome.report().p_l,
+        }
+    }
+
+    /// The rare-event outcome, if this came from [`Estimator::Rare`].
+    pub fn into_rare(self) -> Option<RareOutcome> {
+        match self {
+            Estimate::Plain { .. } => None,
+            Estimate::Rare(outcome) => Some(outcome),
+        }
+    }
+}
+
+/// Estimates `model`'s per-shot failure probability.
+///
+/// * [`Estimator::Plain`] runs shards of 512 shots, each on its own
+///   `StdRng::seed_from_u64(shard.seed)` stream through [`RngFaults`].
+/// * [`Estimator::Rare`] records the static site table with one
+///   [`RecordFaults`] dry shot, then walks the weight strata: a stratum
+///   with at most `enumerate_threshold` fault configurations is enumerated
+///   exactly, a larger one draws `shots_per_stratum` conditioned shots,
+///   sharded like the plain path under the per-stratum seed
+///   `shard_seed(seed, w)`.
+///
+/// Shard boundaries and streams depend only on the estimator and `seed`,
+/// so the result is **bit-identical for every worker count**, and an
+/// uncancelled run with a token is bit-identical to one without. A token
+/// that fires mid-run returns [`Cancelled`] instead of a partial result.
+pub fn estimate(
+    model: &impl ShotModel,
+    estimator: Estimator,
+    ctx: &RunCtx<'_>,
+) -> Result<Estimate, Cancelled> {
+    let metrics = model.metrics();
+    match estimator {
+        Estimator::Plain { shots } => {
+            let span = obs::span!(metrics.run_ns);
+            let counts = run_shards(ctx, shots, ctx.seed, |shard| {
+                let mut rng = StdRng::seed_from_u64(shard.seed);
+                (0..shard.len)
+                    .filter(|_| model.run_shot(&mut RngFaults::new(&mut rng)))
+                    .count()
+            })?;
+            drop(span);
+            let failures: usize = counts.into_iter().sum();
+            metrics.shots.add(shots as u64);
+            metrics.failures.add(failures as u64);
+            Ok(Estimate::Plain { failures, shots })
+        }
+        Estimator::Rare(config) => {
+            let mut recorder = RecordFaults::new();
+            model.run_shot(&mut recorder);
+            let sites = recorder.into_sites();
+            let span = obs::span!(metrics.run_ns);
+            let outcome = stratified(model, &sites, config, ctx)?;
+            drop(span);
+            metrics.shots.add(outcome.report().total_shots as u64);
+            Ok(Estimate::Rare(outcome))
+        }
+    }
+}
+
+/// The plain Monte-Carlo rate of `model`: the convenience path behind every
+/// module's `logical_error_rate_on`.
+pub(crate) fn plain_rate(
+    model: &impl ShotModel,
     pool: &WorkerPool,
+    shots: usize,
+    seed: u64,
+) -> f64 {
+    let ctx = RunCtx {
+        pool,
+        seed,
+        cancel: None,
+    };
+    estimate(model, Estimator::Plain { shots }, &ctx)
+        .expect("no token, no cancellation")
+        .rate()
+}
+
+/// Runs `f` over the shards of `total` shots, checking `ctx.cancel` between
+/// shards when a token is given.
+fn run_shards<F>(ctx: &RunCtx<'_>, total: usize, seed: u64, f: F) -> Result<Vec<usize>, Cancelled>
+where
+    F: Fn(&Shard) -> usize + Sync,
+{
+    match ctx.cancel {
+        None => Ok(ctx.pool.run_shards(total, MC_SHARD_SHOTS, seed, f)),
+        Some(token) => ctx
+            .pool
+            .try_run_shards(total, MC_SHARD_SHOTS, seed, token, f),
+    }
+}
+
+/// The weight-stratified walk over a recorded site table.
+fn stratified(
+    model: &impl ShotModel,
     sites: &[SiteProbs],
     config: RareConfig,
-    seed: u64,
-    shard_shots: usize,
-    token: Option<&CancelToken>,
-    run_shot: F,
-) -> Result<RareOutcome, Cancelled>
-where
-    F: Fn(&mut ForcedFaults) -> bool + Sync,
-{
-    let cancelled = || token.is_some_and(CancelToken::is_cancelled);
+    ctx: &RunCtx<'_>,
+) -> Result<RareOutcome, Cancelled> {
+    let cancelled = || ctx.cancel.is_some_and(CancelToken::is_cancelled);
+    // After cancellation every remaining stratum reports zero shots: the
+    // estimator charges its prior mass to the truncation bound and its
+    // convergence loop terminates quickly. The partial outcome is
+    // discarded below.
+    let unresolved = StratumEval::Sampled {
+        failures: 0,
+        shots: 0,
+    };
     let trigger: Vec<f64> = sites.iter().map(|s| s.trigger()).collect();
     let prior = WeightPrior::poisson_binomial(&trigger);
     let outcome = StratifiedEstimator::new(&prior, config).run(|w| {
-        // After cancellation every remaining stratum reports zero shots: the
-        // estimator charges its prior mass to the truncation bound and its
-        // convergence loop terminates quickly. The partial outcome is
-        // discarded below.
         if cancelled() {
-            return StratumEval::Sampled {
-                failures: 0,
-                shots: 0,
-            };
+            return unresolved;
         }
         let enumerated = enumerate_configs(
             &trigger,
@@ -312,88 +437,89 @@ where
             &|i| sites[i].variant_count(),
             &|i, v| sites[i].variant_weight(v),
         );
-        match enumerated {
-            Some(configs) => {
-                let count = configs.len() as u64;
+        if let Some(configs) = enumerated {
+            let mut driver = ForcedFaults::new(sites.len(), &[]);
+            let mut failure_probability = 0.0;
+            for (k, cfg) in configs.iter().enumerate() {
+                if k % 64 == 0 && cancelled() {
+                    return unresolved;
+                }
+                driver.reset(&cfg.sites);
+                if model.run_shot(&mut driver) {
+                    failure_probability += cfg.weight;
+                }
+            }
+            return StratumEval::Enumerated {
+                failure_probability,
+                configs: configs.len() as u64,
+            };
+        }
+        let sampler = ConditionalSampler::new(&trigger, w);
+        let counts = run_shards(
+            ctx,
+            config.shots_per_stratum,
+            shard_seed(ctx.seed, w as u64),
+            |shard| {
+                let mut rng = StdRng::seed_from_u64(shard.seed);
+                let mut subset = Vec::new();
+                let mut hits: Vec<(usize, usize)> = Vec::new();
                 let mut driver = ForcedFaults::new(sites.len(), &[]);
-                let mut failure_probability = 0.0;
-                for (k, cfg) in configs.iter().enumerate() {
-                    if k % 64 == 0 && cancelled() {
-                        return StratumEval::Sampled {
-                            failures: 0,
-                            shots: 0,
-                        };
-                    }
-                    driver.reset(&cfg.sites);
-                    if run_shot(&mut driver) {
-                        failure_probability += cfg.weight;
-                    }
-                }
-                StratumEval::Enumerated {
-                    failure_probability,
-                    configs: count,
-                }
-            }
-            None => {
-                let sampler = ConditionalSampler::new(&trigger, w);
-                let stratum_seed = shard_seed(seed, w as u64);
-                let shard_body = |shard: &hetarch_exec::Shard| {
-                    let mut rng = StdRng::seed_from_u64(shard.seed);
-                    let mut subset = Vec::new();
-                    let mut hits: Vec<(usize, usize)> = Vec::new();
-                    let mut driver = ForcedFaults::new(sites.len(), &[]);
-                    (0..shard.len)
-                        .filter(|_| {
-                            sampler.sample_into(&mut || rng.next_u64(), &mut subset);
-                            hits.clear();
-                            for &i in &subset {
-                                hits.push((i, sites[i].sample_variant(&mut rng)));
-                            }
-                            driver.reset(&hits);
-                            run_shot(&mut driver)
-                        })
-                        .count() as u64
-                };
-                let failures = match token {
-                    None => Some(pool.fold_shards(
-                        config.shots_per_stratum,
-                        shard_shots,
-                        stratum_seed,
-                        shard_body,
-                        0u64,
-                        |acc, f| acc + f,
-                    )),
-                    Some(t) => pool
-                        .try_fold_shards(
-                            config.shots_per_stratum,
-                            shard_shots,
-                            stratum_seed,
-                            t,
-                            shard_body,
-                            0u64,
-                            |acc, f| acc + f,
-                        )
-                        .ok(),
-                };
-                match failures {
-                    Some(failures) => StratumEval::Sampled {
-                        failures,
-                        shots: config.shots_per_stratum,
-                    },
-                    // Cancelled mid-stratum: report zero shots (prior mass
-                    // goes to truncation) and let the loop wind down.
-                    None => StratumEval::Sampled {
-                        failures: 0,
-                        shots: 0,
-                    },
-                }
-            }
+                (0..shard.len)
+                    .filter(|_| {
+                        sampler.sample_into(&mut || rng.next_u64(), &mut subset);
+                        hits.clear();
+                        for &i in &subset {
+                            hits.push((i, sites[i].sample_variant(&mut rng)));
+                        }
+                        driver.reset(&hits);
+                        model.run_shot(&mut driver)
+                    })
+                    .count()
+            },
+        );
+        match counts {
+            Ok(counts) => StratumEval::Sampled {
+                failures: counts.into_iter().sum::<usize>() as u64,
+                shots: config.shots_per_stratum,
+            },
+            // Cancelled mid-stratum: let the loop wind down.
+            Err(Cancelled) => unresolved,
         }
     });
     if cancelled() {
         return Err(Cancelled);
     }
     Ok(outcome)
+}
+
+/// Samples one Pauli fault at qubit `q` from `probs` and XORs it into
+/// `error`. Consumes one variate iff `probs` has positive total
+/// probability; the same draw decides both whether and which Pauli fires.
+pub(crate) fn sample_pauli_into<R: Rng + ?Sized>(
+    error: &mut PauliString,
+    q: usize,
+    probs: PauliProbs,
+    rng: &mut R,
+) {
+    let total = probs.total();
+    if total <= 0.0 {
+        return;
+    }
+    let r: f64 = rng.gen();
+    if r >= total {
+        return;
+    }
+    let p = if r < probs.px {
+        Pauli::X
+    } else if r < probs.px + probs.py {
+        Pauli::Y
+    } else {
+        Pauli::Z
+    };
+    let cur = error.get(q);
+    let (cx, cz) = cur.xz();
+    let (nx, nz) = p.xz();
+    error.set(q, Pauli::from_xz(cx ^ nx, cz ^ nz));
 }
 
 #[cfg(test)]
@@ -471,17 +597,47 @@ mod tests {
         assert!(toy_shot(&mut d));
     }
 
+    static TOY_METRICS: ShotMetrics =
+        ShotMetrics::new("test.toy.shots", "test.toy.failures", "test.toy.run_ns");
+
+    /// [`toy_shot`] as a shot model.
+    struct Toy;
+
+    impl ShotModel for Toy {
+        fn metrics(&self) -> &'static ShotMetrics {
+            &TOY_METRICS
+        }
+
+        fn run_shot<D: FaultDriver>(&self, driver: &mut D) -> bool {
+            toy_shot(driver)
+        }
+    }
+
+    fn run(
+        model: &impl ShotModel,
+        estimator: Estimator,
+        pool: &WorkerPool,
+        seed: u64,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Estimate, Cancelled> {
+        estimate(model, estimator, &RunCtx { pool, seed, cancel })
+    }
+
+    /// Forces the conditioned-sampling path on every stratum, with more
+    /// shots per stratum than one 512-shot shard.
+    const SAMPLED: RareConfig = RareConfig {
+        max_strata: 3,
+        rel_tol: 0.5,
+        abs_tol: 1e-30,
+        shots_per_stratum: 1_300,
+        enumerate_threshold: 0,
+    };
+
     #[test]
-    fn stratified_rate_matches_analytic_toy_rate() {
+    fn rare_estimate_matches_analytic_toy_rate() {
         // Exact failure probability of `toy_shot` under independent sites:
         // fail unless (no X deposited net) and (no flip). Sites 0 and 1
         // deposit X with prob 0.01 and 0.02; two X's cancel.
-        let sites = [
-            SiteProbs::Pauli(probs(0.01, 0.0, 0.0)),
-            SiteProbs::Pauli(probs(0.02, 0.0, 0.005)),
-            SiteProbs::Pauli(probs(0.0, 0.0, 0.0)),
-            SiteProbs::Flip(0.03),
-        ];
         let p_no_x = 0.99 * 0.98 + 0.01 * 0.02;
         let expect = 1.0 - p_no_x * 0.97;
         let config = RareConfig {
@@ -492,7 +648,10 @@ mod tests {
             ..RareConfig::default()
         };
         let pool = WorkerPool::new(2);
-        let outcome = stratified_rate(&pool, &sites, config, 7, 64, toy_shot);
+        let outcome = run(&Toy, Estimator::Rare(config), &pool, 7, None)
+            .unwrap()
+            .into_rare()
+            .unwrap();
         assert!(outcome.is_converged());
         let report = outcome.report();
         assert!(
@@ -505,73 +664,97 @@ mod tests {
 
     #[test]
     fn sampled_strata_are_worker_count_invariant() {
-        let sites = [
-            SiteProbs::Pauli(probs(0.01, 0.0, 0.0)),
-            SiteProbs::Pauli(probs(0.02, 0.0, 0.005)),
-            SiteProbs::Pauli(probs(0.0, 0.0, 0.0)),
-            SiteProbs::Flip(0.03),
-        ];
-        // Force the sampling path everywhere.
-        let config = RareConfig {
-            max_strata: 3,
-            rel_tol: 0.5,
-            shots_per_stratum: 500,
-            enumerate_threshold: 0,
-            ..RareConfig::default()
-        };
         let runs: Vec<_> = [1usize, 2, 8]
             .iter()
             .map(|&workers| {
                 let pool = WorkerPool::new(workers);
-                stratified_rate(&pool, &sites, config, 13, 64, toy_shot).into_report()
+                run(&Toy, Estimator::Rare(SAMPLED), &pool, 13, None).unwrap()
             })
             .collect();
+        assert!(runs[0].clone().into_rare().unwrap().report().total_shots > 1_300);
         assert_eq!(runs[0], runs[1]);
         assert_eq!(runs[0], runs[2]);
     }
 
     #[test]
-    fn uncancelled_try_stratified_rate_is_bit_identical() {
-        let sites = [
-            SiteProbs::Pauli(probs(0.01, 0.0, 0.0)),
-            SiteProbs::Pauli(probs(0.02, 0.0, 0.005)),
-            SiteProbs::Pauli(probs(0.0, 0.0, 0.0)),
-            SiteProbs::Flip(0.03),
-        ];
-        let config = RareConfig {
-            max_strata: 3,
-            rel_tol: 0.5,
-            shots_per_stratum: 500,
-            enumerate_threshold: 0,
-            ..RareConfig::default()
-        };
+    fn plain_estimate_counts_failures() {
         let pool = WorkerPool::new(2);
-        let plain = stratified_rate(&pool, &sites, config, 13, 64, toy_shot).into_report();
-        let token = CancelToken::new();
-        let tried = try_stratified_rate(&pool, &sites, config, 13, 64, &token, toy_shot)
-            .unwrap()
-            .into_report();
-        assert_eq!(plain, tried);
+        let est = run(&Toy, Estimator::Plain { shots: 1_300 }, &pool, 3, None).unwrap();
+        let Estimate::Plain { failures, shots } = est else {
+            panic!("plain estimator returned {est:?}");
+        };
+        assert_eq!(shots, 1_300);
+        assert!(failures > 0 && failures < shots);
+        assert_eq!(est.rate(), failures as f64 / 1_300.0);
+        let none = run(&Toy, Estimator::Plain { shots: 0 }, &pool, 3, None).unwrap();
+        assert_eq!(none.rate(), 0.0);
     }
 
+    /// The bit-identity and cancellation table over the toy and every
+    /// module shot model, and both estimators: (a) an unfired token changes nothing,
+    /// (b) a token fired beforehand returns [`Cancelled`], (c) the result
+    /// is the same at 1, 3 and 8 workers.
     #[test]
-    fn cancelled_stratified_rate_returns_err() {
-        let sites = [
-            SiteProbs::Pauli(probs(0.01, 0.0, 0.0)),
-            SiteProbs::Flip(0.03),
-        ];
-        let pool = WorkerPool::new(2);
-        let token = CancelToken::new();
-        token.cancel();
-        let out = try_stratified_rate(
-            &pool,
-            &sites,
-            RareConfig::default(),
-            13,
-            64,
-            &token,
-            toy_shot,
+    fn estimates_are_token_and_worker_invariant() {
+        use crate::baseline::HomModule;
+        use crate::uec::{ChainUecModule, UecModule, UecNoise};
+        use hetarch_cells::UscCell;
+        use hetarch_devices::catalog::{coherence_limited_compute, coherence_limited_storage};
+        use hetarch_stab::codes::{rotated_surface_code, steane};
+
+        fn check(name: &str, model: &impl ShotModel) {
+            let rare = RareConfig {
+                max_strata: 4,
+                rel_tol: 0.5,
+                shots_per_stratum: 1_100,
+                enumerate_threshold: 64,
+                ..RareConfig::default()
+            };
+            for estimator in [Estimator::Plain { shots: 1_300 }, Estimator::Rare(rare)] {
+                let pool = WorkerPool::new(3);
+                let reference = run(model, estimator, &pool, 41, None).unwrap();
+                let reference = format!("{reference:?}");
+                let fresh = CancelToken::new();
+                let tried = run(model, estimator, &pool, 41, Some(&fresh)).unwrap();
+                assert_eq!(
+                    format!("{tried:?}"),
+                    reference,
+                    "{name} {estimator:?}: token"
+                );
+                let fired = CancelToken::new();
+                fired.cancel();
+                assert_eq!(
+                    run(model, estimator, &pool, 41, Some(&fired)),
+                    Err(Cancelled),
+                    "{name} {estimator:?}: fired token"
+                );
+                for workers in [1, 8] {
+                    let other = run(model, estimator, &WorkerPool::new(workers), 41, None).unwrap();
+                    assert_eq!(
+                        format!("{other:?}"),
+                        reference,
+                        "{name} {estimator:?}: {workers} workers"
+                    );
+                }
+            }
+        }
+
+        let usc = UscCell::new(
+            coherence_limited_compute(0.5e-3),
+            coherence_limited_storage(5e-3),
+        )
+        .unwrap()
+        .characterize();
+        let noise = UecNoise::default();
+        check("toy", &Toy);
+        check("UEC Steane", &UecModule::new(steane(), usc.clone(), noise));
+        check(
+            "Hom SC3",
+            &HomModule::new(rotated_surface_code(3), 0.5e-3, noise),
         );
-        assert_eq!(out.unwrap_err(), Cancelled);
+        check(
+            "Chain Steane",
+            &ChainUecModule::new(steane(), usc, 2, noise),
+        );
     }
 }

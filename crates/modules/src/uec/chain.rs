@@ -9,8 +9,6 @@
 //! run concurrently — partial parallelism the single USC cannot offer.
 
 use hetarch_exec::WorkerPool;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 use hetarch_cells::UscChannel;
@@ -18,10 +16,8 @@ use hetarch_qsim::channels::PauliProbs;
 use hetarch_stab::codes::StabilizerCode;
 use hetarch_stab::pauli::PauliString;
 
-use crate::uec::sim::{
-    combine, sample_pauli_into, CycleDecoder, UecNoise, UEC_FAILURES, UEC_RUN_NS, UEC_SHOTS,
-};
-use hetarch_obs as obs;
+use crate::faults::{plain_rate, FaultDriver, ShotMetrics, ShotModel};
+use crate::uec::sim::{combine, CycleDecoder, UecNoise, UecResult, UEC_METRICS};
 
 /// The chain geometry: segment 0 is the head USC, the rest are extensions.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -239,10 +235,12 @@ pub fn build_chain_schedule(
 #[derive(Clone, Debug)]
 pub struct ChainUecModule {
     code: StabilizerCode,
-    usc: UscChannel,
     noise: UecNoise,
     schedule: ChainSchedule,
     decoder: CycleDecoder,
+    /// Support qubits of each stabilizer.
+    supports: Vec<Vec<usize>>,
+    waves: Vec<WaveNoise>,
 }
 
 impl ChainUecModule {
@@ -262,12 +260,19 @@ impl ChainUecModule {
             .map(|w| w.iter().map(|c| c.stabilizer).collect())
             .collect();
         let decoder = CycleDecoder::new(&code, weight_cap, &groups);
+        let supports: Vec<Vec<usize>> = code
+            .stabilizers()
+            .iter()
+            .map(|s| s.iter_support().map(|(q, _)| q).collect())
+            .collect();
+        let waves = wave_noise(&schedule, &supports, &usc, noise);
         ChainUecModule {
             code,
-            usc,
             noise,
             schedule,
             decoder,
+            supports,
+            waves,
         }
     }
 
@@ -281,135 +286,128 @@ impl ChainUecModule {
     /// Shots are sharded over the global [`WorkerPool`]; shard boundaries
     /// and per-shard RNG streams depend only on `(shots, seed)`, so the
     /// result is **bit-identical for every worker count**. `shots == 0`
-    /// reports a rate of zero.
-    pub fn logical_error_rate(&self, shots: usize, seed: u64) -> crate::uec::sim::UecResult {
+    /// reports a rate of zero. For the rare-event estimator or a
+    /// cancellation token, call [`estimate`](crate::faults::estimate) on the
+    /// module directly.
+    pub fn logical_error_rate(&self, shots: usize, seed: u64) -> UecResult {
         self.logical_error_rate_on(WorkerPool::global(), shots, seed)
     }
 
     /// As [`Self::logical_error_rate`] with an explicit worker pool.
-    pub fn logical_error_rate_on(
-        &self,
-        pool: &WorkerPool,
-        shots: usize,
-        seed: u64,
-    ) -> crate::uec::sim::UecResult {
-        let n = self.code.num_qubits();
-        let stabs = self.code.stabilizers();
-        let supports: Vec<Vec<usize>> = stabs
-            .iter()
-            .map(|s| s.iter_support().map(|(q, _)| q).collect())
-            .collect();
-
-        struct WaveNoise {
-            duration: f64,
-            storage: PauliProbs,
-            checks: Vec<(usize, PauliProbs, f64, u32)>, // (stab, compute-exposure twirl, anc_flip, hops)
-        }
-        let waves: Vec<WaveNoise> = self
-            .schedule
-            .waves
-            .iter()
-            .map(|wave| {
-                let duration = wave.iter().map(|c| c.duration).fold(0.0f64, f64::max);
-                let checks = wave
-                    .iter()
-                    .map(|c| {
-                        let w = supports[c.stabilizer].len();
-                        let anc_idle = self.usc.compute_idle.twirl_probs(c.duration);
-                        let p_gate_anc = 1.0 - (1.0 - 8.0 / 15.0 * self.noise.p2q).powi(w as i32);
-                        let anc_flip = combine(
-                            combine(anc_idle.px + anc_idle.py, p_gate_anc),
-                            self.noise.meas_flip,
-                        );
-                        (
-                            c.stabilizer,
-                            self.usc.compute_idle.twirl_probs(c.exposure),
-                            anc_flip,
-                            c.hops,
-                        )
-                    })
-                    .collect();
-                WaveNoise {
-                    duration,
-                    storage: self.usc.storage_idle.twirl_probs(duration),
-                    checks,
-                }
-            })
-            .collect();
-
-        let one_shot = |rng: &mut StdRng| -> bool {
-            let mut error = PauliString::identity(n);
-            let mut syndrome = 0u64;
-            for wave in &waves {
-                for q in 0..n {
-                    sample_pauli_into(&mut error, q, wave.storage, rng);
-                }
-                let _ = wave.duration;
-                for (stab, exposure_twirl, anc_flip, hops) in &wave.checks {
-                    let p_sw = self.noise.p_swap * 4.0 / 15.0;
-                    let p_cx = self.noise.p2q * 4.0 / 15.0;
-                    let extra_hop_swaps = (2 * *hops) as usize / supports[*stab].len().max(1);
-                    for &q in &supports[*stab] {
-                        sample_pauli_into(&mut error, q, *exposure_twirl, rng);
-                        for _ in 0..(2 + extra_hop_swaps) {
-                            sample_pauli_into(
-                                &mut error,
-                                q,
-                                PauliProbs {
-                                    px: p_sw,
-                                    py: p_sw,
-                                    pz: p_sw,
-                                },
-                                rng,
-                            );
-                        }
-                        sample_pauli_into(
-                            &mut error,
-                            q,
-                            PauliProbs {
-                                px: p_cx,
-                                py: p_cx,
-                                pz: p_cx,
-                            },
-                            rng,
-                        );
-                    }
-                    let mut bit = !stabs[*stab].commutes_with(&error);
-                    if rng.gen::<f64>() < *anc_flip {
-                        bit = !bit;
-                    }
-                    if bit {
-                        syndrome |= 1 << *stab;
-                    }
-                }
-            }
-            self.decoder.fails(&self.code, syndrome, &mut error)
-        };
-        let span = obs::span!(UEC_RUN_NS);
-        let failures = pool.fold_shards(
-            shots,
-            crate::uec::sim::MC_SHARD_SHOTS,
-            seed,
-            |shard| {
-                let mut rng = StdRng::seed_from_u64(shard.seed);
-                (0..shard.len).filter(|_| one_shot(&mut rng)).count()
-            },
-            0usize,
-            |acc, f| acc + f,
-        );
-        drop(span);
-        UEC_SHOTS.add(shots as u64);
-        UEC_FAILURES.add(failures as u64);
-        crate::uec::sim::UecResult {
-            logical_error_rate: if shots == 0 {
-                0.0
-            } else {
-                failures as f64 / shots as f64
-            },
+    pub fn logical_error_rate_on(&self, pool: &WorkerPool, shots: usize, seed: u64) -> UecResult {
+        UecResult {
+            logical_error_rate: plain_rate(self, pool, shots, seed),
             cycle_duration: self.schedule.cycle_duration,
             shots,
         }
     }
+}
+
+impl ShotModel for ChainUecModule {
+    fn metrics(&self) -> &'static ShotMetrics {
+        &UEC_METRICS
+    }
+
+    /// One QEC cycle: per wave, storage idling on every data qubit, then
+    /// each check's exposure, SWAP (local plus chain-hop) and CX noise on
+    /// its support and one ancilla-flip site. The visit order is static.
+    fn run_shot<D: FaultDriver>(&self, driver: &mut D) -> bool {
+        let n = self.code.num_qubits();
+        let stabs = self.code.stabilizers();
+        let p_sw = self.noise.p_swap * 4.0 / 15.0;
+        let p_cx = self.noise.p2q * 4.0 / 15.0;
+        let swap = PauliProbs {
+            px: p_sw,
+            py: p_sw,
+            pz: p_sw,
+        };
+        let cx = PauliProbs {
+            px: p_cx,
+            py: p_cx,
+            pz: p_cx,
+        };
+        let mut error = PauliString::identity(n);
+        let mut syndrome = 0u64;
+        for wave in &self.waves {
+            for q in 0..n {
+                driver.pauli_site(&mut error, q, wave.storage);
+            }
+            for check in &wave.checks {
+                let support = &self.supports[check.stabilizer];
+                let extra_hop_swaps = (2 * check.hops) as usize / support.len().max(1);
+                for &q in support {
+                    driver.pauli_site(&mut error, q, check.exposure);
+                    for _ in 0..(2 + extra_hop_swaps) {
+                        driver.pauli_site(&mut error, q, swap);
+                    }
+                    driver.pauli_site(&mut error, q, cx);
+                }
+                let mut bit = !stabs[check.stabilizer].commutes_with(&error);
+                if driver.flip_site(check.anc_flip) {
+                    bit = !bit;
+                }
+                if bit {
+                    syndrome |= 1 << check.stabilizer;
+                }
+            }
+        }
+        self.decoder.fails(&self.code, syndrome, &mut error)
+    }
+}
+
+/// Per-wave noise table of the chain schedule.
+#[derive(Clone, Debug)]
+struct WaveNoise {
+    /// Storage idling over the wave's slowest check.
+    storage: PauliProbs,
+    checks: Vec<CheckNoise>,
+}
+
+/// Noise of one check within a wave.
+#[derive(Clone, Debug)]
+struct CheckNoise {
+    stabilizer: usize,
+    /// Compute-idle twirl over the per-qubit exposure.
+    exposure: PauliProbs,
+    anc_flip: f64,
+    hops: u32,
+}
+
+/// Precomputes the per-wave noise tables of `schedule`.
+fn wave_noise(
+    schedule: &ChainSchedule,
+    supports: &[Vec<usize>],
+    usc: &UscChannel,
+    noise: UecNoise,
+) -> Vec<WaveNoise> {
+    schedule
+        .waves
+        .iter()
+        .map(|wave| {
+            let duration = wave.iter().map(|c| c.duration).fold(0.0f64, f64::max);
+            let checks = wave
+                .iter()
+                .map(|c| {
+                    let w = supports[c.stabilizer].len();
+                    let anc_idle = usc.compute_idle.twirl_probs(c.duration);
+                    let p_gate_anc = 1.0 - (1.0 - 8.0 / 15.0 * noise.p2q).powi(w as i32);
+                    CheckNoise {
+                        stabilizer: c.stabilizer,
+                        exposure: usc.compute_idle.twirl_probs(c.exposure),
+                        anc_flip: combine(
+                            combine(anc_idle.px + anc_idle.py, p_gate_anc),
+                            noise.meas_flip,
+                        ),
+                        hops: c.hops,
+                    }
+                })
+                .collect();
+            WaveNoise {
+                storage: usc.storage_idle.twirl_probs(duration),
+                checks,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -8,14 +8,10 @@
 //! miscorrections (the standard pseudothreshold methodology for small
 //! codes).
 
-use hetarch_exec::rare::{RareConfig, RareOutcome};
-use hetarch_exec::{CancelToken, Cancelled, WorkerPool};
-use hetarch_obs as obs;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use hetarch_exec::WorkerPool;
 use serde::{Deserialize, Serialize};
 
-use crate::faults::{stratified_rate, try_stratified_rate, FaultDriver, RecordFaults, RngFaults};
+use crate::faults::{plain_rate, FaultDriver, ShotMetrics, ShotModel};
 
 use hetarch_cells::UscChannel;
 use hetarch_qsim::channels::PauliProbs;
@@ -27,16 +23,12 @@ use crate::uec::assign::{build_schedule, search_assignment, Assignment, CycleSch
 
 use std::collections::HashMap;
 
-/// Shots per shard of the UEC Monte-Carlo loops. Fixed (never derived from
-/// the worker count) so shard boundaries — and therefore results — are
-/// identical for every worker count.
-pub(crate) const MC_SHARD_SHOTS: usize = 512;
-
-// UEC Monte-Carlo metrics, shared with the chained variant in `chain.rs`
-// (no-ops unless the `obs` feature is on and `HETARCH_OBS=1`).
-pub(crate) static UEC_SHOTS: obs::Counter = obs::Counter::new("modules.uec.shots");
-pub(crate) static UEC_FAILURES: obs::Counter = obs::Counter::new("modules.uec.failures");
-pub(crate) static UEC_RUN_NS: obs::Histogram = obs::Histogram::new("modules.uec.run_ns");
+// UEC Monte-Carlo metrics, shared with the chained variant in `chain.rs`.
+pub(crate) static UEC_METRICS: ShotMetrics = ShotMetrics::new(
+    "modules.uec.shots",
+    "modules.uec.failures",
+    "modules.uec.run_ns",
+);
 
 /// Gate-level noise settings for the UEC study (§4.2: two-qubit gates at
 /// 1%).
@@ -78,11 +70,11 @@ pub struct UecResult {
 #[derive(Clone, Debug)]
 pub struct UecModule {
     code: StabilizerCode,
-    usc: UscChannel,
     noise: UecNoise,
     assignment: Assignment,
     schedule: CycleSchedule,
     decoder: CycleDecoder,
+    slots: Vec<SlotNoise>,
 }
 
 impl UecModule {
@@ -101,13 +93,14 @@ impl UecModule {
         // schedule order.
         let groups: Vec<Vec<usize>> = schedule.checks.iter().map(|c| vec![c.stabilizer]).collect();
         let decoder = CycleDecoder::new(&code, weight_cap, &groups);
+        let slots = Self::slot_noise(&code, &usc, noise, &schedule);
         UecModule {
             code,
-            usc,
             noise,
             assignment,
             schedule,
             decoder,
+            slots,
         }
     }
 
@@ -132,180 +125,66 @@ impl UecModule {
     /// Shots are sharded over the global [`WorkerPool`]; shard boundaries
     /// and the per-shard RNG streams depend only on `(shots, seed)`, so the
     /// result is **bit-identical for every worker count** and across
-    /// repeated runs. `shots == 0` reports a rate of zero.
+    /// repeated runs. `shots == 0` reports a rate of zero. For the
+    /// rare-event estimator or a cancellation token, call
+    /// [`estimate`](crate::faults::estimate) on the module directly.
     pub fn logical_error_rate(&self, shots: usize, seed: u64) -> UecResult {
         self.logical_error_rate_on(WorkerPool::global(), shots, seed)
     }
 
     /// As [`Self::logical_error_rate`] with an explicit worker pool.
     pub fn logical_error_rate_on(&self, pool: &WorkerPool, shots: usize, seed: u64) -> UecResult {
-        let slots = self.slot_noise();
-        let span = obs::span!(UEC_RUN_NS);
-        let failures = pool.fold_shards(
-            shots,
-            MC_SHARD_SHOTS,
-            seed,
-            |shard| {
-                let mut rng = StdRng::seed_from_u64(shard.seed);
-                (0..shard.len)
-                    .filter(|_| self.run_shot(&slots, &mut RngFaults::new(&mut rng)))
-                    .count()
-            },
-            0usize,
-            |acc, f| acc + f,
-        );
-        drop(span);
-        UEC_SHOTS.add(shots as u64);
-        UEC_FAILURES.add(failures as u64);
         UecResult {
-            logical_error_rate: if shots == 0 {
-                0.0
-            } else {
-                failures as f64 / shots as f64
-            },
+            logical_error_rate: plain_rate(self, pool, shots, seed),
             cycle_duration: self.schedule.cycle_duration,
             shots,
         }
     }
 
-    /// As [`Self::logical_error_rate_on`] with a cooperative
-    /// [`CancelToken`] checked between shards; a fired token returns
-    /// [`Cancelled`] instead of finishing the run. An uncancelled call is
-    /// bit-identical to [`Self::logical_error_rate_on`].
-    pub fn try_logical_error_rate_on(
-        &self,
-        pool: &WorkerPool,
-        shots: usize,
-        seed: u64,
-        token: &CancelToken,
-    ) -> Result<UecResult, Cancelled> {
-        let slots = self.slot_noise();
-        let span = obs::span!(UEC_RUN_NS);
-        let failures = pool.try_fold_shards(
-            shots,
-            MC_SHARD_SHOTS,
-            seed,
-            token,
-            |shard| {
-                let mut rng = StdRng::seed_from_u64(shard.seed);
-                (0..shard.len)
-                    .filter(|_| self.run_shot(&slots, &mut RngFaults::new(&mut rng)))
-                    .count()
-            },
-            0usize,
-            |acc, f| acc + f,
-        )?;
-        drop(span);
-        UEC_SHOTS.add(shots as u64);
-        UEC_FAILURES.add(failures as u64);
-        Ok(UecResult {
-            logical_error_rate: if shots == 0 {
-                0.0
-            } else {
-                failures as f64 / shots as f64
-            },
-            cycle_duration: self.schedule.cycle_duration,
-            shots,
-        })
-    }
-
-    /// Estimates the per-cycle logical error rate with the weight-stratified
-    /// rare-event estimator (see [`hetarch_exec::rare`]) on the global
-    /// [`WorkerPool`].
-    ///
-    /// Unlike [`Self::logical_error_rate`], this resolves deep-subthreshold
-    /// rates far below `1/shots`: low-weight strata are enumerated exactly,
-    /// higher ones conditionally sampled, and the report carries an explicit
-    /// statistical sigma and truncation bound. The outcome is bit-identical
-    /// for every worker count.
-    pub fn logical_error_rate_rare(&self, config: RareConfig, seed: u64) -> RareOutcome {
-        self.logical_error_rate_rare_on(WorkerPool::global(), config, seed)
-    }
-
-    /// As [`Self::logical_error_rate_rare`] with an explicit worker pool.
-    pub fn logical_error_rate_rare_on(
-        &self,
-        pool: &WorkerPool,
-        config: RareConfig,
-        seed: u64,
-    ) -> RareOutcome {
-        let slots = self.slot_noise();
-        // One dry shot records the static fault-site table.
-        let mut recorder = RecordFaults::new();
-        self.run_shot(&slots, &mut recorder);
-        let sites = recorder.into_sites();
-        let span = obs::span!(UEC_RUN_NS);
-        let outcome = stratified_rate(pool, &sites, config, seed, MC_SHARD_SHOTS, |driver| {
-            self.run_shot(&slots, driver)
-        });
-        drop(span);
-        UEC_SHOTS.add(outcome.report().total_shots as u64);
-        outcome
-    }
-
-    /// As [`Self::logical_error_rate_rare_on`] with a cooperative
-    /// [`CancelToken`] threaded into the stratified estimator (see
-    /// [`try_stratified_rate`]).
-    pub fn try_logical_error_rate_rare_on(
-        &self,
-        pool: &WorkerPool,
-        config: RareConfig,
-        seed: u64,
-        token: &CancelToken,
-    ) -> Result<RareOutcome, Cancelled> {
-        let slots = self.slot_noise();
-        let mut recorder = RecordFaults::new();
-        self.run_shot(&slots, &mut recorder);
-        let sites = recorder.into_sites();
-        let span = obs::span!(UEC_RUN_NS);
-        let outcome = try_stratified_rate(
-            pool,
-            &sites,
-            config,
-            seed,
-            MC_SHARD_SHOTS,
-            token,
-            |driver| self.run_shot(&slots, driver),
-        )?;
-        drop(span);
-        UEC_SHOTS.add(outcome.report().total_shots as u64);
-        Ok(outcome)
-    }
-
     /// Precomputes the per-slot noise tables.
-    fn slot_noise(&self) -> Vec<SlotNoise> {
-        let stabs = self.code.stabilizers();
-        self.schedule
+    fn slot_noise(
+        code: &StabilizerCode,
+        usc: &UscChannel,
+        noise: UecNoise,
+        schedule: &CycleSchedule,
+    ) -> Vec<SlotNoise> {
+        let stabs = code.stabilizers();
+        schedule
             .checks
             .iter()
             .map(|slot| {
                 let stab = &stabs[slot.stabilizer];
                 let support: Vec<usize> = stab.iter_support().map(|(q, _)| q).collect();
-                let mut involved = vec![false; self.code.num_qubits()];
+                let mut involved = vec![false; code.num_qubits()];
                 for &q in &support {
                     involved[q] = true;
                 }
-                let anc_idle = self.usc.compute_idle.twirl_probs(slot.duration);
+                let anc_idle = usc.compute_idle.twirl_probs(slot.duration);
                 // X/Y on the ancilla flips its Z readout; each CX can also
                 // deposit a flipping component (8 of 15 depolarizing terms).
-                let p_gate_anc = 1.0 - (1.0 - 8.0 / 15.0 * self.noise.p2q).powi(slot.weight as i32);
+                let p_gate_anc = 1.0 - (1.0 - 8.0 / 15.0 * noise.p2q).powi(slot.weight as i32);
                 let anc_flip = combine(
                     combine(anc_idle.px + anc_idle.py, p_gate_anc),
-                    self.noise.meas_flip,
+                    noise.meas_flip,
                 );
                 SlotNoise {
-                    storage_uninvolved: self.usc.storage_idle.twirl_probs(slot.duration),
-                    storage_involved: self
-                        .usc
+                    storage_uninvolved: usc.storage_idle.twirl_probs(slot.duration),
+                    storage_involved: usc
                         .storage_idle
                         .twirl_probs((slot.duration - slot.exposure).max(0.0)),
-                    compute_exposure: self.usc.compute_idle.twirl_probs(slot.exposure),
+                    compute_exposure: usc.compute_idle.twirl_probs(slot.exposure),
                     anc_flip,
                     support,
                     involved,
                 }
             })
             .collect()
+    }
+}
+
+impl ShotModel for UecModule {
+    fn metrics(&self) -> &'static ShotMetrics {
+        &UEC_METRICS
     }
 
     /// One QEC cycle against an arbitrary [`FaultDriver`].
@@ -315,12 +194,12 @@ impl UecModule {
     /// Monte-Carlo path ([`RngFaults`], preserving the historical variate
     /// stream exactly), the site recorder, and the forced-fault replays of
     /// the rare-event estimator.
-    fn run_shot<D: FaultDriver>(&self, slots: &[SlotNoise], driver: &mut D) -> bool {
+    fn run_shot<D: FaultDriver>(&self, driver: &mut D) -> bool {
         let n = self.code.num_qubits();
         let stabs = self.code.stabilizers();
         let mut error = PauliString::identity(n);
         let mut syndrome: u64 = 0;
-        for (slot, sn) in self.schedule.checks.iter().zip(slots) {
+        for (slot, sn) in self.schedule.checks.iter().zip(&self.slots) {
             // Idle noise on every data qubit for this slot.
             for (q, &involved) in sn.involved.iter().enumerate() {
                 let probs = if involved {
@@ -374,6 +253,7 @@ impl UecModule {
 }
 
 /// Per-slot noise table of one serialized check.
+#[derive(Clone, Debug)]
 struct SlotNoise {
     storage_uninvolved: PauliProbs,
     storage_involved: PauliProbs,
@@ -494,39 +374,26 @@ pub(crate) fn combine(a: f64, b: f64) -> f64 {
     a * (1.0 - b) + b * (1.0 - a)
 }
 
-pub(crate) fn sample_pauli_into<R: Rng + ?Sized>(
-    error: &mut PauliString,
-    q: usize,
-    probs: PauliProbs,
-    rng: &mut R,
-) {
-    let total = probs.total();
-    if total <= 0.0 {
-        return;
-    }
-    let r: f64 = rng.gen();
-    if r >= total {
-        return;
-    }
-    let p = if r < probs.px {
-        Pauli::X
-    } else if r < probs.px + probs.py {
-        Pauli::Y
-    } else {
-        Pauli::Z
-    };
-    let cur = error.get(q);
-    let (cx, cz) = cur.xz();
-    let (nx, nz) = p.xz();
-    error.set(q, Pauli::from_xz(cx ^ nx, cz ^ nz));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::{estimate, Estimator, RunCtx};
     use hetarch_cells::UscCell;
     use hetarch_devices::catalog::{coherence_limited_compute, coherence_limited_storage};
+    use hetarch_exec::rare::{RareConfig, RareOutcome};
     use hetarch_stab::codes::{rotated_surface_code, steane};
+
+    fn rare(m: &UecModule, pool: &WorkerPool, config: RareConfig, seed: u64) -> RareOutcome {
+        let ctx = RunCtx {
+            pool,
+            seed,
+            cancel: None,
+        };
+        estimate(m, Estimator::Rare(config), &ctx)
+            .unwrap()
+            .into_rare()
+            .unwrap()
+    }
 
     fn usc(ts: f64) -> UscChannel {
         UscCell::new(
@@ -610,7 +477,7 @@ mod tests {
             shots_per_stratum: 4_000,
             ..RareConfig::default()
         };
-        let outcome = m.logical_error_rate_rare(config, 19);
+        let outcome = rare(&m, WorkerPool::global(), config, 19);
         let report = outcome.report();
         assert!(report.p_l > 0.0, "default noise must fail sometimes");
         let tolerance = 5.0 * (plain_sigma + report.sigma) + report.truncation_bound;
@@ -633,11 +500,7 @@ mod tests {
         };
         let reports: Vec<_> = [1usize, 3, 8]
             .iter()
-            .map(|&w| {
-                let pool = WorkerPool::new(w);
-                m.logical_error_rate_rare_on(&pool, config, 23)
-                    .into_report()
-            })
+            .map(|&w| rare(&m, &WorkerPool::new(w), config, 23).into_report())
             .collect();
         assert_eq!(reports[0], reports[1]);
         assert_eq!(reports[0], reports[2]);

@@ -13,6 +13,7 @@ use hetarch_devices::calib::CalibSnapshot;
 use hetarch_devices::catalog::{coherence_limited_compute, coherence_limited_storage};
 use hetarch_dse::{pareto_front, try_sweep_on, Axis, DesignSpace};
 use hetarch_exec::{CancelToken, Cancelled, WorkerPool};
+use hetarch_modules::faults::{estimate, Estimator, RunCtx};
 use hetarch_modules::uec::{UecModule, UecNoise};
 use hetarch_stab::codes::rotated_surface_code;
 
@@ -65,7 +66,14 @@ pub fn evaluate(
         } => {
             let config = query.rare_config().expect("RareUec has a rare config");
             let module = uec_module(lib, *distance, *ts);
-            let outcome = module.try_logical_error_rate_rare_on(pool, config, *seed, token)?;
+            let ctx = RunCtx {
+                pool,
+                seed: *seed,
+                cancel: Some(token),
+            };
+            let outcome = estimate(&module, Estimator::Rare(config), &ctx)?
+                .into_rare()
+                .expect("the rare estimator yields a rare outcome");
             let report = outcome.report();
             Ok(Json::obj([
                 ("converged", Json::Bool(outcome.is_converged())),
@@ -111,26 +119,29 @@ fn sweep_uec(
     ]);
     // Cancellation is layered: the sweep checks the token between points
     // and each point's Monte-Carlo run checks it between shards.
+    let ctx = RunCtx {
+        pool,
+        seed,
+        cancel: Some(token),
+    };
+    let plain = Estimator::Plain {
+        shots: shots as usize,
+    };
     let results = try_sweep_on(pool, space.points(), token, |p| {
-        let d = p.get("d") as u32;
-        let ts = p.get("ts");
-        uec_module_with_calib(lib, d, ts, calib).try_logical_error_rate_on(
-            pool,
-            shots as usize,
-            seed,
-            token,
-        )
+        let module = uec_module_with_calib(lib, p.get("d") as u32, p.get("ts"), calib);
+        let p_l = estimate(&module, plain, &ctx)?.rate();
+        Ok::<_, Cancelled>((p_l, module.schedule().cycle_duration))
     })?;
     let mut points = Vec::with_capacity(results.len());
     let mut objectives = Vec::with_capacity(results.len());
     for (point, result) in results {
-        let r = result?;
+        let (p_l, cycle_duration) = result?;
         let ts = point.get("ts");
-        objectives.push(vec![r.logical_error_rate, ts]);
+        objectives.push(vec![p_l, ts]);
         points.push(Json::obj([
-            ("cycle_duration", Json::Num(r.cycle_duration)),
+            ("cycle_duration", Json::Num(cycle_duration)),
             ("d", Json::Int(point.get("d") as i64)),
-            ("p_l", Json::Num(r.logical_error_rate)),
+            ("p_l", Json::Num(p_l)),
             ("ts", Json::Num(ts)),
         ]));
     }

@@ -635,21 +635,11 @@ impl SurfaceMemory {
     /// `(shots, seed)`, so the result is **bit-identical for every worker
     /// count**. `shots == 0` reports a rate of zero.
     pub fn logical_error_rate(&self, shots: usize, seed: u64) -> (f64, f64) {
-        self.logical_error_rate_with(SurfaceDecoder::UnionFind, shots, seed)
+        self.logical_error_rate_on(WorkerPool::global(), SurfaceDecoder::UnionFind, shots, seed)
     }
 
-    /// As [`Self::logical_error_rate`] with an explicit decoder choice (the
-    /// decoder ablation knob).
-    pub fn logical_error_rate_with(
-        &self,
-        which: SurfaceDecoder,
-        shots: usize,
-        seed: u64,
-    ) -> (f64, f64) {
-        self.logical_error_rate_on(WorkerPool::global(), which, shots, seed)
-    }
-
-    /// As [`Self::logical_error_rate_with`] with an explicit worker pool.
+    /// As [`Self::logical_error_rate`] with an explicit worker pool and
+    /// decoder choice (the decoder ablation knob).
     pub fn logical_error_rate_on(
         &self,
         pool: &WorkerPool,
@@ -700,7 +690,7 @@ impl SurfaceMemory {
     }
 
     /// Rare-event logical error rate via weight-stratified importance
-    /// sampling, on the global [`WorkerPool`].
+    /// sampling.
     ///
     /// Where the plain [`Self::logical_error_rate`] returns `0/N` for any
     /// deep-subthreshold point, this estimator resolves per-shot rates far
@@ -713,16 +703,6 @@ impl SurfaceMemory {
     /// once the exact prior tail is below `abs_tol.max(rel_tol · p̂_L)`, or
     /// returns [`RareOutcome::Unconverged`] when `max_strata` runs out
     /// first.
-    pub fn logical_error_rate_rare(
-        &self,
-        which: SurfaceDecoder,
-        config: RareConfig,
-        seed: u64,
-    ) -> RareOutcome {
-        self.logical_error_rate_rare_on(WorkerPool::global(), which, config, seed)
-    }
-
-    /// As [`Self::logical_error_rate_rare`] with an explicit worker pool.
     ///
     /// Stratum `w` derives its sampling seed as `shard_seed(seed, w)`, and
     /// all conditioned sampling and decoding run through the sharded
@@ -884,7 +864,12 @@ mod tests {
             shots_per_stratum: 6_000,
             ..RareConfig::default()
         };
-        let outcome = mem.logical_error_rate_rare(SurfaceDecoder::UnionFind, config, 33);
+        let outcome = mem.logical_error_rate_rare_on(
+            WorkerPool::global(),
+            SurfaceDecoder::UnionFind,
+            config,
+            33,
+        );
         assert!(outcome.is_converged(), "{:?}", outcome.report());
         let report = outcome.report();
         assert!(report.p_l > 0.0);

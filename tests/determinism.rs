@@ -170,9 +170,9 @@ fn dse_sweep_is_worker_count_invariant() {
         m.logical_error_rate_on(&WorkerPool::new(1), 200, p.get("seed") as u64)
             .logical_error_rate
     };
-    let serial = hetarch::dse::sweep::sweep_with_workers(space.points(), eval, 1);
+    let serial = hetarch::dse::sweep_on(&WorkerPool::new(1), space.points(), eval);
     for workers in [2, 8] {
-        let parallel = hetarch::dse::sweep::sweep_with_workers(space.points(), eval, workers);
+        let parallel = hetarch::dse::sweep_on(&WorkerPool::new(workers), space.points(), eval);
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.0, p.0, "point order differs at {workers} workers");

@@ -2,6 +2,7 @@
 //! saturated noise, degenerate capacities, empty structures — and verify
 //! graceful, physical behaviour rather than panics or silent nonsense.
 
+use hetarch::modules::faults::{estimate, Estimator, FaultDriver, RunCtx, ShotMetrics, ShotModel};
 use hetarch::prelude::*;
 
 #[test]
@@ -248,8 +249,12 @@ fn rare_estimator_with_zero_strata_is_explicitly_unconverged() {
         max_strata: 0,
         ..RareConfig::default()
     };
-    let outcome =
-        mem.logical_error_rate_rare(hetarch::stab::codes::SurfaceDecoder::UnionFind, config, 3);
+    let outcome = mem.logical_error_rate_rare_on(
+        WorkerPool::global(),
+        hetarch::stab::codes::SurfaceDecoder::UnionFind,
+        config,
+        3,
+    );
     assert!(!outcome.is_converged());
     let report = outcome.into_report();
     assert_eq!(report.p_l, 0.0);
@@ -281,35 +286,53 @@ fn rare_prior_handles_weights_beyond_the_site_count() {
     assert!(report.strata.iter().all(|s| s.weight <= 4));
 }
 
+/// `n` classical flip sites of probability `p` each; a shot fails iff an
+/// odd number fire.
+struct FlipParity {
+    p: f64,
+    n: usize,
+}
+
+static PARITY_METRICS: ShotMetrics = ShotMetrics::new(
+    "test.parity.shots",
+    "test.parity.failures",
+    "test.parity.run_ns",
+);
+
+impl ShotModel for FlipParity {
+    fn metrics(&self) -> &'static ShotMetrics {
+        &PARITY_METRICS
+    }
+
+    fn run_shot<D: FaultDriver>(&self, driver: &mut D) -> bool {
+        (0..self.n).fold(false, |parity, _| parity ^ driver.flip_site(self.p))
+    }
+}
+
+fn rare_outcome(
+    model: &impl ShotModel,
+    pool: &WorkerPool,
+    config: RareConfig,
+    seed: u64,
+) -> RareOutcome {
+    let ctx = RunCtx {
+        pool,
+        seed,
+        cancel: None,
+    };
+    estimate(model, Estimator::Rare(config), &ctx)
+        .unwrap()
+        .into_rare()
+        .expect("rare outcome")
+}
+
 #[test]
 fn rare_estimator_with_degenerate_site_probabilities() {
-    use hetarch::exec::WorkerPool;
-    use hetarch::modules::faults::{stratified_rate, FaultDriver, ForcedFaults, SiteProbs};
     let pool = WorkerPool::new(2);
-    let parity_shot = |probs: &'static [f64]| {
-        move |driver: &mut ForcedFaults| {
-            let mut parity = false;
-            for &p in probs {
-                parity ^= driver.flip_site(p);
-            }
-            parity
-        }
-    };
 
     // p = 0 everywhere: all mass in the w = 0 stratum, exact zero rate.
-    static ZEROS: [f64; 3] = [0.0; 3];
-    let outcome = stratified_rate(
-        &pool,
-        &[
-            SiteProbs::Flip(0.0),
-            SiteProbs::Flip(0.0),
-            SiteProbs::Flip(0.0),
-        ],
-        RareConfig::default(),
-        1,
-        64,
-        parity_shot(&ZEROS),
-    );
+    let zeros = FlipParity { p: 0.0, n: 3 };
+    let outcome = rare_outcome(&zeros, &pool, RareConfig::default(), 1);
     assert!(outcome.is_converged());
     let report = outcome.into_report();
     assert_eq!(report.p_l, 0.0);
@@ -317,19 +340,8 @@ fn rare_estimator_with_degenerate_site_probabilities() {
 
     // p = 1 everywhere: the prior is a point mass at w = n; the lower
     // strata are infeasible and must be skipped, not sampled into a panic.
-    static ONES: [f64; 3] = [1.0; 3];
-    let outcome = stratified_rate(
-        &pool,
-        &[
-            SiteProbs::Flip(1.0),
-            SiteProbs::Flip(1.0),
-            SiteProbs::Flip(1.0),
-        ],
-        RareConfig::default(),
-        1,
-        64,
-        parity_shot(&ONES),
-    );
+    let ones = FlipParity { p: 1.0, n: 3 };
+    let outcome = rare_outcome(&ones, &pool, RareConfig::default(), 1);
     assert!(outcome.is_converged());
     let report = outcome.into_report();
     // Three certain flips: odd parity, deterministic failure.
@@ -350,8 +362,12 @@ fn rare_estimator_reports_unconverged_when_tolerance_is_unreachable() {
         shots_per_stratum: 256,
         ..RareConfig::default()
     };
-    let outcome =
-        mem.logical_error_rate_rare(hetarch::stab::codes::SurfaceDecoder::UnionFind, config, 5);
+    let outcome = mem.logical_error_rate_rare_on(
+        WorkerPool::global(),
+        hetarch::stab::codes::SurfaceDecoder::UnionFind,
+        config,
+        5,
+    );
     assert!(
         !outcome.is_converged(),
         "2 strata cannot reach rel_tol 1e-9"
@@ -362,25 +378,33 @@ fn rare_estimator_reports_unconverged_when_tolerance_is_unreachable() {
     assert_eq!(report.strata.len(), 2);
 }
 
+/// Two flip sites; a shot that replays any forced flip panics.
+struct Detonator;
+
+impl ShotModel for Detonator {
+    fn metrics(&self) -> &'static ShotMetrics {
+        &PARITY_METRICS
+    }
+
+    fn run_shot<D: FaultDriver>(&self, driver: &mut D) -> bool {
+        // The w = 0 stratum replays no faults; any forced flip (w ≥ 1)
+        // detonates inside a pool worker.
+        if driver.flip_site(0.01) | driver.flip_site(0.02) {
+            panic!("injected stratum failure");
+        }
+        false
+    }
+}
+
 #[test]
 fn panicking_shard_inside_a_stratum_does_not_poison_the_pool() {
-    use hetarch::exec::WorkerPool;
-    use hetarch::modules::faults::{stratified_rate, FaultDriver, ForcedFaults, SiteProbs};
     let pool = WorkerPool::new(4);
-    let sites = [SiteProbs::Flip(0.01), SiteProbs::Flip(0.02)];
     let config = RareConfig {
         enumerate_threshold: 0, // force every stratum through the pool
         ..RareConfig::default()
     };
     let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        stratified_rate(&pool, &sites, config, 9, 16, |driver: &mut ForcedFaults| {
-            // The w = 0 stratum replays no faults; any forced flip (w ≥ 1)
-            // detonates inside a pool worker.
-            if driver.flip_site(0.01) || driver.flip_site(0.02) {
-                panic!("injected stratum failure");
-            }
-            false
-        })
+        rare_outcome(&Detonator, &pool, config, 9)
     }));
     assert!(boom.is_err(), "the stratum panic must reach the caller");
     // The pool is stateless: the same pool keeps working afterwards.

@@ -7,6 +7,7 @@
 
 use std::path::{Path, PathBuf};
 
+use hetarch::modules::faults::{estimate, Estimate, Estimator, RunCtx};
 use hetarch::prelude::*;
 use hetarch::stab::codes::{rotated_surface_code, steane};
 use hetarch::testkit::prelude::*;
@@ -153,11 +154,17 @@ fn chain_hom_rate_snapshot(pool: &WorkerPool) -> Snapshot {
         enumerate_threshold: 64,
         ..RareConfig::default()
     };
-    let hom = HomModule::new(rotated_surface_code(3), 5e-3, UecNoise::default())
-        .logical_error_rate_rare_on(pool, config, 43);
+    let ctx = RunCtx {
+        pool,
+        seed: 43,
+        cancel: None,
+    };
+    let rare = |est: Result<Estimate, _>| est.unwrap().into_rare().expect("rare outcome");
+    let hom = HomModule::new(rotated_surface_code(3), 5e-3, UecNoise::default());
+    let hom = rare(estimate(&hom, Estimator::Rare(config), &ctx));
     rare_sections(&mut s, "hom SC3 rare", "hom SC3 rare ", hom);
-    let uec = UecModule::new(steane(), usc, UecNoise::default())
-        .logical_error_rate_rare_on(pool, config, 43);
+    let uec = UecModule::new(steane(), usc, UecNoise::default());
+    let uec = rare(estimate(&uec, Estimator::Rare(config), &ctx));
     rare_sections(&mut s, "uec Steane rare", "uec Steane rare ", uec);
     s
 }

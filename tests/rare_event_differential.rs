@@ -16,7 +16,10 @@
 //! across worker counts.
 
 use hetarch::exec::WorkerPool;
-use hetarch::modules::faults::{stratified_rate, FaultDriver, ForcedFaults, SiteProbs};
+use hetarch::modules::faults::{
+    estimate, Estimate, Estimator, FaultDriver, RunCtx, ShotMetrics, ShotModel,
+};
+use hetarch::modules::uec::ChainUecModule;
 use hetarch::prelude::*;
 use hetarch::stab::codes::SurfaceDecoder;
 use hetarch::testkit::prelude::*;
@@ -33,7 +36,12 @@ fn plain_observation(memory: &SurfaceMemory, shots: usize, seed: u64) -> Binomia
 fn cross_validate(memory: &SurfaceMemory, config: RareConfig, shots: usize, seed: u64) {
     let plain = plain_observation(memory, shots, seed);
     let report = memory
-        .logical_error_rate_rare(SurfaceDecoder::UnionFind, config, seed.wrapping_add(1))
+        .logical_error_rate_rare_on(
+            WorkerPool::global(),
+            SurfaceDecoder::UnionFind,
+            config,
+            seed.wrapping_add(1),
+        )
         .into_report();
     CrossValidation::new(plain, report.p_l, report.sigma, report.truncation_bound).assert_agrees(
         5.0,
@@ -87,30 +95,59 @@ fn stratified_tracks_plain_on_d5_at_high_noise() {
     cross_validate(&memory, config, 6_000, 271);
 }
 
-/// Exact-enumeration oracle: `n` independent classical flip sites, failure
-/// iff an odd number trigger. The closed form is
+/// `n` independent classical flip sites; a shot fails iff an odd number
+/// trigger.
+struct FlipParity(&'static [f64]);
+
+static PARITY_METRICS: ShotMetrics = ShotMetrics::new(
+    "test.parity.shots",
+    "test.parity.failures",
+    "test.parity.run_ns",
+);
+
+impl ShotModel for FlipParity {
+    fn metrics(&self) -> &'static ShotMetrics {
+        &PARITY_METRICS
+    }
+
+    fn run_shot<D: FaultDriver>(&self, driver: &mut D) -> bool {
+        self.0
+            .iter()
+            .fold(false, |parity, &p| parity ^ driver.flip_site(p))
+    }
+}
+
+fn run(model: &impl ShotModel, estimator: Estimator, pool: &WorkerPool, seed: u64) -> Estimate {
+    let ctx = RunCtx {
+        pool,
+        seed,
+        cancel: None,
+    };
+    estimate(model, estimator, &ctx).expect("no token, no cancellation")
+}
+
+/// Exact-enumeration oracle: [`FlipParity`] has the closed form
 /// `p_L = (1 − Π_i (1 − 2 p_i)) / 2`; with every stratum enumerable the
 /// stratified estimate must reproduce it to 1e-12 with zero variance.
 #[test]
 fn enumerated_strata_match_analytic_parity_probability() {
-    let probs = [0.013_f64, 0.007, 0.021, 0.004, 0.016];
-    let sites: Vec<SiteProbs> = probs.iter().map(|&p| SiteProbs::Flip(p)).collect();
-    let expected = (1.0 - probs.iter().map(|&p| 1.0 - 2.0 * p).product::<f64>()) / 2.0;
+    static PROBS: [f64; 5] = [0.013, 0.007, 0.021, 0.004, 0.016];
+    let expected = (1.0 - PROBS.iter().map(|&p| 1.0 - 2.0 * p).product::<f64>()) / 2.0;
 
     let config = RareConfig {
-        max_strata: probs.len() + 1,
+        max_strata: PROBS.len() + 1,
         rel_tol: 0.0,
         abs_tol: 0.0,
         ..RareConfig::default()
     };
-    let pool = WorkerPool::new(2);
-    let outcome = stratified_rate(&pool, &sites, config, 5, 64, |driver: &mut ForcedFaults| {
-        let mut parity = false;
-        for &p in &probs {
-            parity ^= driver.flip_site(p);
-        }
-        parity
-    });
+    let outcome = run(
+        &FlipParity(&PROBS),
+        Estimator::Rare(config),
+        &WorkerPool::new(2),
+        5,
+    )
+    .into_rare()
+    .expect("rare outcome");
     assert!(outcome.is_converged(), "all strata enumerable: {outcome:?}");
     let report = outcome.into_report();
     assert!(
@@ -122,6 +159,44 @@ fn enumerated_strata_match_analytic_parity_probability() {
     assert_eq!(report.total_shots, 0);
     assert!(report.strata.iter().all(|s| s.enumerated));
     assert!(report.truncation_bound.abs() < 1e-15);
+}
+
+/// The chained UEC module gets the rare-event estimator through the same
+/// shot model as its plain rate: at the default (high) noise both must
+/// agree under [`CrossValidation`].
+#[test]
+fn chain_rare_estimate_tracks_plain_estimate() {
+    let usc = UscCell::new(
+        catalog::coherence_limited_compute(0.5e-3),
+        catalog::coherence_limited_storage(1e-3),
+    )
+    .unwrap()
+    .characterize();
+    let chain = ChainUecModule::new(steane(), usc, 2, UecNoise::default());
+    let pool = WorkerPool::global();
+    let Estimate::Plain { failures, shots } =
+        run(&chain, Estimator::Plain { shots: 20_000 }, pool, 17)
+    else {
+        unreachable!("the plain estimator yields a plain count")
+    };
+    let config = RareConfig {
+        max_strata: 24,
+        rel_tol: 0.02,
+        shots_per_stratum: 4_000,
+        ..RareConfig::default()
+    };
+    let report = run(&chain, Estimator::Rare(config), pool, 19)
+        .into_rare()
+        .expect("rare outcome")
+        .into_report();
+    assert!(report.p_l > 0.0, "default noise must fail sometimes");
+    CrossValidation::new(
+        BinomialTest::new(failures as u64, shots as u64),
+        report.p_l,
+        report.sigma,
+        report.truncation_bound,
+    )
+    .assert_agrees(5.0, "chain Steane n_ext=2 stratified vs plain");
 }
 
 /// The deep-subthreshold acceptance point: a d=7 memory at noise figures
