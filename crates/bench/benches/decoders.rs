@@ -15,7 +15,7 @@ fn bench_union_find(c: &mut Criterion) {
         let graph = mem.matching_graph();
         let decoder = UnionFindDecoder::new(&graph);
         let shots = 256;
-        let samples = sample_detectors(&circuit, shots, 7);
+        let samples = sample_detectors(WorkerPool::global(), &circuit, shots, 7);
         let n_det = circuit.num_detectors();
         group.bench_with_input(BenchmarkId::new("surface", d), &d, |b, _| {
             let mut shot = 0usize;
@@ -43,7 +43,7 @@ fn bench_greedy_matching(c: &mut Criterion) {
         let graph = mem.matching_graph();
         let decoder = GreedyMatchingDecoder::new(&graph);
         let shots = 128;
-        let samples = sample_detectors(&circuit, shots, 7);
+        let samples = sample_detectors(WorkerPool::global(), &circuit, shots, 7);
         let n_det = circuit.num_detectors();
         group.bench_with_input(BenchmarkId::new("surface", d), &d, |b, _| {
             let mut shot = 0usize;

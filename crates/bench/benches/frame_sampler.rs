@@ -35,7 +35,7 @@ fn bench_detector_assembly(c: &mut Criterion) {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            sample_detectors(&circuit, 4096, seed)
+            sample_detectors(WorkerPool::global(), &circuit, 4096, seed)
         });
     });
     group.finish();

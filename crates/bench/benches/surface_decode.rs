@@ -23,7 +23,7 @@ fn setup(d: usize) -> (UnionFindDecoder, DetectorSamples, usize) {
     let mem = SurfaceMemory::new(d, d, SurfaceNoise::default());
     let circuit = mem.circuit();
     let decoder = UnionFindDecoder::new(&mem.matching_graph());
-    let samples = sample_detectors(&circuit, SHOTS, 7);
+    let samples = sample_detectors(WorkerPool::global(), &circuit, SHOTS, 7);
     let n_det = circuit.num_detectors();
     (decoder, samples, n_det)
 }

@@ -95,20 +95,13 @@ pub trait Cell: Sized {
     /// Returns the design-rule violations of the resulting layout.
     fn build(a: DeviceSpec, b: DeviceSpec) -> Result<Self, Vec<Violation>>;
 
-    /// Builds the cell with a fleet calibration snapshot applied: each
-    /// layout slot is calibrated by the snapshot entry matching its node
-    /// label (e.g. `"usc/ancilla"`) before design-rule checking and
-    /// characterization. An empty snapshot builds the identical cell
-    /// [`Cell::build`] would.
-    ///
-    /// # Errors
-    ///
-    /// Returns the design-rule violations of the resulting layout.
-    fn build_with_calib(
-        a: DeviceSpec,
-        b: DeviceSpec,
-        calib: &CalibSnapshot,
-    ) -> Result<Self, Vec<Violation>>;
+    /// Applies a fleet calibration snapshot to the built cell: each layout
+    /// slot takes the overrides of the snapshot entry matching its node
+    /// label (e.g. `"usc/ancilla"`), and [`Cell::characterize`] reads every
+    /// parameter from the layout. This is [`DeviceGraph::calibrate`] on the
+    /// cell's layout, so it never changes the shape the design rules were
+    /// checked against, and an empty snapshot leaves the cell unchanged.
+    fn calibrate(&mut self, calib: &CalibSnapshot);
 
     /// The symbolic device layout.
     fn layout(&self) -> &DeviceGraph;
@@ -136,12 +129,8 @@ impl Cell for RegisterCell {
         RegisterCell::new(a, b)
     }
 
-    fn build_with_calib(
-        a: DeviceSpec,
-        b: DeviceSpec,
-        calib: &CalibSnapshot,
-    ) -> Result<Self, Vec<Violation>> {
-        RegisterCell::new_with_calib(a, b, calib)
+    fn calibrate(&mut self, calib: &CalibSnapshot) {
+        self.layout.calibrate(calib);
     }
 
     fn layout(&self) -> &DeviceGraph {
@@ -161,12 +150,8 @@ impl Cell for ParCheckCell {
         ParCheckCell::new(a, b)
     }
 
-    fn build_with_calib(
-        a: DeviceSpec,
-        b: DeviceSpec,
-        calib: &CalibSnapshot,
-    ) -> Result<Self, Vec<Violation>> {
-        ParCheckCell::new_with_calib(a, b, calib)
+    fn calibrate(&mut self, calib: &CalibSnapshot) {
+        self.layout.calibrate(calib);
     }
 
     fn layout(&self) -> &DeviceGraph {
@@ -186,12 +171,8 @@ impl Cell for SeqOpCell {
         SeqOpCell::new(a, b)
     }
 
-    fn build_with_calib(
-        a: DeviceSpec,
-        b: DeviceSpec,
-        calib: &CalibSnapshot,
-    ) -> Result<Self, Vec<Violation>> {
-        SeqOpCell::new_with_calib(a, b, calib)
+    fn calibrate(&mut self, calib: &CalibSnapshot) {
+        self.layout.calibrate(calib);
     }
 
     fn layout(&self) -> &DeviceGraph {
@@ -211,12 +192,8 @@ impl Cell for UscCell {
         UscCell::new(a, b)
     }
 
-    fn build_with_calib(
-        a: DeviceSpec,
-        b: DeviceSpec,
-        calib: &CalibSnapshot,
-    ) -> Result<Self, Vec<Violation>> {
-        UscCell::new_with_calib(a, b, calib)
+    fn calibrate(&mut self, calib: &CalibSnapshot) {
+        self.layout.calibrate(calib);
     }
 
     fn layout(&self) -> &DeviceGraph {

@@ -24,6 +24,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
@@ -78,40 +79,27 @@ static OBS_CHARACTERIZE_NS: obs::Histogram = obs::Histogram::new("cells.characte
 pub struct CharKey(Vec<u8>);
 
 impl CharKey {
-    /// Builds the key for characterizing a `kind` cell on `(a, b)`.
-    pub fn new(kind: CellKind, a: &DeviceSpec, b: &DeviceSpec) -> Self {
-        let mut s = serde::Serializer::new();
-        s.write_u8(kind.tag());
-        a.serialize(&mut s);
-        b.serialize(&mut s);
-        CharKey(s.into_bytes())
-    }
-
     /// Builds the key for characterizing a `kind` cell on `(a, b)` under a
     /// calibration snapshot.
     ///
-    /// An empty snapshot produces exactly [`CharKey::new`]'s key, so
-    /// calibration-free callers keep hitting (and warm-starting from) the
-    /// entries they always produced. A non-empty snapshot sets the high bit
-    /// of the leading kind tag (plain tags are ≤ 3) and appends the
-    /// per-label override map, so calibrated keys can never collide with
-    /// uncalibrated ones and stay injective over the override set. Snapshot
-    /// metadata (`device`, `taken_at`) is deliberately excluded: two
-    /// snapshots with identical physics are the same design point.
-    pub fn with_calib(
-        kind: CellKind,
-        a: &DeviceSpec,
-        b: &DeviceSpec,
-        calib: &CalibSnapshot,
-    ) -> Self {
-        if calib.is_empty() {
-            return CharKey::new(kind, a, b);
-        }
+    /// An empty snapshot produces the plain key: the kind tag and both
+    /// specs, so calibration-free callers keep hitting (and warm-starting
+    /// from) the entries they always produced. A non-empty snapshot sets
+    /// the high bit of the leading kind tag (plain tags are ≤ 3) and
+    /// appends the per-label override map, so calibrated keys can never
+    /// collide with uncalibrated ones and stay injective over the override
+    /// set. Snapshot metadata (`device`, `taken_at`) is deliberately
+    /// excluded: two snapshots with identical physics are the same design
+    /// point.
+    pub fn new(kind: CellKind, a: &DeviceSpec, b: &DeviceSpec, calib: &CalibSnapshot) -> Self {
+        let calibrated = !calib.is_empty();
         let mut s = serde::Serializer::new();
-        s.write_u8(0x80 | kind.tag());
+        s.write_u8(kind.tag() | if calibrated { 0x80 } else { 0 });
         a.serialize(&mut s);
         b.serialize(&mut s);
-        calib.qubits.serialize(&mut s);
+        if calibrated {
+            calib.qubits.serialize(&mut s);
+        }
         CharKey(s.into_bytes())
     }
 
@@ -266,50 +254,34 @@ impl CellLibrary {
         self.len() == 0
     }
 
+    /// [`CellLibrary::get_with_calib`] with no calibration snapshot.
+    pub fn get<C: Cell>(&self, a: &DeviceSpec, b: &DeviceSpec) -> Arc<C::Channel> {
+        self.get_with_calib::<C>(a, b, &CalibSnapshot::default())
+    }
+
     /// The single get-or-characterize path behind every cell kind.
     ///
     /// Returns the cached channel if `(C::KIND, a, b)` was characterized
-    /// before. Otherwise builds the cell and runs the density-matrix
-    /// characterization exactly once, even under concurrency: other threads
-    /// requesting the same key while the simulation is in flight block on
-    /// it and share its result.
+    /// under the same calibration overrides before. Otherwise builds the
+    /// cell, applies the snapshot with [`Cell::calibrate`] and runs the
+    /// density-matrix characterization exactly once, even under
+    /// concurrency: other threads requesting the same key while the
+    /// simulation is in flight block on it and share its result. An empty
+    /// snapshot shares the plain cache key (and hence entries); a non-empty
+    /// one gets its own injective key, so the same `(a, b)` under different
+    /// fleet calibrations never alias.
     ///
     /// # Panics
     ///
     /// Panics if the pair violates the cell's design rules (the shipped
     /// catalog devices never do).
-    pub fn get<C: Cell>(&self, a: &DeviceSpec, b: &DeviceSpec) -> Arc<C::Channel> {
-        let key = CharKey::new(C::KIND, a, b);
-        self.get_inner::<C>(key, || C::build(a.clone(), b.clone()))
-    }
-
-    /// [`CellLibrary::get`] with per-slot calibration overrides applied via
-    /// [`Cell::build_with_calib`]. An empty snapshot shares the same cache
-    /// key (and hence entries) as [`CellLibrary::get`]; a non-empty snapshot
-    /// gets its own injective key, so the same `(a, b)` under different
-    /// fleet calibrations never alias.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the calibrated pair violates the cell's design rules.
     pub fn get_with_calib<C: Cell>(
         &self,
         a: &DeviceSpec,
         b: &DeviceSpec,
         calib: &CalibSnapshot,
     ) -> Arc<C::Channel> {
-        let key = CharKey::with_calib(C::KIND, a, b, calib);
-        self.get_inner::<C>(key, || C::build_with_calib(a.clone(), b.clone(), calib))
-    }
-
-    /// The admission loop shared by [`CellLibrary::get`] and
-    /// [`CellLibrary::get_with_calib`]. `build` may run more than once if a
-    /// previous leader for the same key panicked and admission is retried.
-    fn get_inner<C: Cell>(
-        &self,
-        key: CharKey,
-        build: impl Fn() -> Result<C, Vec<hetarch_devices::rules::Violation>>,
-    ) -> Arc<C::Channel> {
+        let key = CharKey::new(C::KIND, a, b, calib);
         loop {
             let claim = {
                 let mut map = self.entries.lock();
@@ -346,9 +318,10 @@ impl CellLibrary {
                     };
                     let started = Instant::now();
                     let span = obs::span!(OBS_CHARACTERIZE_NS);
-                    let cell = build().unwrap_or_else(|violations| {
+                    let mut cell = C::build(a.clone(), b.clone()).unwrap_or_else(|violations| {
                         panic!("{} design rules violated: {violations:?}", C::KIND)
                     });
+                    cell.calibrate(calib);
                     let channel = Arc::new(cell.characterize());
                     drop(span);
                     let payload: Payload = channel.clone();
@@ -409,12 +382,16 @@ impl CellLibrary {
         // The temp file must live in the target's directory: rename is only
         // atomic within one filesystem, and std::env::temp_dir may be on
         // another one.
+        // The name is unique per call, not just per process: two threads
+        // saving to one path must not truncate or rename each other's file.
+        static SAVES: AtomicU64 = AtomicU64::new(0);
         let tmp = path.with_file_name(format!(
-            ".{}.tmp-{}",
+            ".{}.tmp-{}-{}",
             path.file_name()
                 .map(|n| n.to_string_lossy().into_owned())
                 .unwrap_or_else(|| "cell-library".to_string()),
-            std::process::id()
+            std::process::id(),
+            SAVES.fetch_add(1, Ordering::Relaxed)
         ));
         std::fs::write(&tmp, s.into_bytes())
             .and_then(|()| std::fs::rename(&tmp, path))
@@ -601,8 +578,8 @@ mod tests {
         only_2q.gate_1q = None;
         only_2q.gate_2q = Some(GateSpec::new(40e-9, 1e-3));
         assert_ne!(
-            CharKey::new(CellKind::Register, &c, &only_1q),
-            CharKey::new(CellKind::Register, &c, &only_2q),
+            CharKey::new(CellKind::Register, &c, &only_1q, &CalibSnapshot::default()),
+            CharKey::new(CellKind::Register, &c, &only_2q, &CalibSnapshot::default()),
         );
 
         let mut zero_readout = on_chip_multimode_resonator();
@@ -610,8 +587,18 @@ mod tests {
         let mut no_readout = zero_readout.clone();
         no_readout.readout_time = None;
         assert_ne!(
-            CharKey::new(CellKind::Register, &c, &zero_readout),
-            CharKey::new(CellKind::Register, &c, &no_readout),
+            CharKey::new(
+                CellKind::Register,
+                &c,
+                &zero_readout,
+                &CalibSnapshot::default()
+            ),
+            CharKey::new(
+                CellKind::Register,
+                &c,
+                &no_readout,
+                &CalibSnapshot::default()
+            ),
         );
     }
 
@@ -620,8 +607,8 @@ mod tests {
         let c = fixed_frequency_qubit();
         let s = on_chip_multimode_resonator();
         assert_ne!(
-            CharKey::new(CellKind::Register, &c, &s),
-            CharKey::new(CellKind::SeqOp, &c, &s),
+            CharKey::new(CellKind::Register, &c, &s, &CalibSnapshot::default()),
+            CharKey::new(CellKind::SeqOp, &c, &s, &CalibSnapshot::default()),
         );
     }
 
@@ -774,6 +761,31 @@ mod tests {
             .collect();
         std::fs::remove_file(&path).ok();
         assert!(leftovers.is_empty(), "stray temp files: {leftovers:?}");
+    }
+
+    /// Regression: every `save` in a process used the same temp name, so two
+    /// threads saving to one path truncated and renamed each other's temp
+    /// file — spurious `save` errors and torn files seen by `load`.
+    #[test]
+    fn concurrent_saves_to_one_path_never_tear_the_file() {
+        let lib = CellLibrary::new();
+        lib.get::<RegisterCell>(&fixed_frequency_qubit(), &on_chip_multimode_resonator());
+        let path = temp_path("library-concurrent-saves");
+        lib.save(&path).expect("initial save");
+        std::thread::scope(|scope| {
+            let writers: Vec<_> = (0..2)
+                .map(|_| scope.spawn(|| (0..300).filter(|_| lib.save(&path).is_err()).count()))
+                .collect();
+            let mut torn = 0;
+            while writers.iter().any(|w| !w.is_finished()) {
+                if CellLibrary::load(&path).map_or(true, |l| l.len() != 1) {
+                    torn += 1;
+                }
+            }
+            let failed: usize = writers.into_iter().map(|w| w.join().unwrap()).sum();
+            assert_eq!((failed, torn), (0, 0), "(failed saves, torn loads)");
+        });
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

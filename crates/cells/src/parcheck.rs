@@ -10,7 +10,6 @@ use hetarch_qsim::measure::project_z;
 use hetarch_qsim::state::DensityMatrix;
 use serde::{Deserialize, Serialize};
 
-use hetarch_devices::calib::CalibSnapshot;
 use hetarch_devices::device::{DeviceRole, DeviceSpec, GateSpec};
 use hetarch_devices::rules::{validate, Violation};
 use hetarch_devices::topology::{DeviceGraph, DeviceId};
@@ -63,9 +62,7 @@ impl ParCheckChannel {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ParCheckCell {
-    qubit_a: DeviceSpec,
-    qubit_b: DeviceSpec,
-    layout: DeviceGraph,
+    pub(crate) layout: DeviceGraph,
     id_a: DeviceId,
     id_b: DeviceId,
 }
@@ -89,37 +86,11 @@ impl ParCheckCell {
             "ParCheck uses compute devices"
         );
         let mut layout = DeviceGraph::new();
-        let id_a = layout.add_device("parcheck/a", qubit_a.clone(), false);
-        let id_b = layout.add_device("parcheck/b", qubit_b.clone(), true);
+        let id_a = layout.add_device("parcheck/a", qubit_a, false);
+        let id_b = layout.add_device("parcheck/b", qubit_b, true);
         layout.connect(id_a, id_b);
         validate(&layout, 1)?;
-        Ok(ParCheckCell {
-            qubit_a,
-            qubit_b,
-            layout,
-            id_a,
-            id_b,
-        })
-    }
-
-    /// Builds the cell with a fleet calibration snapshot applied: the
-    /// snapshot entries labelled `"parcheck/a"` and `"parcheck/b"`
-    /// override the corresponding catalog specs before design-rule
-    /// checking. An empty snapshot yields the identical cell
-    /// [`ParCheckCell::new`] would.
-    ///
-    /// # Errors
-    ///
-    /// Returns design-rule violations of the calibrated layout.
-    pub fn new_with_calib(
-        qubit_a: DeviceSpec,
-        qubit_b: DeviceSpec,
-        calib: &CalibSnapshot,
-    ) -> Result<Self, Vec<Violation>> {
-        ParCheckCell::new(
-            calib.apply("parcheck/a", &qubit_a),
-            calib.apply("parcheck/b", &qubit_b),
-        )
+        Ok(ParCheckCell { layout, id_a, id_b })
     }
 
     /// The symbolic layout.
@@ -150,22 +121,17 @@ impl ParCheckCell {
     ///   entangled pairs, so the dephasing (`T2`) this probe sees degrades
     ///   real parity checks just as much as population errors do.
     pub fn characterize(&self) -> ParCheckChannel {
-        let g1 = self
-            .qubit_a
-            .gate_1q
-            .expect("compute devices define 1q gates");
-        let g2 = self
-            .qubit_a
-            .gate_2q
-            .expect("compute devices define 2q gates");
-        let t_read = self
-            .qubit_b
+        let qubit_a = &self.layout.node(self.id_a).spec;
+        let qubit_b = &self.layout.node(self.id_b).spec;
+        let g1 = qubit_a.gate_1q.expect("compute devices define 1q gates");
+        let g2 = qubit_a.gate_2q.expect("compute devices define 2q gates");
+        let t_read = qubit_b
             .readout_time
             .expect("readout-equipped device defines readout time");
-        let idle_a = IdleParams::new(self.qubit_a.t1, self.qubit_a.t2)
-            .expect("catalog coherence is physical");
-        let idle_b = IdleParams::new(self.qubit_b.t1, self.qubit_b.t2)
-            .expect("catalog coherence is physical");
+        let idle_a =
+            IdleParams::new(qubit_a.t1, qubit_a.t2).expect("catalog coherence is physical");
+        let idle_b =
+            IdleParams::new(qubit_b.t1, qubit_b.t2).expect("catalog coherence is physical");
 
         let depol2 = Kraus2::depolarizing(g2.error).expect("validated gate error");
         // Both probe families decohere for the same gate + readout window;

@@ -9,7 +9,6 @@ use hetarch_qsim::matrix::Mat;
 use hetarch_qsim::state::DensityMatrix;
 use serde::{Deserialize, Serialize};
 
-use hetarch_devices::calib::CalibSnapshot;
 use hetarch_devices::device::{DeviceRole, DeviceSpec};
 use hetarch_devices::rules::{validate, Violation};
 use hetarch_devices::topology::{DeviceGraph, DeviceId};
@@ -46,9 +45,7 @@ pub struct RegisterChannel {
 /// ```
 #[derive(Clone, Debug)]
 pub struct RegisterCell {
-    compute: DeviceSpec,
-    storage: DeviceSpec,
-    layout: DeviceGraph,
+    pub(crate) layout: DeviceGraph,
     compute_id: DeviceId,
     storage_id: DeviceId,
 }
@@ -73,37 +70,15 @@ impl RegisterCell {
             "second device must be a storage device"
         );
         let mut layout = DeviceGraph::new();
-        let compute_id = layout.add_device("register/compute", compute.clone(), false);
-        let storage_id = layout.add_device("register/storage", storage.clone(), false);
+        let compute_id = layout.add_device("register/compute", compute, false);
+        let storage_id = layout.add_device("register/storage", storage, false);
         layout.connect(compute_id, storage_id);
         validate(&layout, 0)?;
         Ok(RegisterCell {
-            compute,
-            storage,
             layout,
             compute_id,
             storage_id,
         })
-    }
-
-    /// Builds the cell with a fleet calibration snapshot applied: the
-    /// snapshot entries labelled `"register/compute"` and
-    /// `"register/storage"` override the corresponding catalog specs
-    /// before design-rule checking. An empty snapshot yields the identical
-    /// cell [`RegisterCell::new`] would.
-    ///
-    /// # Errors
-    ///
-    /// Returns design-rule violations of the calibrated layout.
-    pub fn new_with_calib(
-        compute: DeviceSpec,
-        storage: DeviceSpec,
-        calib: &CalibSnapshot,
-    ) -> Result<Self, Vec<Violation>> {
-        RegisterCell::new(
-            calib.apply("register/compute", &compute),
-            calib.apply("register/storage", &storage),
-        )
     }
 
     /// The symbolic layout.
@@ -121,27 +96,19 @@ impl RegisterCell {
         self.storage_id
     }
 
-    /// The compute device spec.
-    pub fn compute(&self) -> &DeviceSpec {
-        &self.compute
-    }
-
-    /// The storage device spec.
-    pub fn storage(&self) -> &DeviceSpec {
-        &self.storage
-    }
-
     /// Characterizes the cell by exact density-matrix simulation of the
     /// load operation: a SWAP between the compute qubit and a storage mode
     /// with the storage device's SWAP error, plus idle decay on both ends
     /// for the SWAP duration. The reported fidelity averages the six Pauli
     /// eigenstates.
     pub fn characterize(&self) -> RegisterChannel {
-        let swap = self.storage.swap;
-        let compute_idle = IdleParams::new(self.compute.t1, self.compute.t2)
-            .expect("catalog compute coherence is physical");
-        let storage_idle = IdleParams::new(self.storage.t1, self.storage.t2)
-            .expect("catalog storage coherence is physical");
+        let compute = &self.layout.node(self.compute_id).spec;
+        let storage = &self.layout.node(self.storage_id).spec;
+        let swap = storage.swap;
+        let compute_idle =
+            IdleParams::new(compute.t1, compute.t2).expect("catalog compute coherence is physical");
+        let storage_idle =
+            IdleParams::new(storage.t1, storage.t2).expect("catalog storage coherence is physical");
 
         // Channels are hoisted out of the probe closure so each compiles its
         // superoperator kernel once across the six Pauli-eigenstate probes;
@@ -168,7 +135,7 @@ impl RegisterCell {
             load: OpChannel::new("load", swap.time, fidelity, 1),
             storage_idle,
             compute_idle,
-            modes: self.storage.capacity,
+            modes: storage.capacity,
         }
     }
 }

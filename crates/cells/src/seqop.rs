@@ -13,7 +13,6 @@ use hetarch_qsim::measure::project_z;
 use hetarch_qsim::state::DensityMatrix;
 use serde::{Deserialize, Serialize};
 
-use hetarch_devices::calib::CalibSnapshot;
 use hetarch_devices::device::{DeviceRole, DeviceSpec};
 use hetarch_devices::rules::{validate, Violation};
 use hetarch_devices::topology::{DeviceGraph, DeviceId};
@@ -50,7 +49,7 @@ pub struct SeqOpChannel {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SeqOpCell {
-    layout: DeviceGraph,
+    pub(crate) layout: DeviceGraph,
     ids: SeqOpIds,
 }
 
@@ -77,33 +76,14 @@ impl SeqOpCell {
     ///
     /// Returns design-rule violations.
     pub fn new(compute: DeviceSpec, storage: DeviceSpec) -> Result<Self, Vec<Violation>> {
-        Self::new_with_calib(compute, storage, &CalibSnapshot::default())
-    }
-
-    /// Builds the cell with a fleet calibration snapshot applied: each of
-    /// the five layout slots (`"seqop/s1"`, `"seqop/c1"`, `"seqop/s2"`,
-    /// `"seqop/c2"`, `"seqop/cp"`) is individually overridden by the
-    /// snapshot entry matching its label before design-rule checking, so a
-    /// snapshot can describe a fleet where nominally-identical devices
-    /// measured differently today. An empty snapshot yields the identical
-    /// cell [`SeqOpCell::new`] would.
-    ///
-    /// # Errors
-    ///
-    /// Returns design-rule violations of the calibrated layout.
-    pub fn new_with_calib(
-        compute: DeviceSpec,
-        storage: DeviceSpec,
-        calib: &CalibSnapshot,
-    ) -> Result<Self, Vec<Violation>> {
         assert_eq!(compute.role, DeviceRole::Compute);
         assert_eq!(storage.role, DeviceRole::Storage);
         let mut layout = DeviceGraph::new();
-        let s1 = layout.add_device("seqop/s1", calib.apply("seqop/s1", &storage), false);
-        let c1 = layout.add_device("seqop/c1", calib.apply("seqop/c1", &compute), false);
-        let s2 = layout.add_device("seqop/s2", calib.apply("seqop/s2", &storage), false);
-        let c2 = layout.add_device("seqop/c2", calib.apply("seqop/c2", &compute), false);
-        let cp = layout.add_device("seqop/cp", calib.apply("seqop/cp", &compute), true);
+        let s1 = layout.add_device("seqop/s1", storage.clone(), false);
+        let c1 = layout.add_device("seqop/c1", compute.clone(), false);
+        let s2 = layout.add_device("seqop/s2", storage, false);
+        let c2 = layout.add_device("seqop/c2", compute.clone(), false);
+        let cp = layout.add_device("seqop/cp", compute, true);
         layout.connect(s1, c1);
         layout.connect(s2, c2);
         layout.connect(c1, c2);

@@ -13,7 +13,6 @@ use hetarch_qsim::measure::project_z;
 use hetarch_qsim::state::DensityMatrix;
 use serde::{Deserialize, Serialize};
 
-use hetarch_devices::calib::CalibSnapshot;
 use hetarch_devices::device::{DeviceRole, DeviceSpec, GateSpec};
 use hetarch_devices::rules::{validate, Violation};
 use hetarch_devices::topology::{DeviceGraph, DeviceId};
@@ -69,7 +68,7 @@ impl UscChannel {
 /// ```
 #[derive(Clone, Debug)]
 pub struct UscCell {
-    layout: DeviceGraph,
+    pub(crate) layout: DeviceGraph,
     ancilla: DeviceId,
     registers: Vec<(DeviceId, DeviceId)>, // (storage, compute) pairs
 }
@@ -84,24 +83,6 @@ impl UscCell {
         Self::with_registers(compute, storage, 3)
     }
 
-    /// Builds the USC with a fleet calibration snapshot applied: each layout
-    /// slot (`"usc/ancilla"`, `"usc/s0"`, `"usc/c0"`, …) is individually
-    /// overridden by the snapshot entry matching its label before
-    /// design-rule checking, so a snapshot can describe a fleet where
-    /// nominally-identical devices measured differently today. An empty
-    /// snapshot yields the identical cell [`UscCell::new`] would.
-    ///
-    /// # Errors
-    ///
-    /// Returns design-rule violations of the calibrated layout.
-    pub fn new_with_calib(
-        compute: DeviceSpec,
-        storage: DeviceSpec,
-        calib: &CalibSnapshot,
-    ) -> Result<Self, Vec<Violation>> {
-        Self::with_registers_calib(compute, storage, 3, calib)
-    }
-
     /// Builds a USC variant with `n_registers ∈ 1..=3` Register subcells
     /// (the paper notes four would exhaust the ancilla's connectivity, DR1).
     ///
@@ -113,21 +94,6 @@ impl UscCell {
         storage: DeviceSpec,
         n_registers: usize,
     ) -> Result<Self, Vec<Violation>> {
-        Self::with_registers_calib(compute, storage, n_registers, &CalibSnapshot::default())
-    }
-
-    /// [`UscCell::with_registers`] with per-slot calibration overrides
-    /// (see [`UscCell::new_with_calib`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns design-rule violations of the calibrated layout.
-    pub fn with_registers_calib(
-        compute: DeviceSpec,
-        storage: DeviceSpec,
-        n_registers: usize,
-        calib: &CalibSnapshot,
-    ) -> Result<Self, Vec<Violation>> {
         assert_eq!(compute.role, DeviceRole::Compute);
         assert_eq!(storage.role, DeviceRole::Storage);
         assert!(
@@ -135,13 +101,11 @@ impl UscCell {
             "USC supports 1–3 registers (4 would exhaust DR1)"
         );
         let mut layout = DeviceGraph::new();
-        let ancilla = layout.add_device("usc/ancilla", calib.apply("usc/ancilla", &compute), true);
+        let ancilla = layout.add_device("usc/ancilla", compute.clone(), true);
         let mut registers = Vec::new();
         for i in 0..n_registers {
-            let label_s = format!("usc/s{i}");
-            let label_c = format!("usc/c{i}");
-            let s = layout.add_device(label_s.clone(), calib.apply(&label_s, &storage), false);
-            let c = layout.add_device(label_c.clone(), calib.apply(&label_c, &compute), false);
+            let s = layout.add_device(format!("usc/s{i}"), storage.clone(), false);
+            let c = layout.add_device(format!("usc/c{i}"), compute.clone(), false);
             layout.connect(s, c);
             layout.connect(c, ancilla);
             registers.push((s, c));
@@ -341,37 +305,16 @@ impl UscChain {
         storage: DeviceSpec,
         n_ext: usize,
     ) -> Result<Self, Vec<Violation>> {
-        Self::new_with_calib(compute, storage, n_ext, &CalibSnapshot::default())
-    }
-
-    /// Builds the chain with a fleet calibration snapshot applied: the base
-    /// USC slots and each extension slot (`"ext{e}/ancilla"`, `"ext{e}/s{i}"`,
-    /// `"ext{e}/c{i}"`) are individually overridden by the snapshot entry
-    /// matching their label. An empty snapshot yields the identical chain
-    /// [`UscChain::new`] would.
-    ///
-    /// # Errors
-    ///
-    /// Returns design-rule violations.
-    pub fn new_with_calib(
-        compute: DeviceSpec,
-        storage: DeviceSpec,
-        n_ext: usize,
-        calib: &CalibSnapshot,
-    ) -> Result<Self, Vec<Violation>> {
-        let usc = UscCell::new_with_calib(compute.clone(), storage.clone(), calib)?;
-        let mut layout = usc.layout().clone();
-        let mut prev_ancilla = usc.ancilla();
+        let usc = UscCell::new(compute.clone(), storage.clone())?;
+        let mut prev_ancilla = usc.ancilla;
+        let mut layout = usc.layout;
         let mut capacity = storage.capacity * 3;
         for e in 0..n_ext {
             // USC-EXT: two registers + ancilla.
-            let label_a = format!("ext{e}/ancilla");
-            let ancilla = layout.add_device(label_a.clone(), calib.apply(&label_a, &compute), true);
+            let ancilla = layout.add_device(format!("ext{e}/ancilla"), compute.clone(), true);
             for i in 0..2 {
-                let label_s = format!("ext{e}/s{i}");
-                let label_c = format!("ext{e}/c{i}");
-                let s = layout.add_device(label_s.clone(), calib.apply(&label_s, &storage), false);
-                let c = layout.add_device(label_c.clone(), calib.apply(&label_c, &compute), false);
+                let s = layout.add_device(format!("ext{e}/s{i}"), storage.clone(), false);
+                let c = layout.add_device(format!("ext{e}/c{i}"), compute.clone(), false);
                 layout.connect(s, c);
                 layout.connect(c, ancilla);
             }

@@ -1,13 +1,18 @@
 //! Cross-cutting characterization-cache properties: key injectivity over
 //! perturbed device specs, single-flight admission under thread pressure,
-//! and bit-identity of cached vs freshly simulated channels.
+//! bit-identity of cached vs freshly simulated channels, and the shape
+//! invariance of calibrating a built layout.
 
 use proptest::prelude::*;
 
-use hetarch_cells::{Cell, CellKind, CellLibrary, CharKey, ParCheckCell, RegisterCell};
+use hetarch_cells::{
+    Cell, CellKind, CellLibrary, CharKey, ParCheckCell, RegisterCell, SeqOpCell, UscCell, UscChain,
+};
 use hetarch_devices::calib::{CalibParams, CalibSnapshot};
 use hetarch_devices::catalog::{fixed_frequency_qubit, on_chip_multimode_resonator};
 use hetarch_devices::device::{DeviceSpec, GateSpec};
+use hetarch_devices::rules::validate;
+use hetarch_devices::topology::DeviceGraph;
 
 /// Deterministically perturbs one field of the catalog transmon, covering
 /// every field class the cache key must discriminate: plain floats,
@@ -57,8 +62,8 @@ proptest! {
         let spec_a = perturbed_spec(a.0, a.1);
         let spec_b = perturbed_spec(b.0, b.1);
         let partner = on_chip_multimode_resonator();
-        let key_a = CharKey::new(CellKind::Register, &spec_a, &partner);
-        let key_b = CharKey::new(CellKind::Register, &spec_b, &partner);
+        let key_a = CharKey::new(CellKind::Register, &spec_a, &partner, &CalibSnapshot::default());
+        let key_b = CharKey::new(CellKind::Register, &spec_b, &partner, &CalibSnapshot::default());
         prop_assert_eq!(spec_a == spec_b, key_a == key_b);
     }
 }
@@ -72,8 +77,8 @@ proptest! {
         let base = fixed_frequency_qubit();
         if spec != base {
             prop_assert_ne!(
-                CharKey::new(CellKind::ParCheck, &spec, &base),
-                CharKey::new(CellKind::ParCheck, &base, &spec)
+                CharKey::new(CellKind::ParCheck, &spec, &base, &CalibSnapshot::default()),
+                CharKey::new(CellKind::ParCheck, &base, &spec, &CalibSnapshot::default())
             );
         }
     }
@@ -141,9 +146,18 @@ proptest! {
     ) {
         let c = fixed_frequency_qubit();
         let s = on_chip_multimode_resonator();
-        let legacy = CharKey::new(CellKind::Usc, &c, &s);
-        let key_a = CharKey::with_calib(CellKind::Usc, &c, &s, &snap_a);
-        let key_b = CharKey::with_calib(CellKind::Usc, &c, &s, &snap_b);
+        let legacy = CharKey::new(CellKind::Usc, &c, &s, &CalibSnapshot::default());
+        // The plain key is exactly the kind tag then both specs, so cache
+        // files written by calibration-free runs keep warm-starting.
+        let plain_bytes = [
+            vec![CellKind::Usc as u8],
+            serde::to_bytes(&c),
+            serde::to_bytes(&s),
+        ]
+        .concat();
+        prop_assert_eq!(legacy.as_bytes(), &plain_bytes[..]);
+        let key_a = CharKey::new(CellKind::Usc, &c, &s, &snap_a);
+        let key_b = CharKey::new(CellKind::Usc, &c, &s, &snap_b);
 
         for (snap, key) in [(&snap_a, &key_a), (&snap_b, &key_b)] {
             if snap.is_empty() {
@@ -180,8 +194,8 @@ fn calib_key_ignores_snapshot_metadata() {
     snap_b.device = "another-fridge".to_string();
     snap_b.taken_at = "2026-08-08T00:00:00Z".to_string();
     assert_eq!(
-        CharKey::with_calib(CellKind::Usc, &c, &s, &snap_a),
-        CharKey::with_calib(CellKind::Usc, &c, &s, &snap_b),
+        CharKey::new(CellKind::Usc, &c, &s, &snap_a),
+        CharKey::new(CellKind::Usc, &c, &s, &snap_b),
     );
 }
 
@@ -230,4 +244,81 @@ fn cached_channel_is_bit_identical_to_fresh_characterization() {
         cached.compute_idle.t2.to_bits(),
         fresh.compute_idle.t2.to_bits()
     );
+}
+
+/// Most slots any layout below carries (a USC chain with two extensions).
+const MAX_SLOTS: usize = 17;
+
+/// Builds layout variant `which`: the four cell kinds, USC with one to three
+/// registers, and USC chains with zero to two extensions. Returns the plain
+/// layout, the same layout calibrated the way the library calibrates it
+/// ([`Cell::calibrate`] for cells, [`DeviceGraph::calibrate`] on a clone for
+/// chains) and the readout budget it was checked with.
+fn layouts(which: usize, calib: &CalibSnapshot) -> (DeviceGraph, DeviceGraph, usize) {
+    fn cell<C: Cell>(mut cell: C, calib: &CalibSnapshot) -> (DeviceGraph, DeviceGraph) {
+        let plain = cell.layout().clone();
+        cell.calibrate(calib);
+        (plain, cell.layout().clone())
+    }
+    let c = fixed_frequency_qubit();
+    let s = on_chip_multimode_resonator();
+    let ((plain, calibrated), readouts) = match which {
+        0 => (cell(RegisterCell::build(c, s).unwrap(), calib), 0),
+        1 => (cell(ParCheckCell::build(c.clone(), c).unwrap(), calib), 1),
+        2 => (cell(SeqOpCell::build(c, s).unwrap(), calib), 1),
+        3..=5 => (
+            cell(UscCell::with_registers(c, s, which - 2).unwrap(), calib),
+            1,
+        ),
+        _ => {
+            let n_ext = which - 6;
+            let chain = UscChain::new(c, s, n_ext).unwrap();
+            let mut calibrated = chain.layout().clone();
+            calibrated.calibrate(calib);
+            return (chain.layout().clone(), calibrated, 1 + n_ext);
+        }
+    };
+    (plain, calibrated, readouts)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    /// Calibration only rewrites device parameters: for random overrides on
+    /// a layout's own labels, every label, coupling, role, readout flag,
+    /// connectivity limit and capacity survives, the design rules give the
+    /// same verdict at every readout budget, and each node's spec is exactly
+    /// `calib.apply(label, plain_spec)`.
+    fn calibrate_never_changes_layout_shape(
+        which in 0usize..9,
+        overrides in proptest::collection::vec(opt(calib_params()), MAX_SLOTS),
+    ) {
+        let (plain, _, _) = layouts(which, &CalibSnapshot::default());
+        let calib = CalibSnapshot {
+            device: "fleet-under-test".to_string(),
+            taken_at: String::new(),
+            qubits: plain
+                .iter()
+                .zip(overrides)
+                .filter_map(|((_, node), params)| Some((node.label.clone(), params?)))
+                .collect(),
+        };
+        let (plain, calibrated, readouts) = layouts(which, &calib);
+
+        prop_assert_eq!(calibrated.num_devices(), plain.num_devices());
+        prop_assert_eq!(calibrated.edges(), plain.edges());
+        prop_assert_eq!(calibrated.total_capacity(), plain.total_capacity());
+        for ((_, before), (id, after)) in plain.iter().zip(calibrated.iter()) {
+            prop_assert_eq!(&after.label, &before.label);
+            prop_assert_eq!(after.spec.role, before.spec.role);
+            prop_assert_eq!(after.readout_equipped, before.readout_equipped);
+            prop_assert_eq!(after.spec.max_connectivity, before.spec.max_connectivity);
+            prop_assert_eq!(after.spec.capacity, before.spec.capacity);
+            prop_assert_eq!(calibrated.degree(id), plain.degree(id));
+            prop_assert_eq!(&after.spec, &calib.apply(&before.label, &before.spec));
+        }
+        for budget in 0..=readouts + 1 {
+            prop_assert_eq!(validate(&calibrated, budget), validate(&plain, budget));
+        }
+        prop_assert!(validate(&calibrated, readouts).is_ok());
+    }
 }

@@ -6,6 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::calib::CalibSnapshot;
 use crate::device::{DeviceRole, DeviceSpec};
 
 /// Handle to a device instance within a [`DeviceGraph`].
@@ -160,6 +161,26 @@ impl DeviceGraph {
         self.nodes.iter().map(|n| n.spec.capacity).sum()
     }
 
+    /// Calibrates the layout in place: every node whose label carries
+    /// overrides in `calib` gets its spec rewritten by
+    /// [`CalibParams::apply_to`](crate::calib::CalibParams::apply_to);
+    /// every other node is left untouched.
+    ///
+    /// Calibration never changes the layout's shape. Overrides write only
+    /// coherence times, gate errors, the swap error and the readout
+    /// duration, while the design rules read only roles, degrees,
+    /// `max_connectivity` and `readout_equipped`; labels, couplings and
+    /// capacities are kept as well. So a layout that passed
+    /// [`validate`](crate::rules::validate) before calibration passes it
+    /// after, with the same outcome, under any snapshot.
+    pub fn calibrate(&mut self, calib: &CalibSnapshot) {
+        for node in &mut self.nodes {
+            if let Some(params) = calib.overrides_for(&node.label) {
+                node.spec = params.apply_to(&node.spec);
+            }
+        }
+    }
+
     /// Merges `other` into `self`, returning the id offset applied to
     /// `other`'s devices (its `DeviceId(k)` becomes `DeviceId(k + offset)`).
     pub fn merge(&mut self, other: &DeviceGraph) -> u32 {
@@ -220,5 +241,30 @@ mod tests {
         assert_eq!(g.num_devices(), 4);
         assert_eq!(g.edges().len(), 2);
         assert_eq!(g.degree(DeviceId(2)), 1);
+    }
+
+    #[test]
+    fn calibrate_rewrites_only_labelled_specs() {
+        use crate::calib::CalibParams;
+        let (mut g, c, s) = register_like();
+        let before = g.clone();
+        let mut calib = CalibSnapshot::default();
+        calib.qubits.insert(
+            "s".to_string(),
+            CalibParams {
+                swap_error: Some(0.05),
+                ..CalibParams::default()
+            },
+        );
+        calib
+            .qubits
+            .insert("elsewhere".to_string(), CalibParams::default());
+        g.calibrate(&calib);
+        assert_eq!(g.node(c), before.node(c));
+        assert_eq!(g.node(s).spec.swap.error, 0.05);
+        assert_eq!(g.node(s).spec, calib.apply("s", &before.node(s).spec));
+        assert_eq!(g.edges(), before.edges());
+        g.calibrate(&CalibSnapshot::default());
+        assert_eq!(g.node(s).spec.swap.error, 0.05);
     }
 }

@@ -288,28 +288,13 @@ pub struct ComputeChoicePoint {
 }
 
 /// Compares catalog compute devices (with §4's coherence-limited gates but
-/// each device's own real T1/T2) as the distiller's compute element.
+/// each device's own real T1/T2) as the distiller's compute element,
+/// evaluated against a fleet calibration snapshot: every cell is
+/// characterized with the snapshot's per-slot overrides (keyed by layout
+/// label, e.g. `"register/storage"`), so the comparison reflects today's
+/// measured devices rather than the nominal catalog. An empty snapshot
+/// compares the nominal devices.
 pub fn explore_compute_choice(
-    gen_rate_hz: f64,
-    ts: f64,
-    sim_duration: f64,
-    seed: u64,
-) -> Vec<ComputeChoicePoint> {
-    explore_compute_choice_with_calib(
-        gen_rate_hz,
-        ts,
-        sim_duration,
-        seed,
-        &hetarch_devices::calib::CalibSnapshot::default(),
-    )
-}
-
-/// [`explore_compute_choice`] evaluated against a fleet calibration
-/// snapshot: every cell is built with the snapshot's per-slot overrides
-/// (keyed by layout label, e.g. `"register/storage"`), so the comparison
-/// reflects today's measured devices rather than the nominal catalog. An
-/// empty snapshot reproduces [`explore_compute_choice`] exactly.
-pub fn explore_compute_choice_with_calib(
     gen_rate_hz: f64,
     ts: f64,
     sim_duration: f64,
@@ -397,7 +382,13 @@ mod tests {
         let mut transmon_sum = 0.0;
         let mut fluxonium_sum = 0.0;
         for seed in [5, 6, 7, 8, 9] {
-            let pts = explore_compute_choice(2e6, 12.5e-3, 2e-3, seed);
+            let pts = explore_compute_choice(
+                2e6,
+                12.5e-3,
+                2e-3,
+                seed,
+                &hetarch_devices::calib::CalibSnapshot::default(),
+            );
             assert_eq!(pts.len(), 2);
             let transmon = pts.iter().find(|p| p.device.contains("Fixed")).unwrap();
             let fluxonium = pts.iter().find(|p| p.device.contains("Flux")).unwrap();

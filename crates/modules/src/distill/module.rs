@@ -390,17 +390,12 @@ impl DistillModule {
     }
 
     /// Runs `trials` independent Monte-Carlo replicas of the module for
-    /// `duration` seconds each on the global [`WorkerPool`], returning the
-    /// reports in trial order.
+    /// `duration` seconds each on `pool`, returning the reports in trial
+    /// order.
     ///
     /// Trial `t` is seeded with `shard_seed(config.seed, t)` — one trial per
     /// shard — so the batch is bit-identical for every worker count and
     /// each trial can be reproduced in isolation.
-    pub fn run_batch(&self, duration: f64, trials: usize) -> Vec<DistillReport> {
-        self.run_batch_on(WorkerPool::global(), duration, trials)
-    }
-
-    /// As [`Self::run_batch`] with an explicit worker pool.
     ///
     /// Every shard shares (by clone) the module's batch-built
     /// [`DejmpsTable`], so the density-matrix work behind the pair states
@@ -424,12 +419,13 @@ impl DistillModule {
     }
 
     /// Mean delivered rate over `trials` independent replicas (the
-    /// high-shot estimator behind the Fig. 4 sweeps).
+    /// high-shot estimator behind the Fig. 4 sweeps), on the global
+    /// [`WorkerPool`].
     pub fn mean_delivered_rate_hz(&self, duration: f64, trials: usize) -> f64 {
         if trials == 0 {
             return 0.0;
         }
-        let reports = self.run_batch(duration, trials);
+        let reports = self.run_batch_on(WorkerPool::global(), duration, trials);
         reports.iter().map(|r| r.delivered_rate_hz).sum::<f64>() / trials as f64
     }
 }

@@ -11,10 +11,14 @@
 
 use serde::{Deserialize, Serialize};
 
-use hetarch_cells::OpChannel;
+use hetarch_cells::{
+    Cell, CellLibrary, OpChannel, ParCheckCell, RegisterCell, SeqOpCell, UscCell, UscChain,
+};
+use hetarch_devices::calib::CalibSnapshot;
 use hetarch_devices::footprint::{layout_cost, LayoutCost};
 use hetarch_devices::rules::{validate, Violation};
 use hetarch_devices::topology::DeviceGraph;
+use hetarch_devices::DeviceSpec;
 
 /// The level a node sits at (a guide to how it is characterized, per §2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -198,41 +202,27 @@ impl DesignNode {
 
 /// Builds the Fig. 1 entanglement-distillation hierarchy from a device pair:
 /// input memory (two Register cells) → distillation (one ParCheck) → output
-/// memory (one Register), all characterized through the cell library.
+/// memory (one Register), all characterized through the cell library with
+/// the snapshot's per-slot overrides applied to every cell. An empty
+/// snapshot builds the uncalibrated tree.
 pub fn distillation_design(
-    lib: &hetarch_cells::CellLibrary,
-    compute: &hetarch_devices::DeviceSpec,
-    storage: &hetarch_devices::DeviceSpec,
+    lib: &CellLibrary,
+    compute: &DeviceSpec,
+    storage: &DeviceSpec,
+    calib: &CalibSnapshot,
 ) -> DesignNode {
-    distillation_design_with_calib(
-        lib,
-        compute,
-        storage,
-        &hetarch_devices::calib::CalibSnapshot::default(),
-    )
-}
-
-/// [`distillation_design`] with per-slot calibration overrides: every cell
-/// is built and characterized with the snapshot entries matching its layout
-/// labels. An empty snapshot reproduces [`distillation_design`] exactly
-/// (same cache keys, same channels).
-pub fn distillation_design_with_calib(
-    lib: &hetarch_cells::CellLibrary,
-    compute: &hetarch_devices::DeviceSpec,
-    storage: &hetarch_devices::DeviceSpec,
-    calib: &hetarch_devices::calib::CalibSnapshot,
-) -> DesignNode {
-    use hetarch_cells::{Cell, ParCheckCell, RegisterCell};
     let reg_cell = |name: &str| {
-        let cell = RegisterCell::build_with_calib(compute.clone(), storage.clone(), calib)
+        let mut cell = RegisterCell::build(compute.clone(), storage.clone())
             .expect("register obeys the design rules");
+        cell.calibrate(calib);
         let ch = lib.get_with_calib::<RegisterCell>(compute, storage, calib);
         DesignNode::leaf_cell(name, cell.layout().clone(), cell.required_readouts())
             .with_op(ch.load.clone())
     };
     let parcheck = {
-        let cell = ParCheckCell::build_with_calib(compute.clone(), compute.clone(), calib)
+        let mut cell = ParCheckCell::build(compute.clone(), compute.clone())
             .expect("parcheck obeys the design rules");
+        cell.calibrate(calib);
         let ch = lib.get_with_calib::<ParCheckCell>(compute, compute, calib);
         DesignNode::leaf_cell("parcheck", cell.layout().clone(), cell.required_readouts())
             .with_op(ch.parity.clone())
@@ -250,51 +240,32 @@ pub fn distillation_design_with_calib(
 }
 
 /// Builds the Fig. 8 universal-error-correction hierarchy: a USC (optionally
-/// chained with USC-EXTs) under one module node.
+/// chained with USC-EXTs) under one module node, calibrated like
+/// [`distillation_design`].
 pub fn uec_design(
-    lib: &hetarch_cells::CellLibrary,
-    compute: &hetarch_devices::DeviceSpec,
-    storage: &hetarch_devices::DeviceSpec,
+    lib: &CellLibrary,
+    compute: &DeviceSpec,
+    storage: &DeviceSpec,
     n_ext: usize,
+    calib: &CalibSnapshot,
 ) -> DesignNode {
-    uec_design_with_calib(
-        lib,
-        compute,
-        storage,
-        n_ext,
-        &hetarch_devices::calib::CalibSnapshot::default(),
-    )
-}
-
-/// [`uec_design`] with per-slot calibration overrides (see
-/// [`distillation_design_with_calib`]).
-pub fn uec_design_with_calib(
-    lib: &hetarch_cells::CellLibrary,
-    compute: &hetarch_devices::DeviceSpec,
-    storage: &hetarch_devices::DeviceSpec,
-    n_ext: usize,
-    calib: &hetarch_devices::calib::CalibSnapshot,
-) -> DesignNode {
-    let chain =
-        hetarch_cells::UscChain::new_with_calib(compute.clone(), storage.clone(), n_ext, calib)
-            .expect("chain obeys the design rules");
-    let ch = lib.get_with_calib::<hetarch_cells::UscCell>(compute, storage, calib);
+    let mut layout = UscChain::new(compute.clone(), storage.clone(), n_ext)
+        .expect("chain obeys the design rules")
+        .layout()
+        .clone();
+    layout.calibrate(calib);
+    let ch = lib.get_with_calib::<UscCell>(compute, storage, calib);
     // The chain is a composite (base USC + n_ext extensions, one readout
     // ancilla each), not a single Cell, so its readout budget is counted
     // here rather than through `required_readouts`.
-    let usc_leaf = DesignNode::leaf_cell("usc-chain", chain.layout().clone(), 1 + n_ext)
-        .with_op(ch.check2.clone());
+    let usc_leaf = DesignNode::leaf_cell("usc-chain", layout, 1 + n_ext).with_op(ch.check2.clone());
     DesignNode::new("universal-error-correction", Level::Module).with_child(usc_leaf)
 }
 
 /// Builds the Fig. 11 code-teleportation hierarchy: distillation + two CAT
 /// generators (SeqOp) + two UEC modules.
-pub fn ct_design(
-    lib: &hetarch_cells::CellLibrary,
-    compute: &hetarch_devices::DeviceSpec,
-    storage: &hetarch_devices::DeviceSpec,
-) -> DesignNode {
-    use hetarch_cells::{Cell, SeqOpCell};
+pub fn ct_design(lib: &CellLibrary, compute: &DeviceSpec, storage: &DeviceSpec) -> DesignNode {
+    let nominal = CalibSnapshot::default();
     let cat = |name: &str| {
         let cell = SeqOpCell::build(compute.clone(), storage.clone())
             .expect("seqop obeys the design rules");
@@ -304,17 +275,17 @@ pub fn ct_design(
             .with_op(ch.parity.clone())
     };
     DesignNode::new("code-teleportation", Level::Module)
-        .with_child(distillation_design(lib, compute, storage))
+        .with_child(distillation_design(lib, compute, storage, &nominal))
         .with_child(DesignNode::new("cat-generator-a", Level::Module).with_child(cat("seqop-a")))
         .with_child(DesignNode::new("cat-generator-b", Level::Module).with_child(cat("seqop-b")))
-        .with_child(uec_design(lib, compute, storage, 0))
-        .with_child(uec_design(lib, compute, storage, 0))
+        .with_child(uec_design(lib, compute, storage, 0, &nominal))
+        .with_child(uec_design(lib, compute, storage, 0, &nominal))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hetarch_cells::CellLibrary;
+    use hetarch_devices::calib::CalibParams;
     use hetarch_devices::catalog::{coherence_limited_compute, coherence_limited_storage};
 
     fn devices() -> (hetarch_devices::DeviceSpec, hetarch_devices::DeviceSpec) {
@@ -328,7 +299,7 @@ mod tests {
     fn distillation_tree_structure() {
         let lib = CellLibrary::new();
         let (c, s) = devices();
-        let tree = distillation_design(&lib, &c, &s);
+        let tree = distillation_design(&lib, &c, &s, &CalibSnapshot::default());
         assert_eq!(tree.children().len(), 3);
         assert!(tree.find("input-memory/register-0").is_some());
         assert!(tree.find("distill/parcheck").is_some());
@@ -343,7 +314,7 @@ mod tests {
     fn footprint_rolls_up_from_leaves() {
         let lib = CellLibrary::new();
         let (c, s) = devices();
-        let tree = distillation_design(&lib, &c, &s);
+        let tree = distillation_design(&lib, &c, &s, &CalibSnapshot::default());
         let total = tree.footprint();
         let sub: f64 = tree
             .children()
@@ -372,10 +343,39 @@ mod tests {
     fn render_shows_all_levels() {
         let lib = CellLibrary::new();
         let (c, s) = devices();
-        let text = uec_design(&lib, &c, &s, 1).render();
+        let text = uec_design(&lib, &c, &s, 1, &CalibSnapshot::default()).render();
         assert!(text.contains("universal-error-correction [module]"));
         assert!(text.contains("usc-chain [cell]"));
         assert!(text.contains("ops: z_check_w2"));
+    }
+
+    #[test]
+    fn calibration_reaches_every_leaf_and_keeps_the_rules() {
+        let lib = CellLibrary::new();
+        let (c, s) = devices();
+        let mut calib = CalibSnapshot::default();
+        for label in ["parcheck/a", "ext0/c1"] {
+            calib.qubits.insert(
+                label.to_string(),
+                CalibParams {
+                    gate_2q_error: Some(0.02),
+                    ..CalibParams::default()
+                },
+            );
+        }
+        let nominal = distillation_design(&lib, &c, &s, &CalibSnapshot::default());
+        let fleet = distillation_design(&lib, &c, &s, &calib);
+        fleet
+            .validate_tree()
+            .expect("calibration keeps the layout shape");
+        let parity = |tree: &DesignNode| tree.find("distill/parcheck").unwrap().ops()[0].fidelity;
+        assert!(parity(&fleet) < parity(&nominal));
+        assert_eq!(fleet.footprint(), nominal.footprint());
+        let chain = uec_design(&lib, &c, &s, 1, &calib);
+        chain
+            .validate_tree()
+            .expect("calibration keeps the layout shape");
+        assert_eq!(chain.num_devices(), 12);
     }
 
     #[test]

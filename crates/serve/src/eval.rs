@@ -65,7 +65,7 @@ pub fn evaluate(
             distance, ts, seed, ..
         } => {
             let config = query.rare_config().expect("RareUec has a rare config");
-            let module = uec_module(lib, *distance, *ts);
+            let module = uec_module(lib, *distance, *ts, &CalibSnapshot::default());
             let ctx = RunCtx {
                 pool,
                 seed: *seed,
@@ -128,7 +128,7 @@ fn sweep_uec(
         shots: shots as usize,
     };
     let results = try_sweep_on(pool, space.points(), token, |p| {
-        let module = uec_module_with_calib(lib, p.get("d") as u32, p.get("ts"), calib);
+        let module = uec_module(lib, p.get("d") as u32, p.get("ts"), calib);
         let p_l = estimate(&module, plain, &ctx)?.rate();
         Ok::<_, Cancelled>((p_l, module.schedule().cycle_duration))
     })?;
@@ -158,20 +158,11 @@ fn sweep_uec(
     ]))
 }
 
-fn uec_module(lib: &CellLibrary, distance: u32, ts: f64) -> UecModule {
-    uec_module_with_calib(lib, distance, ts, &CalibSnapshot::default())
-}
-
 /// Builds the UEC module for one design point with the snapshot's overrides
 /// folded into characterization. The empty snapshot shares the uncalibrated
 /// cache entry, so `sweep_uec`/`calib_sweep` with no overrides cost one
 /// simulation between them.
-fn uec_module_with_calib(
-    lib: &CellLibrary,
-    distance: u32,
-    ts: f64,
-    calib: &CalibSnapshot,
-) -> UecModule {
+fn uec_module(lib: &CellLibrary, distance: u32, ts: f64, calib: &CalibSnapshot) -> UecModule {
     let usc = lib.get_with_calib::<UscCell>(
         &coherence_limited_compute(COMPUTE_TC),
         &coherence_limited_storage(ts),
@@ -203,7 +194,8 @@ mod tests {
         let points = result.get("points").and_then(Json::as_arr).unwrap();
         assert_eq!(points.len(), 2);
         for (point, &ts) in points.iter().zip(&[0.5e-3, 5e-3]) {
-            let direct = uec_module(&lib, 3, ts).logical_error_rate_on(&pool, 300, 61);
+            let direct = uec_module(&lib, 3, ts, &CalibSnapshot::default())
+                .logical_error_rate_on(&pool, 300, 61);
             assert_eq!(
                 point.get("p_l").and_then(Json::as_f64).unwrap(),
                 direct.logical_error_rate,

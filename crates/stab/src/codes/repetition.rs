@@ -123,7 +123,7 @@ pub fn repetition_logical_error_rate(
     let graph = repetition_matching_graph(d, rounds, px, p_meas);
     debug_assert_eq!(graph.num_nodes(), circuit.num_detectors());
     let decoder = UnionFindDecoder::new(&graph);
-    let samples = sample_detectors(&circuit, shots, seed);
+    let samples = sample_detectors(hetarch_exec::WorkerPool::global(), &circuit, shots, seed);
     let n_det = circuit.num_detectors();
     let mut failures = 0;
     let mut syn = vec![false; n_det];

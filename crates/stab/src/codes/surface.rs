@@ -17,7 +17,7 @@ use crate::codes::code::{typed_string, StabilizerCode};
 use crate::decoder::graph::MatchingGraph;
 use crate::decoder::greedy::GreedyMatchingDecoder;
 use crate::decoder::unionfind::UnionFindDecoder;
-use crate::detector::{assemble_detectors, sample_detectors_on, DetectorSamples};
+use crate::detector::{assemble_detectors, sample_detectors, DetectorSamples};
 use crate::frame::{enumerate_at_weight, sample_at_weight, FaultModel};
 use crate::pauli::Pauli;
 
@@ -650,7 +650,7 @@ impl SurfaceMemory {
         let circuit = self.circuit();
         let decoder = self.build_decoder(&circuit, which);
         let span = obs::span!(SURFACE_RUN_NS);
-        let samples = sample_detectors_on(pool, &circuit, shots, seed);
+        let samples = sample_detectors(pool, &circuit, shots, seed);
         // Decoding is deterministic per shot, so sharding it only splits the
         // work; shot order inside the count is irrelevant to the sum. Each
         // shard owns one scratch arena, reused across its shots.

@@ -263,7 +263,7 @@ mod tests {
         let greedy = GreedyMatchingDecoder::new(&graph);
         let uf = UnionFindDecoder::new(&graph);
         let shots = 3_000;
-        let samples = sample_detectors(&circuit, shots, 31);
+        let samples = sample_detectors(hetarch_exec::WorkerPool::global(), &circuit, shots, 31);
         let n_det = circuit.num_detectors();
         let mut fail_greedy = 0;
         let mut fail_uf = 0;

@@ -106,25 +106,20 @@ pub fn nondeterministic_detectors(circuit: &Circuit) -> Vec<usize> {
     bad
 }
 
-/// Samples `shots` noisy executions of `circuit`, returning detector firings
-/// and observable flips.
+/// Samples `shots` noisy executions of `circuit` on `pool`, returning
+/// detector firings and observable flips.
 ///
-/// Runs on the global [`WorkerPool`] via the sharded
-/// [`FrameSampler::sample`] path; the output is bit-identical for every
-/// worker count (see [`hetarch_exec`]'s `(seed, shard)` contract).
-pub fn sample_detectors(circuit: &Circuit, shots: usize, seed: u64) -> DetectorSamples {
-    sample_detectors_on(WorkerPool::global(), circuit, shots, seed)
-}
-
-/// As [`sample_detectors`] with an explicit worker pool.
-pub fn sample_detectors_on(
+/// Runs the sharded [`FrameSampler::sample`] path; the output is
+/// bit-identical for every worker count (see [`hetarch_exec`]'s
+/// `(seed, shard)` contract).
+pub fn sample_detectors(
     pool: &WorkerPool,
     circuit: &Circuit,
     shots: usize,
     seed: u64,
 ) -> DetectorSamples {
     let result = FrameSampler::sample(circuit, shots, seed, pool);
-    assemble(circuit, &result.meas_flips, shots)
+    assemble_detectors(circuit, &result.meas_flips, shots)
 }
 
 /// Assembles detector firings and observable flips from a measurement-flip
@@ -135,10 +130,6 @@ pub fn assemble_detectors(
     meas_flips: &BitTable,
     shots: usize,
 ) -> DetectorSamples {
-    assemble(circuit, meas_flips, shots)
-}
-
-fn assemble(circuit: &Circuit, meas_flips: &BitTable, shots: usize) -> DetectorSamples {
     let mut detectors = BitTable::new(circuit.num_detectors(), shots);
     let mut observables = BitTable::new(circuit.num_observables() as usize, shots);
     let mut det = 0usize;
@@ -213,7 +204,7 @@ mod tests {
     #[test]
     fn noiseless_run_fires_nothing() {
         let c = rep_code_circuit(0.0, 0.0);
-        let s = sample_detectors(&c, 512, 11);
+        let s = sample_detectors(WorkerPool::global(), &c, 512, 11);
         for d in 0..c.num_detectors() {
             assert_eq!(s.detectors.count_ones(d), 0, "detector {d} fired");
         }
@@ -239,7 +230,7 @@ mod tests {
         let m = c.measure_reset(&[3, 4], 0.0);
         c.detector(&[m[0]]);
         c.detector(&[m[1]]);
-        let s = sample_detectors(&c, 64, 3);
+        let s = sample_detectors(WorkerPool::global(), &c, 64, 3);
         assert_eq!(s.detectors.count_ones(0), 64);
         assert_eq!(s.detectors.count_ones(1), 64);
     }
@@ -247,7 +238,7 @@ mod tests {
     #[test]
     fn observable_flip_rate_tracks_error_rate() {
         let c = rep_code_circuit(0.3, 0.0);
-        let s = sample_detectors(&c, 50_000, 17);
+        let s = sample_detectors(WorkerPool::global(), &c, 50_000, 17);
         // Qubit 0 flips with probability p per round (2 rounds): net flip
         // probability 2p(1-p).
         let expect = 2.0 * 0.3 * 0.7;
@@ -263,7 +254,7 @@ mod tests {
         // Only measurement noise on the first-round ancilla measurement:
         // detectors at rounds 0 and 1 for that ancilla should fire together.
         let c = rep_code_circuit(0.0, 0.2);
-        let s = sample_detectors(&c, 20_000, 23);
+        let s = sample_detectors(WorkerPool::global(), &c, 20_000, 23);
         let d0 = s.detectors.count_ones(0) as f64 / 20_000.0;
         let d2 = s.detectors.count_ones(2) as f64 / 20_000.0;
         // Detector 0 fires iff round-0 measurement of ancilla 3 flipped.

@@ -12,15 +12,16 @@ fn main() {
     let lib = CellLibrary::new();
     let compute = catalog::coherence_limited_compute(0.5e-3);
     let storage = catalog::coherence_limited_storage(12.5e-3);
+    let nominal = CalibSnapshot::default();
 
     for (title, tree) in [
         (
             "Fig. 1 — entanglement distillation",
-            distillation_design(&lib, &compute, &storage),
+            distillation_design(&lib, &compute, &storage, &nominal),
         ),
         (
             "Fig. 8 — universal error correction (USC + 1 EXT)",
-            uec_design(&lib, &compute, &storage, 1),
+            uec_design(&lib, &compute, &storage, 1, &nominal),
         ),
         (
             "Fig. 11 — code teleportation",

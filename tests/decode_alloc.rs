@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use hetarch::stab::codes::{SurfaceMemory, SurfaceNoise};
 use hetarch::stab::decoder::UnionFindDecoder;
-use hetarch::stab::detector::sample_detectors_on;
+use hetarch::stab::detector::sample_detectors;
 use hetarch_exec::WorkerPool;
 
 struct CountingAlloc;
@@ -48,7 +48,7 @@ fn steady_state_batch_decode_allocates_nothing() {
     let uf = UnionFindDecoder::new(&mem.matching_graph());
     let pool = WorkerPool::new(1);
     let shots = 2048;
-    let samples = sample_detectors_on(&pool, &circuit, shots, 41);
+    let samples = sample_detectors(&pool, &circuit, shots, 41);
     let mut scratch = uf.new_scratch();
 
     // Warm pass: sizes the frontier pool (already reserved at build time),
