@@ -158,12 +158,6 @@ impl CsrAdjacency {
     pub fn num_nodes(&self) -> usize {
         self.offsets.len().saturating_sub(1)
     }
-
-    /// Total number of (node, edge) incidences — the length of the flat
-    /// indices slice.
-    pub fn num_incidences(&self) -> usize {
-        self.indices.len()
-    }
 }
 
 #[cfg(test)]
@@ -233,11 +227,8 @@ mod tests {
         let nested = g.adjacency();
         let csr = g.csr_adjacency();
         assert_eq!(csr.num_nodes(), 5);
-        let mut total = 0;
         for (v, row) in nested.iter().enumerate() {
             assert_eq!(csr.incident(v), row.as_slice(), "node {v}");
-            total += row.len();
         }
-        assert_eq!(csr.num_incidences(), total);
     }
 }

@@ -7,20 +7,31 @@
 //! paper's conclusions depend only on relative (heterogeneous vs
 //! homogeneous) logical error rates.
 //!
+//! # Growth as one per-node rule
+//!
+//! The prediction is a function of the defects and the final set of grown
+//! edges only. Growth fixes that set by one rule per pass: every edge that
+//! has not grown gains `Σ w(u)` over its endpoints `u` that lie in an
+//! active cluster (odd parity, no boundary), where `w(u)` is one for a
+//! defect plus one for an endpoint of a grown non-boundary edge; the edge
+//! grows once its support reaches its length. The order in which roots,
+//! members or edges are visited within a pass does not change the result.
+//!
 //! # Allocation-free decoding
 //!
 //! The production path decodes through a reusable [`DecoderScratch`]: all
 //! per-shot state lives in flat arrays sized once per graph, reset sparsely
-//! via epoch stamps (O(touched nodes), not O(n)), with intrusive-list
-//! frontiers carved out of a per-shot cell pool so cluster growth and
-//! unions never allocate. Shard loops decode straight from the packed
-//! [`BitTable`] via [`UnionFindDecoder::count_failures`] /
+//! via epoch stamps (O(touched nodes), not O(n)). Each cluster root keeps
+//! an intrusive circular list of its members (the nodes with `w(u) > 0`
+//! that still have an ungrown incident edge), so growth and unions never
+//! allocate. Shard loops decode straight from the packed [`BitTable`] via
+//! [`UnionFindDecoder::count_failures`] /
 //! [`UnionFindDecoder::decode_shots`], which extract sparse defect lists
 //! with `trailing_zeros` over 64-bit words and skip all-zero syndromes
 //! entirely.
 //!
 //! Predictions are **bit-identical** to the original per-shot decoder,
-//! which is kept verbatim as [`UnionFindDecoder::decode_reference`] and
+//! which is kept as [`UnionFindDecoder::decode_reference`] and
 //! cross-checked by `tests/decode_scratch_differential.rs` (see
 //! DESIGN.md §5k for the contract).
 
@@ -38,7 +49,7 @@ static PEEL_DISCHARGES: obs::Counter = obs::Counter::new("stab.decoder.peel_disc
 static PEEL_LEAKS: obs::Counter = obs::Counter::new("stab.decoder.peel_leaks");
 static DECODE_NS: obs::Histogram = obs::Histogram::new("stab.decode_ns");
 
-/// Empty link in the intrusive frontier lists.
+/// Empty link in the intrusive member lists.
 const NIL: u32 = u32::MAX;
 /// Boundary sentinel in the edge endpoint array.
 const NO_NODE: u32 = u32::MAX;
@@ -47,15 +58,30 @@ const PEEL_NONE: u32 = u32::MAX;
 /// Peel-forest parent sentinel: reached through a boundary edge.
 const PEEL_BOUNDARY: u32 = u32::MAX - 1;
 
-const F_BOUNDARY: u8 = 1;
+const F_DEFECT: u8 = 1;
 const F_VISITED: u8 = 2;
-const F_MARKED: u8 = 4;
-const F_PEEL_VISITED: u8 = 8;
+const F_ODD: u8 = 4;
+const F_BOUNDARY: u8 = 8;
+const F_MARKED: u8 = 16;
+const F_PEEL_VISITED: u8 = 32;
+
+/// Static data of one edge (error mechanism).
+#[derive(Clone, Copy, Debug)]
+struct EdgeData {
+    /// First endpoint.
+    u: u32,
+    /// Second endpoint, or [`NO_NODE`] for a boundary edge.
+    v: u32,
+    /// Integer growth length (quantized weight).
+    len: u32,
+    /// Observable mask.
+    obs: u64,
+}
 
 /// A union-find decoder prebuilt for one matching graph.
 ///
-/// Holds only the CSR adjacency and struct-of-arrays edge data it needs —
-/// not a clone of the [`MatchingGraph`] it was built from.
+/// Holds only the CSR adjacency and the per-edge data it needs — not a
+/// clone of the [`MatchingGraph`] it was built from.
 ///
 /// # Examples
 ///
@@ -76,14 +102,7 @@ const F_PEEL_VISITED: u8 = 8;
 pub struct UnionFindDecoder {
     num_nodes: usize,
     adjacency: CsrAdjacency,
-    /// First endpoint per edge.
-    edge_u: Vec<u32>,
-    /// Second endpoint per edge, or [`NO_NODE`] for a boundary edge.
-    edge_v: Vec<u32>,
-    /// Observable mask per edge.
-    edge_obs: Vec<u64>,
-    /// Integer growth length per edge (quantized weight).
-    lengths: Vec<u32>,
+    edges: Vec<EdgeData>,
 }
 
 impl UnionFindDecoder {
@@ -96,22 +115,20 @@ impl UnionFindDecoder {
             .map(|e| e.weight())
             .fold(f64::INFINITY, f64::min)
             .max(1e-3);
-        let lengths = graph
+        let edges = graph
             .edges()
             .iter()
-            .map(|e| ((e.weight() / min_w * 4.0).round() as u32).clamp(1, 1 << 14))
+            .map(|e| EdgeData {
+                u: e.u,
+                v: e.v.unwrap_or(NO_NODE),
+                len: ((e.weight() / min_w * 4.0).round() as u32).clamp(1, 1 << 14),
+                obs: e.obs_mask,
+            })
             .collect();
         UnionFindDecoder {
             num_nodes: graph.num_nodes(),
             adjacency: graph.csr_adjacency(),
-            edge_u: graph.edges().iter().map(|e| e.u).collect(),
-            edge_v: graph
-                .edges()
-                .iter()
-                .map(|e| e.v.unwrap_or(NO_NODE))
-                .collect(),
-            edge_obs: graph.edges().iter().map(|e| e.obs_mask).collect(),
-            lengths,
+            edges,
         }
     }
 
@@ -122,35 +139,24 @@ impl UnionFindDecoder {
 
     /// Number of edges (error mechanisms).
     pub fn num_edges(&self) -> usize {
-        self.lengths.len()
+        self.edges.len()
     }
 
-    /// Allocates a scratch arena sized for this decoder's graph. The pool
-    /// capacities are reserved to their worst-case bounds up front, so
-    /// every subsequent decode through this scratch is allocation-free.
+    /// Allocates a scratch arena sized for this decoder's graph. Every
+    /// list is reserved to its worst-case bound up front, so every
+    /// subsequent decode through this scratch is allocation-free.
     pub fn new_scratch(&self) -> DecoderScratch {
         let n = self.num_nodes;
-        let m = self.lengths.len();
-        // Frontier cells are pushed at most once per (defect, incident
-        // edge) at init and once per (visited node, incident edge) during
-        // expansion: 2x the flat incidence count bounds the pool.
-        let pool_cap = 2 * self.adjacency.num_incidences();
+        let m = self.edges.len();
         DecoderScratch {
             num_nodes: n,
             num_edges: m,
             epoch: 0,
-            pass_id: 0,
-            node_epoch: vec![0; n],
+            pass: 0,
             nodes: vec![NodeScratch::default(); n],
-            pass_seen: vec![0; n],
-            edge_epoch: vec![0; m],
-            support: vec![0; m],
-            grown: vec![false; m],
-            pool_edge: Vec::with_capacity(pool_cap),
-            pool_next: Vec::with_capacity(pool_cap),
+            edges: vec![0; m],
             defects: Vec::with_capacity(n),
-            candidates: Vec::with_capacity(2 * n),
-            pass_roots: Vec::with_capacity(n),
+            roots: Vec::with_capacity(n),
             newly_grown: Vec::with_capacity(m),
             grown_boundary: Vec::with_capacity(m),
             order: Vec::with_capacity(n),
@@ -183,7 +189,7 @@ impl UnionFindDecoder {
     /// the scratch was built for a different graph shape.
     pub fn decode_with(&self, scratch: &mut DecoderScratch, syndrome: &[bool]) -> u64 {
         assert_eq!(syndrome.len(), self.num_nodes, "syndrome length mismatch");
-        scratch.check_shape(self.num_nodes, self.lengths.len());
+        scratch.check_shape(self.num_nodes, self.edges.len());
         scratch.defects.clear();
         for (v, &s) in syndrome.iter().enumerate() {
             if s {
@@ -201,14 +207,15 @@ impl UnionFindDecoder {
     /// Panics if the scratch shape mismatches; defect ordering is checked
     /// by `debug_assert` only.
     pub fn decode_defects(&self, scratch: &mut DecoderScratch, defects: &[u32]) -> u64 {
-        scratch.check_shape(self.num_nodes, self.lengths.len());
+        scratch.check_shape(self.num_nodes, self.edges.len());
         scratch.defects.clear();
         scratch.defects.extend_from_slice(defects);
         self.decode_current(scratch)
     }
 
     /// Decodes shots `start..start + len` straight from packed detector
-    /// samples and counts prediction/observable mismatches.
+    /// samples and counts mismatches between bit `obs_row` of each
+    /// prediction and row `obs_row` of `observables`.
     ///
     /// Defect lists are extracted per 64-shot word block with
     /// `trailing_zeros`; all-zero syndromes never reach the decoder (the
@@ -218,7 +225,7 @@ impl UnionFindDecoder {
     ///
     /// Panics if the detector row count differs from the graph's node
     /// count, the shot range is out of bounds, or `obs_row` is out of
-    /// range.
+    /// range (not a row of `observables`, or not below 64).
     pub fn count_failures(
         &self,
         scratch: &mut DecoderScratch,
@@ -297,8 +304,11 @@ impl UnionFindDecoder {
             "shot count mismatch"
         );
         assert!(start + len <= detectors.shots(), "shot range out of bounds");
-        assert!(obs_row < observables.rows(), "observable row out of range");
-        scratch.check_shape(self.num_nodes, self.lengths.len());
+        assert!(
+            obs_row < observables.rows() && obs_row < 64,
+            "observable row out of range"
+        );
+        scratch.check_shape(self.num_nodes, self.edges.len());
         let span = obs::span!(DECODE_NS);
         let end = start + len;
         let mut shot = start;
@@ -320,7 +330,7 @@ impl UnionFindDecoder {
                 pending &= pending - 1;
                 scratch.defects.clear();
                 scratch.defects.extend_from_slice(block_buf.rows(lane));
-                predicted |= (self.decode_current(scratch) & 1) << lane;
+                predicted |= ((self.decode_current(scratch) >> obs_row) & 1) << lane;
             }
             let actual = observables.word(obs_row, block);
             on_block((predicted ^ actual) & mask, block, lane_lo..lane_lo + lanes);
@@ -338,9 +348,8 @@ impl UnionFindDecoder {
         }
         DECODES.add(1);
         scratch.begin_shot();
-        // Defect init mirrors the reference's two ascending passes over the
-        // dense syndrome: parities first, then frontier lists in incident
-        // (ascending-edge) order.
+        // Every defect starts as an odd singleton cluster whose member list
+        // holds just itself.
         for i in 0..scratch.defects.len() {
             let v = scratch.defects[i] as usize;
             debug_assert!(
@@ -348,14 +357,10 @@ impl UnionFindDecoder {
                 "defect list must be strictly ascending and in range"
             );
             scratch.touch_node(v);
-            scratch.nodes[v].parity = 1;
-            scratch.nodes[v].flags |= F_MARKED;
-        }
-        for i in 0..scratch.defects.len() {
-            let v = scratch.defects[i] as usize;
-            for &e in self.adjacency.incident(v) {
-                scratch.frontier_push(v, e);
-            }
+            let node = &mut scratch.nodes[v];
+            node.flags = F_DEFECT | F_ODD | F_MARKED;
+            node.head = v as u32;
+            node.next = v as u32;
         }
         self.grow(scratch);
         self.peel(scratch)
@@ -364,111 +369,118 @@ impl UnionFindDecoder {
     /// Cluster growth until every cluster is neutral (even parity or
     /// touching the boundary).
     ///
-    /// The per-pass active set is maintained as a worklist instead of an
-    /// O(n) scan: candidates are the initial defects plus every union
-    /// survivor; each pass maps them through `find`, dedupes with a pass
-    /// stamp, and sorts — reproducing the reference's ascending-root order
-    /// exactly. A pass that makes no progress (every frontier empty or
-    /// fully grown) marks the scratch `stalled` and stops instead of
-    /// spinning, which can only happen on degenerate graphs where an
+    /// Each pass maps the previous pass's active roots through `find`
+    /// (every union involves an active cluster, so no active root is
+    /// missed), dedupes them with a per-pass stamp, and feeds each active
+    /// cluster's members into their ungrown edges; unions of the edges
+    /// that grew follow. A pass that makes no progress (no active member
+    /// has an ungrown edge) marks the scratch `stalled` and stops instead
+    /// of spinning, which can only happen on degenerate graphs where an
     /// odd-parity cluster has no path to a boundary.
     fn grow(&self, scratch: &mut DecoderScratch) {
         let mut passes = 0u64;
         let mut unions = 0u64;
-        scratch.candidates.clear();
-        scratch.candidates.extend_from_slice(&scratch.defects);
+        scratch.roots.clear();
+        scratch.roots.extend_from_slice(&scratch.defects);
         loop {
             passes += 1;
-            scratch.pass_id += 1;
-            scratch.pass_roots.clear();
-            for i in 0..scratch.candidates.len() {
-                let c = scratch.candidates[i] as usize;
-                let r = scratch.find(c);
-                if scratch.pass_seen[r] == scratch.pass_id {
+            scratch.pass += 1;
+            let mut active = 0;
+            for i in 0..scratch.roots.len() {
+                let r = scratch.find(scratch.roots[i] as usize);
+                let node = &mut scratch.nodes[r];
+                if node.pass == scratch.pass {
                     continue;
                 }
-                scratch.pass_seen[r] = scratch.pass_id;
-                let node = &scratch.nodes[r];
-                if node.parity % 2 == 1 && node.flags & F_BOUNDARY == 0 {
-                    scratch.pass_roots.push(r as u32);
+                node.pass = scratch.pass;
+                if node.flags & (F_ODD | F_BOUNDARY) == F_ODD {
+                    scratch.roots[active] = r as u32;
+                    active += 1;
                 }
             }
-            if scratch.pass_roots.is_empty() {
+            scratch.roots.truncate(active);
+            if active == 0 {
                 break;
             }
-            scratch.pass_roots.sort_unstable();
-            scratch.candidates.clear();
-            scratch.candidates.extend_from_slice(&scratch.pass_roots);
             scratch.newly_grown.clear();
             let mut progressed = false;
-            for i in 0..scratch.pass_roots.len() {
-                // Re-fetch root (it may have been merged earlier this pass).
-                let root = scratch.find(scratch.pass_roots[i] as usize);
-                if scratch.nodes[root].parity.is_multiple_of(2)
-                    || scratch.nodes[root].flags & F_BOUNDARY != 0
-                {
-                    continue;
-                }
-                // Take this root's frontier list; surviving cells are
-                // relinked in place, so growth never allocates.
-                let mut cur = scratch.nodes[root].f_head;
-                scratch.nodes[root].f_head = NIL;
-                scratch.nodes[root].f_tail = NIL;
-                scratch.nodes[root].f_len = 0;
-                while cur != NIL {
-                    let next = scratch.pool_next[cur as usize];
-                    let ei = scratch.pool_edge[cur as usize] as usize;
-                    scratch.touch_edge(ei);
-                    if !scratch.grown[ei] {
-                        progressed = true;
-                        scratch.support[ei] += 1;
-                        if scratch.support[ei] >= self.lengths[ei] {
-                            scratch.grown[ei] = true;
-                            scratch.newly_grown.push(ei as u32);
-                        } else {
-                            scratch.pool_next[cur as usize] = NIL;
-                            scratch.frontier_link(root, cur);
-                        }
-                    }
-                    cur = next;
-                }
-            }
-            for i in 0..scratch.newly_grown.len() {
-                let ei = scratch.newly_grown[i] as usize;
-                let u = self.edge_u[ei] as usize;
-                let ru = scratch.find(u);
-                let v = self.edge_v[ei];
-                if v == NO_NODE {
-                    scratch.nodes[ru].flags |= F_BOUNDARY;
-                    scratch.grown_boundary.push(ei as u32);
-                } else {
-                    let rv = scratch.find(v as usize);
-                    // Expand the frontier of whichever side is new.
-                    for node in [u, v as usize] {
-                        let r = scratch.find(node);
-                        if scratch.nodes[node].flags & F_VISITED == 0 {
-                            scratch.nodes[node].flags |= F_VISITED;
-                            for &x in self.adjacency.incident(node) {
-                                scratch.touch_edge(x as usize);
-                                if !scratch.grown[x as usize] {
-                                    scratch.frontier_push(r, x);
-                                }
-                            }
-                        }
-                    }
-                    if ru != rv {
-                        scratch.union(ru, rv);
-                        unions += 1;
-                    }
-                }
+            for i in 0..active {
+                let root = scratch.roots[i] as usize;
+                progressed |= self.grow_cluster(scratch, root);
             }
             if !progressed {
                 scratch.stalled = true;
                 break;
             }
+            for i in 0..scratch.newly_grown.len() {
+                let ei = scratch.newly_grown[i];
+                let edge = self.edges[ei as usize];
+                if edge.v == NO_NODE {
+                    let ru = scratch.find(edge.u as usize);
+                    scratch.nodes[ru].flags |= F_BOUNDARY;
+                    scratch.grown_boundary.push(ei);
+                    continue;
+                }
+                let ru = scratch.visit(edge.u as usize);
+                let rv = scratch.visit(edge.v as usize);
+                if ru != rv {
+                    scratch.union(ru, rv);
+                    unions += 1;
+                }
+            }
         }
         GROWTH_PASSES.add(passes);
         UNIONS.add(unions);
+    }
+
+    /// One growth step of an active cluster: every member `u` adds `w(u)`
+    /// to each of its ungrown incident edges, and members left without an
+    /// ungrown edge leave the (circular) member list for good. Returns
+    /// whether any edge gained support.
+    fn grow_cluster(&self, scratch: &mut DecoderScratch, root: usize) -> bool {
+        let head = scratch.nodes[root].head;
+        if head == NIL {
+            return false;
+        }
+        let head = head as usize;
+        let mut progressed = false;
+        // Walk head.next, …, head, so the head is visited last and every
+        // unlink has a live predecessor.
+        let mut prev = head;
+        loop {
+            let cur = scratch.nodes[prev].next as usize;
+            let w = scratch.nodes[cur].weight();
+            let mut open = false;
+            for &ei in self.adjacency.incident(cur) {
+                let len = self.edges[ei as usize].len;
+                let support = scratch.support(ei as usize);
+                if support >= len {
+                    continue;
+                }
+                progressed = true;
+                scratch.set_support(ei as usize, support + w);
+                if support + w >= len {
+                    scratch.newly_grown.push(ei);
+                } else {
+                    open = true;
+                }
+            }
+            if open {
+                prev = cur;
+            } else if cur == prev {
+                scratch.nodes[root].head = NIL;
+                break;
+            } else {
+                scratch.nodes[prev].next = scratch.nodes[cur].next;
+                if cur == head {
+                    scratch.nodes[root].head = prev as u32;
+                }
+            }
+            if cur == head {
+                break;
+            }
+        }
+        progressed
     }
 
     /// Peeling: build a spanning forest of grown edges inside each cluster
@@ -480,7 +492,7 @@ impl UnionFindDecoder {
         scratch.grown_boundary.sort_unstable();
         for i in 0..scratch.grown_boundary.len() {
             let ei = scratch.grown_boundary[i];
-            let u = self.edge_u[ei as usize] as usize;
+            let u = self.edges[ei as usize].u as usize;
             scratch.touch_node(u);
             if scratch.nodes[u].flags & F_PEEL_VISITED == 0 {
                 scratch.nodes[u].flags |= F_PEEL_VISITED;
@@ -501,19 +513,14 @@ impl UnionFindDecoder {
                 qhead += 1;
                 scratch.order.push(u as u32);
                 for &ei in self.adjacency.incident(u) {
-                    let e = ei as usize;
-                    scratch.touch_edge(e);
-                    if !scratch.grown[e] {
+                    let edge = self.edges[ei as usize];
+                    if edge.v == NO_NODE || scratch.support(ei as usize) < edge.len {
                         continue;
                     }
-                    let v = self.edge_v[e];
-                    if v == NO_NODE {
-                        continue;
-                    }
-                    let other = if self.edge_u[e] as usize == u {
-                        v as usize
+                    let other = if edge.u as usize == u {
+                        edge.v as usize
                     } else {
-                        self.edge_u[e] as usize
+                        edge.u as usize
                     };
                     scratch.touch_node(other);
                     if scratch.nodes[other].flags & F_PEEL_VISITED == 0 {
@@ -564,7 +571,7 @@ impl UnionFindDecoder {
                 continue;
             }
             let ei = scratch.nodes[u].peel_parent_edge as usize;
-            obs_mask ^= self.edge_obs[ei];
+            obs_mask ^= self.edges[ei].obs;
             scratch.nodes[u].flags &= !F_MARKED;
             discharges += 1;
             if p != PEEL_BOUNDARY {
@@ -578,7 +585,7 @@ impl UnionFindDecoder {
         obs_mask
     }
 
-    /// The original per-shot decoder, kept verbatim as the bit-identity
+    /// The original per-shot decoder, kept as the bit-identity
     /// oracle for the scratch/batch paths (mirroring `apply_reference` in
     /// qsim). Allocates a fresh dense [`DecodeState`] per call.
     ///
@@ -591,7 +598,7 @@ impl UnionFindDecoder {
         if syndrome.iter().all(|&s| !s) {
             return 0;
         }
-        let mut state = DecodeState::new(n, self.lengths.len());
+        let mut state = DecodeState::new(n, self.edges.len());
         for (v, &s) in syndrome.iter().enumerate() {
             if s {
                 state.defect[v] = true;
@@ -634,7 +641,7 @@ impl UnionFindDecoder {
                         continue;
                     }
                     state.support[ei as usize] += 1;
-                    if state.support[ei as usize] >= self.lengths[ei as usize] {
+                    if state.support[ei as usize] >= self.edges[ei as usize].len {
                         state.grown[ei as usize] = true;
                         newly_grown.push(ei);
                     } else {
@@ -646,9 +653,9 @@ impl UnionFindDecoder {
             }
             for ei in newly_grown {
                 let ei = ei as usize;
-                let u = self.edge_u[ei] as usize;
+                let u = self.edges[ei].u as usize;
                 let ru = state.find(u);
-                let v = self.edge_v[ei];
+                let v = self.edges[ei].v;
                 if v == NO_NODE {
                     state.has_boundary[ru] = true;
                 } else {
@@ -679,7 +686,7 @@ impl UnionFindDecoder {
     /// Reference peeling with dense visited/marked/parent vectors.
     fn peel_reference(&self, state: &mut DecodeState, syndrome: &[bool]) -> u64 {
         let n = self.num_nodes;
-        let m = self.lengths.len();
+        let m = self.edges.len();
         let mut marked: Vec<bool> = syndrome.to_vec();
         let mut visited = vec![false; n];
         // parent[v] = (parent node or usize::MAX for boundary, edge).
@@ -690,8 +697,8 @@ impl UnionFindDecoder {
         // into the boundary.
         let mut queue = std::collections::VecDeque::new();
         for ei in 0..m {
-            if state.grown[ei] && self.edge_v[ei] == NO_NODE {
-                let u = self.edge_u[ei] as usize;
+            if state.grown[ei] && self.edges[ei].v == NO_NODE {
+                let u = self.edges[ei].u as usize;
                 if !visited[u] {
                     visited[u] = true;
                     parent[u] = Some((usize::MAX, ei as u32));
@@ -707,14 +714,14 @@ impl UnionFindDecoder {
                     if !state.grown[ei as usize] {
                         continue;
                     }
-                    let v = self.edge_v[ei as usize];
+                    let v = self.edges[ei as usize].v;
                     if v == NO_NODE {
                         continue;
                     }
-                    let other = if self.edge_u[ei as usize] as usize == u {
+                    let other = if self.edges[ei as usize].u as usize == u {
                         v as usize
                     } else {
-                        self.edge_u[ei as usize] as usize
+                        self.edges[ei as usize].u as usize
                     };
                     if !visited[other] {
                         visited[other] = true;
@@ -741,7 +748,7 @@ impl UnionFindDecoder {
                 // valid even-parity clusters); leave undecoded.
                 continue;
             };
-            obs_mask ^= self.edge_obs[ei as usize];
+            obs_mask ^= self.edges[ei as usize].obs;
             marked[u] = false;
             if p != usize::MAX {
                 marked[p] = !marked[p];
@@ -766,15 +773,28 @@ fn lane_mask(lo: usize, count: usize) -> u64 {
 /// Per-node decode state, reset lazily by epoch stamp.
 #[derive(Clone, Copy, Debug, Default)]
 struct NodeScratch {
+    /// Shot epoch this state belongs to; an older stamp means stale.
+    epoch: u32,
     parent: u32,
-    parity: u32,
-    /// Intrusive frontier list head/tail/length (cells in the scratch pool).
-    f_head: u32,
-    f_tail: u32,
-    f_len: u32,
+    /// Root only: some member of the cluster's circular member list, or
+    /// [`NIL`] once every member has been unlinked.
+    head: u32,
+    /// Next member in the cluster's circular member list.
+    next: u32,
+    /// Root only: the last growth pass that examined this root.
+    pass: u32,
     peel_parent_node: u32,
     peel_parent_edge: u32,
     flags: u8,
+}
+
+impl NodeScratch {
+    /// Growth weight `w(u)`: one for a defect plus one for an endpoint of a
+    /// grown non-boundary edge.
+    #[inline]
+    fn weight(&self) -> u32 {
+        u32::from(self.flags & F_DEFECT != 0) + u32::from(self.flags & F_VISITED != 0)
+    }
 }
 
 /// Reusable decode arena: all per-shot state for one
@@ -788,22 +808,18 @@ pub struct DecoderScratch {
     num_edges: usize,
     /// Current shot's epoch; state stamped with an older epoch is stale.
     epoch: u32,
-    /// Monotone growth-pass stamp for worklist dedupe (never reset).
-    pass_id: u64,
-    node_epoch: Vec<u32>,
+    /// Growth-pass stamp within the current shot (root dedupe). Every pass
+    /// but the last adds support to an ungrown edge, so a shot makes at
+    /// most `Σ len + 1` passes: no wrap below 2^18 edges.
+    pass: u32,
     nodes: Vec<NodeScratch>,
-    pass_seen: Vec<u64>,
-    edge_epoch: Vec<u32>,
-    support: Vec<u32>,
-    grown: Vec<bool>,
-    /// Frontier cell pool: edge payload + next link, cleared per shot.
-    pool_edge: Vec<u32>,
-    pool_next: Vec<u32>,
+    /// Per-edge shot state, `epoch << 32 | support`; an edge has grown once
+    /// its support reaches its length.
+    edges: Vec<u64>,
     /// Staged defect list (strictly ascending detector indices).
     defects: Vec<u32>,
-    /// Growth worklist: initial defects plus union survivors.
-    candidates: Vec<u32>,
-    pass_roots: Vec<u32>,
+    /// Growth worklist: the active roots of the current pass.
+    roots: Vec<u32>,
     newly_grown: Vec<u32>,
     grown_boundary: Vec<u32>,
     order: Vec<u32>,
@@ -827,37 +843,34 @@ impl DecoderScratch {
 
     /// Starts a new shot: bump the epoch (stale state resets lazily on
     /// first touch) and clear the per-shot lists. O(touched), except on
-    /// epoch wraparound every 2³² shots, where the stamp arrays are
-    /// rewritten in full.
+    /// epoch wraparound every 2³² shots, where every stamp is rewritten to
+    /// the never-current epoch 0.
     fn begin_shot(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
         if self.epoch == 0 {
-            self.node_epoch.fill(u32::MAX);
-            self.edge_epoch.fill(u32::MAX);
+            for node in &mut self.nodes {
+                node.epoch = 0;
+            }
+            self.edges.fill(0);
             self.epoch = 1;
         }
-        self.pool_edge.clear();
-        self.pool_next.clear();
-        self.newly_grown.clear();
+        self.pass = 0;
         self.grown_boundary.clear();
         self.order.clear();
         self.queue.clear();
-        self.candidates.clear();
-        self.pass_roots.clear();
         self.stalled = false;
     }
 
     /// Lazily resets node `v` if it was last touched in an older shot.
     #[inline]
     fn touch_node(&mut self, v: usize) {
-        if self.node_epoch[v] != self.epoch {
-            self.node_epoch[v] = self.epoch;
+        if self.nodes[v].epoch != self.epoch {
             self.nodes[v] = NodeScratch {
+                epoch: self.epoch,
                 parent: v as u32,
-                parity: 0,
-                f_head: NIL,
-                f_tail: NIL,
-                f_len: 0,
+                head: NIL,
+                next: NIL,
+                pass: 0,
                 peel_parent_node: PEEL_NONE,
                 peel_parent_edge: 0,
                 flags: 0,
@@ -865,14 +878,20 @@ impl DecoderScratch {
         }
     }
 
-    /// Lazily resets edge `e` if it was last touched in an older shot.
+    /// Support of edge `e` in the current shot.
     #[inline]
-    fn touch_edge(&mut self, e: usize) {
-        if self.edge_epoch[e] != self.epoch {
-            self.edge_epoch[e] = self.epoch;
-            self.support[e] = 0;
-            self.grown[e] = false;
+    fn support(&self, e: usize) -> u32 {
+        let word = self.edges[e];
+        if (word >> 32) as u32 == self.epoch {
+            word as u32
+        } else {
+            0
         }
+    }
+
+    #[inline]
+    fn set_support(&mut self, e: usize, support: u32) {
+        self.edges[e] = u64::from(self.epoch) << 32 | u64::from(support);
     }
 
     fn find(&mut self, v: usize) -> usize {
@@ -890,66 +909,44 @@ impl DecoderScratch {
         root
     }
 
-    /// Appends a new frontier cell for `edge` to `root`'s list.
-    fn frontier_push(&mut self, root: usize, edge: u32) {
-        let cell = self.pool_edge.len() as u32;
-        self.pool_edge.push(edge);
-        self.pool_next.push(NIL);
-        self.frontier_link(root, cell);
-    }
-
-    /// Links an existing (detached) cell at the tail of `root`'s list.
-    #[inline]
-    fn frontier_link(&mut self, root: usize, cell: u32) {
-        let tail = self.nodes[root].f_tail;
-        if tail == NIL {
-            self.nodes[root].f_head = cell;
-        } else {
-            self.pool_next[tail as usize] = cell;
-        }
-        self.nodes[root].f_tail = cell;
-        self.nodes[root].f_len += 1;
-    }
-
-    /// Union with the reference tie-break: the root with the longer
-    /// frontier absorbs the other (ties go to the first argument), and the
-    /// frontier lists concatenate big-then-small — the element order the
-    /// reference's `Vec::extend` produced. The survivor goes back on the
-    /// growth worklist.
-    fn union(&mut self, a: usize, b: usize) {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra == rb {
-            return;
-        }
-        // Merge smaller frontier into larger.
-        let (big, small) = if self.nodes[ra].f_len >= self.nodes[rb].f_len {
-            (ra, rb)
-        } else {
-            (rb, ra)
-        };
-        self.nodes[small].parent = big as u32;
-        let (s_head, s_tail, s_len) = (
-            self.nodes[small].f_head,
-            self.nodes[small].f_tail,
-            self.nodes[small].f_len,
-        );
-        if s_len > 0 {
-            let b_tail = self.nodes[big].f_tail;
-            if b_tail == NIL {
-                self.nodes[big].f_head = s_head;
-            } else {
-                self.pool_next[b_tail as usize] = s_head;
+    /// Marks `v` as an endpoint of a grown non-boundary edge, raising its
+    /// weight; a node that had weight zero joins its cluster's member list.
+    /// Returns `v`'s root.
+    fn visit(&mut self, v: usize) -> usize {
+        let r = self.find(v);
+        let flags = self.nodes[v].flags;
+        if flags & F_VISITED == 0 {
+            self.nodes[v].flags |= F_VISITED;
+            if flags & F_DEFECT == 0 {
+                let head = self.nodes[r].head;
+                if head == NIL {
+                    self.nodes[v].next = v as u32;
+                    self.nodes[r].head = v as u32;
+                } else {
+                    self.nodes[v].next = self.nodes[head as usize].next;
+                    self.nodes[head as usize].next = v as u32;
+                }
             }
-            self.nodes[big].f_tail = s_tail;
-            self.nodes[big].f_len += s_len;
-            self.nodes[small].f_head = NIL;
-            self.nodes[small].f_tail = NIL;
-            self.nodes[small].f_len = 0;
         }
-        self.nodes[big].parity += self.nodes[small].parity;
-        self.nodes[big].flags |= self.nodes[small].flags & F_BOUNDARY;
-        self.candidates.push(big as u32);
+        r
+    }
+
+    /// Merges root `b` into root `a`: parities add, the boundary flag
+    /// ORs, and the circular member lists splice by swapping one
+    /// successor link from each.
+    fn union(&mut self, a: usize, b: usize) {
+        self.nodes[b].parent = a as u32;
+        let b_flags = self.nodes[b].flags;
+        self.nodes[a].flags ^= b_flags & F_ODD;
+        self.nodes[a].flags |= b_flags & F_BOUNDARY;
+        let (ha, hb) = (self.nodes[a].head, self.nodes[b].head);
+        if ha == NIL {
+            self.nodes[a].head = hb;
+        } else if hb != NIL {
+            let next_a = self.nodes[ha as usize].next;
+            self.nodes[ha as usize].next = self.nodes[hb as usize].next;
+            self.nodes[hb as usize].next = next_a;
+        }
     }
 }
 
@@ -1048,6 +1045,18 @@ mod tests {
             }
         }
         (syn, obs)
+    }
+
+    /// Every 1- and 2-error syndrome of a strip (none is empty).
+    fn strip_battery(d: usize) -> Vec<Vec<bool>> {
+        let mut battery = Vec::new();
+        for a in 0..d {
+            for b in a..d {
+                let errs: Vec<usize> = if a == b { vec![a] } else { vec![a, b] };
+                battery.push(apply_errors(d, &errs).0);
+            }
+        }
+        battery
     }
 
     #[test]
@@ -1151,16 +1160,12 @@ mod tests {
         let mut scratch = dec.new_scratch();
         // Every 1- and 2-error pattern, decoded through ONE reused scratch,
         // must match the pristine reference decoder bit for bit.
-        for a in 0..d {
-            for b in a..d {
-                let errs: Vec<usize> = if a == b { vec![a] } else { vec![a, b] };
-                let (syn, _) = apply_errors(d, &errs);
-                assert_eq!(
-                    dec.decode_with(&mut scratch, &syn),
-                    dec.decode_reference(&syn),
-                    "errors on edges {a},{b}"
-                );
-            }
+        for (i, syn) in strip_battery(d).iter().enumerate() {
+            assert_eq!(
+                dec.decode_with(&mut scratch, syn),
+                dec.decode_reference(syn),
+                "battery shot {i}"
+            );
         }
     }
 
@@ -1238,6 +1243,81 @@ mod tests {
         assert_eq!(
             partial,
             dec.count_failures(&mut scratch, &detectors, &observables, 0, 37, 60)
+        );
+    }
+
+    #[test]
+    fn batch_paths_compare_the_requested_observable_row() {
+        // Two observables: the left boundary edge flips bit 0, the right
+        // one bit 1, so the two prediction bits differ shot by shot.
+        let d = 7;
+        let mut g = MatchingGraph::new(d - 1);
+        g.add_edge(0, None, 0.05, 0b01);
+        for i in 0..d as u32 - 2 {
+            g.add_edge(i, Some(i + 1), 0.05, 0);
+        }
+        g.add_edge(d as u32 - 2, None, 0.05, 0b10);
+        let dec = UnionFindDecoder::new(&g);
+        let battery = strip_battery(d);
+        let mut detectors = BitTable::new(d - 1, battery.len());
+        let mut observables = BitTable::new(2, battery.len());
+        for (shot, syn) in battery.iter().enumerate() {
+            for (v, &s) in syn.iter().enumerate() {
+                detectors.set(v, shot, s);
+            }
+            observables.set(1, shot, shot % 3 == 0);
+        }
+        let expected: Vec<bool> = battery
+            .iter()
+            .enumerate()
+            .map(|(shot, syn)| ((dec.decode_reference(syn) >> 1) & 1 == 1) != (shot % 3 == 0))
+            .collect();
+        let mut scratch = dec.new_scratch();
+        let mut got = vec![false; battery.len()];
+        dec.decode_shots(
+            &mut scratch,
+            &detectors,
+            &observables,
+            1,
+            0,
+            battery.len(),
+            |shot, failed| got[shot] = failed,
+        );
+        assert_eq!(got, expected);
+        assert_eq!(
+            dec.count_failures(&mut scratch, &detectors, &observables, 1, 0, battery.len()),
+            expected.iter().filter(|&&f| f).count() as u64
+        );
+    }
+
+    #[test]
+    fn epoch_wraparound_resets_stale_state() {
+        let d = 9;
+        let g = strip(d, 0.05);
+        let dec = UnionFindDecoder::new(&g);
+        let carry = apply_errors(d, &[d - 1]).0;
+        let probe = apply_errors(d, &[0, 1]).0;
+        let mut scratch = dec.new_scratch();
+        // An all-defect warm-up shot stamps every node and edge with epoch
+        // 1, leaving one even cluster of grown bulk edges. From just below
+        // the wrap, three right-end shots carry the epoch across it, so the
+        // left-end probe (one defect on node 1) runs at epoch 1 again: only
+        // a full reset at the wrap keeps it from joining that stale cluster.
+        dec.decode_with(&mut scratch, &vec![true; d - 1]);
+        scratch.epoch = u32::MAX - 2;
+        let battery = strip_battery(d);
+        let shots = [&carry, &carry, &carry, &probe].into_iter().chain(&battery);
+        for syn in shots {
+            assert_eq!(
+                dec.decode_with(&mut scratch, syn),
+                dec.decode_reference(syn),
+                "epoch {}",
+                scratch.epoch
+            );
+        }
+        assert!(
+            scratch.epoch < battery.len() as u32 + 4,
+            "the shots must cross the wrap"
         );
     }
 

@@ -1,7 +1,7 @@
 //! Steady-state allocation audit for the batch decode loop.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after one
-//! warm pass has sized the scratch arena's pools and lane lists, a second
+//! warm pass has sized the scratch arena's lane lists, a second
 //! identical pass over the same shots must allocate **nothing**. This test
 //! lives in its own integration-test binary on purpose: other tests
 //! running on sibling threads would allocate inside the measurement
@@ -51,9 +51,10 @@ fn steady_state_batch_decode_allocates_nothing() {
     let samples = sample_detectors(&pool, &circuit, shots, 41);
     let mut scratch = uf.new_scratch();
 
-    // Warm pass: sizes the frontier pool (already reserved at build time),
-    // the defect/worklist vectors, and the ShotBlock lane lists for the
-    // exact shots the measured pass will revisit.
+    // Warm pass: sizes the ShotBlock lane lists for the exact shots the
+    // measured pass will revisit. Every per-node, per-edge and worklist
+    // array of the scratch is already reserved to its worst case when the
+    // scratch is built.
     let warm = uf.count_failures(
         &mut scratch,
         &samples.detectors,

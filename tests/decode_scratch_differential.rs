@@ -7,13 +7,16 @@
 //! comparison with proptest-generated matching graphs (random topology,
 //! weights, and observable masks) under random and adversarial syndromes,
 //! checks that a scratch arena stays healthy across thousands of
-//! interleaved decodes, and pins worker-count invariance of the surface
-//! shard loops that consume the batch path.
+//! interleaved decodes, runs the same comparison on real surface-memory
+//! graphs (plain and weight-conditioned syndromes), and pins worker-count
+//! invariance of the surface shard loops that consume the batch path.
 
 use hetarch::exec::WorkerPool;
 use hetarch::stab::bits::BitTable;
 use hetarch::stab::codes::{SurfaceDecoder, SurfaceMemory, SurfaceNoise};
 use hetarch::stab::decoder::{MatchingGraph, UnionFindDecoder};
+use hetarch::stab::detector::{assemble_detectors, sample_detectors};
+use hetarch::stab::frame::{sample_at_weight, FaultModel};
 use hetarch::testkit::decoder::assert_decode_paths_agree;
 use hetarch_exec::rare::RareConfig;
 use proptest::prelude::*;
@@ -155,6 +158,58 @@ proptest! {
             uf.decode_with(&mut scratch, &syn);
         }
         prop_assert_eq!(uf.decode_with(&mut scratch, &probe), expected);
+    }
+}
+
+/// Every decode path agrees with `decode_reference` on sampled syndromes
+/// of real surface-memory graphs at the Fig. 7 noise point (ancilla
+/// coherence 0.1 ms, data/ancilla coherence ratios 1 and 5).
+#[test]
+fn surface_memory_graphs_match_reference() {
+    let pool = WorkerPool::new(1);
+    for d in [3, 5] {
+        for ratio in [1.0, 5.0] {
+            let noise = SurfaceNoise {
+                t_data: ratio * 0.1e-3,
+                t_anc: 0.1e-3,
+                ..SurfaceNoise::default()
+            };
+            let mem = SurfaceMemory::new(d, d, noise);
+            let uf = UnionFindDecoder::new(&mem.matching_graph());
+            let samples = sample_detectors(&pool, &mem.circuit(), 1024, 7 + d as u64);
+            let failures = assert_decode_paths_agree(&uf, &samples.detectors, &samples.observables);
+            assert!(
+                failures > 0,
+                "d={d} ratio={ratio}: no logical failures sampled"
+            );
+        }
+    }
+}
+
+/// The same agreement on the dense conditioned syndromes of the rare-event
+/// strata: exactly `w` faults per shot, at the deep-subthreshold noise
+/// point of the rare-event benchmark (10 s coherence, p1 = 2e-5,
+/// p2 = 2e-4, p_meas = 1e-4).
+#[test]
+fn conditioned_strata_match_reference() {
+    let pool = WorkerPool::new(1);
+    let noise = SurfaceNoise {
+        t_data: 10.0,
+        t_anc: 10.0,
+        p1: 2e-5,
+        p2: 2e-4,
+        p_meas: 1e-4,
+        ..SurfaceNoise::default()
+    };
+    let mem = SurfaceMemory::new(5, 5, noise);
+    let circuit = mem.circuit();
+    let model = FaultModel::from_circuit(&circuit);
+    let uf = UnionFindDecoder::new(&mem.matching_graph());
+    for w in 2..=4 {
+        let shots = 512;
+        let frames = sample_at_weight(&circuit, &model, w, shots, 90 + w as u64, &pool);
+        let samples = assemble_detectors(&circuit, &frames.meas_flips, shots);
+        assert_decode_paths_agree(&uf, &samples.detectors, &samples.observables);
     }
 }
 
