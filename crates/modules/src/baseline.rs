@@ -12,12 +12,13 @@
 use hetarch_exec::WorkerPool;
 use serde::{Deserialize, Serialize};
 
-use hetarch_qsim::channels::{IdleParams, PauliProbs};
+use hetarch_qsim::channels::IdleParams;
 use hetarch_stab::codes::StabilizerCode;
-use hetarch_stab::pauli::PauliString;
 
-use crate::faults::{plain_rate, FaultDriver, ShotMetrics, ShotModel};
-use crate::uec::sim::{combine, CycleDecoder, UecNoise};
+use crate::faults::{
+    assert_frame_width, plain_rate, FaultDriver, ShotMetrics, ShotModel, SiteProgram,
+};
+use crate::uec::sim::{combine, uniform, CycleDecoder, UecNoise};
 
 // Homogeneous-baseline Monte-Carlo metrics.
 static HOM_METRICS: ShotMetrics = ShotMetrics::new(
@@ -138,15 +139,12 @@ pub fn layer_checks(code: &StabilizerCode) -> Vec<Vec<usize>> {
 /// lattice with routing overhead.
 #[derive(Clone, Debug)]
 pub struct HomModule {
-    code: StabilizerCode,
-    noise: UecNoise,
-    idle: IdleParams,
     embedding: Embedding,
     layers: Vec<Vec<usize>>,
     decoder: CycleDecoder,
     t_2q: f64,
     t_meas: f64,
-    plan: ShotPlan,
+    program: SiteProgram,
 }
 
 /// Result of a homogeneous baseline run.
@@ -163,23 +161,27 @@ pub struct HomResult {
 impl HomModule {
     /// Builds the baseline for `code` with compute coherence `tc`
     /// (`T1 = T2 = tc`), 100 ns two-qubit gates and 1 µs readout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the code has more than 64 qubits (the width of the shot's
+    /// Pauli frame) or `tc` is not a physical coherence time.
     pub fn new(code: StabilizerCode, tc: f64, noise: UecNoise) -> Self {
+        assert_frame_width(&code);
         let embedding = embed(&code);
         let layers = layer_checks(&code);
         let weight_cap = (code.distance().div_ceil(2)).clamp(1, 3);
         let decoder = CycleDecoder::new(&code, weight_cap, &layers);
         let mut module = HomModule {
-            code,
-            noise,
-            idle: IdleParams::new(tc, tc).expect("physical coherence"),
             embedding,
             layers,
             decoder,
             t_2q: 100e-9,
             t_meas: 1e-6,
-            plan: ShotPlan::default(),
+            program: SiteProgram::default(),
         };
-        module.plan = module.layer_noise();
+        let idle = IdleParams::new(tc, tc).expect("physical coherence");
+        module.program = module.compile(&code, idle, noise);
         module
     }
 
@@ -232,24 +234,37 @@ impl HomModule {
         }
     }
 
-    /// Per-layer noise precomputation.
-    fn layer_noise(&self) -> ShotPlan {
-        ShotPlan {
-            layers: self
-                .layers
-                .iter()
-                .map(|layer| LayerNoise {
-                    idle: self.idle.twirl_probs(self.layer_duration(layer)),
-                    checks: layer.clone(),
-                })
-                .collect(),
-            supports: self
-                .code
-                .stabilizers()
-                .iter()
-                .map(|s| s.iter_support().map(|(q, _)| q).collect())
-                .collect(),
+    /// Compiles one layered cycle into its site program: per layer, idling
+    /// on every data qubit, then per check the gate noise of its CX plus
+    /// routing chain (2 extra CXs per lattice hop) on each support qubit
+    /// and the measurement, whose ancilla flips through its CXs, the idle
+    /// and the readout.
+    fn compile(&self, code: &StabilizerCode, idle: IdleParams, noise: UecNoise) -> SiteProgram {
+        let stabs = code.stabilizers();
+        let mut program = SiteProgram::default();
+        for layer in &self.layers {
+            let layer_idle = idle.twirl_probs(self.layer_duration(layer));
+            for q in 0..code.num_qubits() {
+                program.pauli(q, layer_idle);
+            }
+            for &s in layer {
+                let support: Vec<usize> = stabs[s].iter_support().map(|(q, _)| q).collect();
+                for (&q, &swaps) in support.iter().zip(&self.embedding.route_swaps[s]) {
+                    let p_cx = noise.p2q * 4.0 / 15.0;
+                    let n_gates = 1 + 2 * swaps;
+                    let p = 1.0 - (1.0 - 3.0 * p_cx).powi(n_gates as i32);
+                    program.pauli(q, uniform(p / 3.0));
+                }
+                let w = support.len();
+                let p_gate_anc = 1.0 - (1.0 - 8.0 / 15.0 * noise.p2q).powi(w as i32);
+                let p_flip = combine(
+                    combine(p_gate_anc, layer_idle.px + layer_idle.py),
+                    noise.meas_flip,
+                );
+                program.measure(s, &stabs[s], p_flip);
+            }
         }
+        program
     }
 }
 
@@ -258,71 +273,10 @@ impl ShotModel for HomModule {
         &HOM_METRICS
     }
 
-    /// One QEC cycle against an arbitrary [`FaultDriver`]; the site-visit
-    /// order is static, exactly as in [`crate::uec::UecModule`].
     fn run_shot<D: FaultDriver>(&self, driver: &mut D) -> bool {
-        let plan = &self.plan;
-        let n = self.code.num_qubits();
-        let stabs = self.code.stabilizers();
-        let mut error = PauliString::identity(n);
-        let mut syndrome = 0u64;
-        for layer in &plan.layers {
-            for q in 0..n {
-                driver.pauli_site(&mut error, q, layer.idle);
-            }
-            for &s in &layer.checks {
-                // Per-qubit gate noise: the CX plus the routing chain
-                // (2 extra CXs per lattice hop).
-                let support = &plan.supports[s];
-                for (&q, &swaps) in support.iter().zip(&self.embedding.route_swaps[s]) {
-                    let p_cx = self.noise.p2q * 4.0 / 15.0;
-                    let n_gates = 1 + 2 * swaps;
-                    let p = 1.0 - (1.0 - 3.0 * p_cx).powi(n_gates as i32);
-                    let third = p / 3.0;
-                    driver.pauli_site(
-                        &mut error,
-                        q,
-                        PauliProbs {
-                            px: third,
-                            py: third,
-                            pz: third,
-                        },
-                    );
-                }
-                // Ancilla flip: its CXs plus idle plus readout.
-                let w = support.len();
-                let p_gate_anc = 1.0 - (1.0 - 8.0 / 15.0 * self.noise.p2q).powi(w as i32);
-                let anc_idle = layer.idle;
-                let p_flip = combine(
-                    combine(p_gate_anc, anc_idle.px + anc_idle.py),
-                    self.noise.meas_flip,
-                );
-                let mut bit = !stabs[s].commutes_with(&error);
-                if driver.flip_site(p_flip) {
-                    bit = !bit;
-                }
-                if bit {
-                    syndrome |= 1 << s;
-                }
-            }
-        }
-        self.decoder.fails(&self.code, syndrome, &mut error)
+        let (syndrome, frame) = self.program.run(driver);
+        self.decoder.fails(syndrome, frame)
     }
-}
-
-/// Per-layer noise table of the homogeneous baseline.
-#[derive(Clone, Debug)]
-struct LayerNoise {
-    idle: PauliProbs,
-    checks: Vec<usize>,
-}
-
-/// Precomputed per-cycle tables shared by every shot.
-#[derive(Clone, Debug, Default)]
-struct ShotPlan {
-    layers: Vec<LayerNoise>,
-    /// Support qubits of each stabilizer.
-    supports: Vec<Vec<usize>>,
 }
 
 /// The homogeneous baseline for surface codes: the known-optimal square

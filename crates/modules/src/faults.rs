@@ -1,16 +1,19 @@
-//! Fault-site drivers: the seam between the module Monte-Carlo shot bodies
-//! and the rare-event estimator.
+//! Fault-site programs and drivers: the seam between the module
+//! Monte-Carlo shots and the rare-event estimator.
 //!
 //! The UEC and baseline simulators visit their fault sites in a **static
 //! order** — the sequence of [`FaultDriver`] calls a shot makes never
-//! depends on sampled outcomes. That property turns one shot body into
-//! three estimators:
+//! depends on sampled outcomes. Each module therefore compiles its cycle
+//! once, in `new`, into a flat [`SiteProgram`]: Pauli sites (a qubit and
+//! its precomputed thresholds) and measurements (stabilizer masks, a
+//! syndrome bit and an ancilla-flip probability). [`SiteProgram::run`]
+//! interprets it over a two-word [`Frame`], and that one interpreter turns
+//! into three estimators by its driver:
 //!
-//! * [`RngFaults`] draws every site from an RNG — the legacy Monte-Carlo
-//!   path, consuming the exact same variate stream as the original inlined
-//!   sampling (one `f64` per Pauli site with positive total probability,
-//!   one per ancilla-flip site unconditionally), so pre-existing seeds and
-//!   goldens are preserved bit for bit.
+//! * [`RngFaults`] draws every site from an RNG — the Monte-Carlo path,
+//!   consuming one `u64` per Pauli site with positive total probability
+//!   and one per ancilla-flip site unconditionally, so seeds and goldens
+//!   keep their bits.
 //! * [`RecordFaults`] applies nothing and writes down each site's trigger
 //!   probability — one "dry" shot yields the full site table from which the
 //!   Poisson-binomial weight prior is built.
@@ -32,29 +35,219 @@ use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use hetarch_qsim::channels::PauliProbs;
+use hetarch_stab::codes::StabilizerCode;
 use hetarch_stab::pauli::{Pauli, PauliString};
+
+#[cfg(test)]
+mod reference;
+
+/// A phase-free Pauli operator on at most 64 qubits: bit `q` of `x` / `z`
+/// is the X / Z component on qubit `q`. It is the error frame of one shot,
+/// and the mask form of stabilizers, logicals and corrections.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Frame {
+    /// X components.
+    pub x: u64,
+    /// Z components.
+    pub z: u64,
+}
+
+impl Frame {
+    /// The masks of `p`, sign dropped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` acts on more than 64 qubits.
+    pub fn of(p: &PauliString) -> Self {
+        assert!(
+            p.num_qubits() <= 64,
+            "a frame holds at most 64 qubits, got {}",
+            p.num_qubits()
+        );
+        Frame {
+            x: p.x_word(0),
+            z: p.z_word(0),
+        }
+    }
+
+    /// True when `self` and `other` anticommute (odd symplectic overlap).
+    #[inline]
+    pub fn anticommutes(self, other: Frame) -> bool {
+        ((self.x & other.z) ^ (self.z & other.x)).count_ones() & 1 == 1
+    }
+
+    /// XORs Pauli `p` onto the qubit whose bit is `bit`.
+    #[inline]
+    pub fn apply(&mut self, bit: u64, p: Pauli) {
+        let (x, z) = p.xz();
+        if x {
+            self.x ^= bit;
+        }
+        if z {
+            self.z ^= bit;
+        }
+    }
+}
+
+impl std::ops::BitXorAssign for Frame {
+    #[inline]
+    fn bitxor_assign(&mut self, other: Frame) {
+        self.x ^= other.x;
+        self.z ^= other.z;
+    }
+}
+
+/// Panics unless every qubit of `code` fits one [`Frame`] bit.
+pub(crate) fn assert_frame_width(code: &StabilizerCode) {
+    assert!(
+        code.num_qubits() <= 64,
+        "{} has {} qubits; module shots track the error in a Pauli frame of at most 64 qubits",
+        code.name(),
+        code.num_qubits()
+    );
+}
+
+/// One Pauli fault site of a [`SiteProgram`]: the qubit it acts on, its
+/// per-Pauli probabilities, and the integer thresholds [`RngFaults`]
+/// compares a draw against.
+///
+/// A draw is one word `u`; the vendored `gen::<f64>()` maps it to
+/// `r = k · 2^-53` with `k = u >> 11`, exactly. For an integer `k` and
+/// any real `t`, `k · 2^-53 < t` iff `k < ceil(t · 2^53)`, and `t · 2^53`
+/// is exact in `f64`, so `threshold` turns each comparison of the
+/// historical f64 sampler into an integer one with the same outcome for
+/// every word: `r < px`, `r < px + py` (that f64 sum) and the trigger
+/// test `!(r >= total)`, which holds for every `r` when `total` is NaN.
+/// The trigger threshold is zero exactly when `total <= 0.0`, the case
+/// that draws nothing.
+#[derive(Clone, Copy, Debug)]
+pub struct PauliSite {
+    bit: u64,
+    probs: PauliProbs,
+    fire: u64,
+    x: u64,
+    xy: u64,
+}
+
+impl PauliSite {
+    /// A site on qubit `q` (`q < 64`) with probabilities `probs`.
+    pub fn new(q: usize, probs: PauliProbs) -> Self {
+        assert!(q < 64, "qubit {q} does not fit a 64-qubit frame");
+        let total = probs.total();
+        PauliSite {
+            bit: 1 << q,
+            probs,
+            fire: if total.is_nan() {
+                u64::MAX
+            } else {
+                threshold(total)
+            },
+            x: threshold(probs.px),
+            xy: threshold(probs.px + probs.py),
+        }
+    }
+
+    /// The site's per-Pauli probabilities.
+    pub fn probs(&self) -> PauliProbs {
+        self.probs
+    }
+}
+
+/// `ceil(t · 2^53)` as an integer: the `k = u >> 11` with `k · 2^-53 < t`
+/// are exactly those below it. NaN and `t <= 0` give 0 (nothing is
+/// below), and the cast saturates for `t · 2^53 >= 2^64`.
+fn threshold(t: f64) -> u64 {
+    (t * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// One instruction of a [`SiteProgram`].
+#[derive(Clone, Copy, Debug)]
+enum SiteOp {
+    /// A Pauli fault site.
+    Pauli(PauliSite),
+    /// A stabilizer measurement: the accumulated frame's parity against
+    /// `stabilizer`, XOR one ancilla-flip site of probability `p_flip`,
+    /// sets `bit` of the measured syndrome.
+    Measure {
+        stabilizer: Frame,
+        bit: u64,
+        p_flip: f64,
+    },
+}
+
+/// A module cycle compiled into its static fault-site order.
+///
+/// Built once per module; [`SiteProgram::run`] interprets it for one shot
+/// without allocating.
+#[derive(Clone, Debug, Default)]
+pub struct SiteProgram {
+    ops: Vec<SiteOp>,
+}
+
+impl SiteProgram {
+    /// Appends a Pauli fault site on qubit `q`.
+    pub fn pauli(&mut self, q: usize, probs: PauliProbs) {
+        self.ops.push(SiteOp::Pauli(PauliSite::new(q, probs)));
+    }
+
+    /// Appends the measurement of stabilizer `index` (its Pauli string
+    /// `stabilizer`) with one ancilla-flip site of probability `p_flip`.
+    pub fn measure(&mut self, index: usize, stabilizer: &PauliString, p_flip: f64) {
+        assert!(index < 64, "syndrome bit {index} does not fit a word");
+        self.ops.push(SiteOp::Measure {
+            stabilizer: Frame::of(stabilizer),
+            bit: 1 << index,
+            p_flip,
+        });
+    }
+
+    /// Runs one shot against `driver`: returns the measured syndrome and
+    /// the final error frame.
+    #[inline]
+    pub fn run<D: FaultDriver + ?Sized>(&self, driver: &mut D) -> (u64, Frame) {
+        let mut frame = Frame::default();
+        let mut syndrome = 0u64;
+        for op in &self.ops {
+            match op {
+                SiteOp::Pauli(site) => frame.apply(site.bit, driver.pauli_site(site)),
+                SiteOp::Measure {
+                    stabilizer,
+                    bit,
+                    p_flip,
+                } => {
+                    let flipped = driver.flip_site(*p_flip);
+                    if stabilizer.anticommutes(frame) != flipped {
+                        syndrome |= bit;
+                    }
+                }
+            }
+        }
+        (syndrome, frame)
+    }
+}
 
 /// One shot's source of fault decisions.
 ///
-/// A shot body calls [`FaultDriver::pauli_site`] once per potential Pauli
+/// A shot calls [`FaultDriver::pauli_site`] once per potential Pauli
 /// fault location and [`FaultDriver::flip_site`] once per potential
 /// classical-flip location, always in the same order.
 pub trait FaultDriver {
-    /// Visits a Pauli fault site on qubit `q` with per-Pauli trigger
-    /// probabilities `probs`; the driver may XOR a Pauli into `error`.
-    fn pauli_site(&mut self, error: &mut PauliString, q: usize, probs: PauliProbs);
+    /// Visits a Pauli fault site; returns the Pauli that fired there
+    /// ([`Pauli::I`] when none did). The caller applies it to its frame.
+    fn pauli_site(&mut self, site: &PauliSite) -> Pauli;
 
     /// Visits a classical bit-flip site of probability `p`; returns whether
     /// the flip fires.
     fn flip_site(&mut self, p: f64) -> bool;
 }
 
-/// The legacy Monte-Carlo driver: sample every site from `rng`.
+/// The Monte-Carlo driver: sample every site from `rng`.
 ///
-/// Stream contract (matches the historical inlined code exactly): a Pauli
-/// site consumes one variate iff its total probability is positive — the
-/// same draw decides both whether the site triggers and which Pauli it
-/// deposits — and a flip site always consumes exactly one variate.
+/// Stream contract: a Pauli site consumes one variate iff its total
+/// probability is positive — the same draw `r` decides both whether the
+/// site triggers (`r < total`) and which Pauli it deposits (X below `px`,
+/// Y below `px + py`, else Z) — and a flip site always consumes exactly
+/// one variate.
 pub struct RngFaults<'a, R: Rng + ?Sized> {
     rng: &'a mut R,
 }
@@ -67,10 +260,24 @@ impl<'a, R: Rng + ?Sized> RngFaults<'a, R> {
 }
 
 impl<R: Rng + ?Sized> FaultDriver for RngFaults<'_, R> {
-    fn pauli_site(&mut self, error: &mut PauliString, q: usize, probs: PauliProbs) {
-        sample_pauli_into(error, q, probs, self.rng);
+    #[inline]
+    fn pauli_site(&mut self, site: &PauliSite) -> Pauli {
+        if site.fire == 0 {
+            return Pauli::I;
+        }
+        let k = self.rng.next_u64() >> 11;
+        if k >= site.fire {
+            Pauli::I
+        } else if k < site.x {
+            Pauli::X
+        } else if k < site.xy {
+            Pauli::Y
+        } else {
+            Pauli::Z
+        }
     }
 
+    #[inline]
     fn flip_site(&mut self, p: f64) -> bool {
         self.rng.gen::<f64>() < p
     }
@@ -155,8 +362,9 @@ impl RecordFaults {
 }
 
 impl FaultDriver for RecordFaults {
-    fn pauli_site(&mut self, _error: &mut PauliString, _q: usize, probs: PauliProbs) {
-        self.sites.push(SiteProbs::Pauli(probs));
+    fn pauli_site(&mut self, site: &PauliSite) -> Pauli {
+        self.sites.push(SiteProbs::Pauli(site.probs));
+        Pauli::I
     }
 
     fn flip_site(&mut self, p: f64) -> bool {
@@ -208,16 +416,12 @@ impl ForcedFaults {
 }
 
 impl FaultDriver for ForcedFaults {
-    fn pauli_site(&mut self, error: &mut PauliString, q: usize, _probs: PauliProbs) {
-        if let Some(v) = self.next() {
-            let p = match v {
-                0 => Pauli::X,
-                1 => Pauli::Y,
-                _ => Pauli::Z,
-            };
-            let (cx, cz) = error.get(q).xz();
-            let (nx, nz) = p.xz();
-            error.set(q, Pauli::from_xz(cx ^ nx, cz ^ nz));
+    fn pauli_site(&mut self, _site: &PauliSite) -> Pauli {
+        match self.next() {
+            None => Pauli::I,
+            Some(0) => Pauli::X,
+            Some(1) => Pauli::Y,
+            Some(_) => Pauli::Z,
         }
     }
 
@@ -492,36 +696,6 @@ fn stratified(
     Ok(outcome)
 }
 
-/// Samples one Pauli fault at qubit `q` from `probs` and XORs it into
-/// `error`. Consumes one variate iff `probs` has positive total
-/// probability; the same draw decides both whether and which Pauli fires.
-pub(crate) fn sample_pauli_into<R: Rng + ?Sized>(
-    error: &mut PauliString,
-    q: usize,
-    probs: PauliProbs,
-    rng: &mut R,
-) {
-    let total = probs.total();
-    if total <= 0.0 {
-        return;
-    }
-    let r: f64 = rng.gen();
-    if r >= total {
-        return;
-    }
-    let p = if r < probs.px {
-        Pauli::X
-    } else if r < probs.px + probs.py {
-        Pauli::Y
-    } else {
-        Pauli::Z
-    };
-    let cur = error.get(q);
-    let (cx, cz) = cur.xz();
-    let (nx, nz) = p.xz();
-    error.set(q, Pauli::from_xz(cx ^ nx, cz ^ nz));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -536,13 +710,16 @@ mod tests {
     /// "failure" = final error anticommutes with Z (i.e. has X support) or
     /// the flip fired.
     fn toy_shot(driver: &mut impl FaultDriver) -> bool {
-        let mut error = PauliString::identity(1);
-        driver.pauli_site(&mut error, 0, probs(0.01, 0.0, 0.0));
-        driver.pauli_site(&mut error, 0, probs(0.02, 0.0, 0.005));
-        driver.pauli_site(&mut error, 0, probs(0.0, 0.0, 0.0));
+        let mut frame = Frame::default();
+        for p in [
+            probs(0.01, 0.0, 0.0),
+            probs(0.02, 0.0, 0.005),
+            probs(0.0, 0.0, 0.0),
+        ] {
+            frame.apply(1, driver.pauli_site(&PauliSite::new(0, p)));
+        }
         let flipped = driver.flip_site(0.03);
-        let (x, _) = error.get(0).xz();
-        x || flipped
+        frame.x & 1 == 1 || flipped
     }
 
     #[test]
@@ -554,6 +731,7 @@ mod tests {
         for _ in 0..2000 {
             let via_driver = toy_shot(&mut RngFaults::new(&mut a));
             let direct = {
+                use reference::sample_pauli_into;
                 let mut error = PauliString::identity(1);
                 sample_pauli_into(&mut error, 0, probs(0.01, 0.0, 0.0), &mut b);
                 sample_pauli_into(&mut error, 0, probs(0.02, 0.0, 0.005), &mut b);
@@ -564,6 +742,10 @@ mod tests {
             };
             assert_eq!(via_driver, direct);
         }
+        assert_eq!(
+            a, b,
+            "driver and inlined sampling consumed different streams"
+        );
     }
 
     #[test]

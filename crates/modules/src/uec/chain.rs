@@ -12,12 +12,12 @@ use hetarch_exec::WorkerPool;
 use serde::{Deserialize, Serialize};
 
 use hetarch_cells::UscChannel;
-use hetarch_qsim::channels::PauliProbs;
 use hetarch_stab::codes::StabilizerCode;
-use hetarch_stab::pauli::PauliString;
 
-use crate::faults::{plain_rate, FaultDriver, ShotMetrics, ShotModel};
-use crate::uec::sim::{combine, CycleDecoder, UecNoise, UecResult, UEC_METRICS};
+use crate::faults::{
+    assert_frame_width, plain_rate, FaultDriver, ShotMetrics, ShotModel, SiteProgram,
+};
+use crate::uec::sim::{combine, uniform, CycleDecoder, UecNoise, UecResult, UEC_METRICS};
 
 /// The chain geometry: segment 0 is the head USC, the rest are extensions.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -234,13 +234,9 @@ pub fn build_chain_schedule(
 /// Monte-Carlo simulator for a code running on a USC chain.
 #[derive(Clone, Debug)]
 pub struct ChainUecModule {
-    code: StabilizerCode,
-    noise: UecNoise,
     schedule: ChainSchedule,
     decoder: CycleDecoder,
-    /// Support qubits of each stabilizer.
-    supports: Vec<Vec<usize>>,
-    waves: Vec<WaveNoise>,
+    program: SiteProgram,
 }
 
 impl ChainUecModule {
@@ -248,8 +244,11 @@ impl ChainUecModule {
     ///
     /// # Panics
     ///
-    /// Panics if the code does not fit, or needs more than 63 stabilizers.
+    /// Panics if the code has more than 64 qubits (the width of the shot's
+    /// Pauli frame), does not fit the chain, or needs more than 63
+    /// stabilizers.
     pub fn new(code: StabilizerCode, usc: UscChannel, n_ext: usize, noise: UecNoise) -> Self {
+        assert_frame_width(&code);
         let shape = ChainShape::new(n_ext, usc.capacity / usc.registers);
         let assignment = search_chain_assignment(&code, &shape);
         let schedule = build_chain_schedule(&code, &assignment, &usc);
@@ -260,19 +259,11 @@ impl ChainUecModule {
             .map(|w| w.iter().map(|c| c.stabilizer).collect())
             .collect();
         let decoder = CycleDecoder::new(&code, weight_cap, &groups);
-        let supports: Vec<Vec<usize>> = code
-            .stabilizers()
-            .iter()
-            .map(|s| s.iter_support().map(|(q, _)| q).collect())
-            .collect();
-        let waves = wave_noise(&schedule, &supports, &usc, noise);
+        let program = compile(&code, &schedule, &usc, noise);
         ChainUecModule {
-            code,
-            noise,
             schedule,
             decoder,
-            supports,
-            waves,
+            program,
         }
     }
 
@@ -308,106 +299,54 @@ impl ShotModel for ChainUecModule {
         &UEC_METRICS
     }
 
-    /// One QEC cycle: per wave, storage idling on every data qubit, then
-    /// each check's exposure, SWAP (local plus chain-hop) and CX noise on
-    /// its support and one ancilla-flip site. The visit order is static.
     fn run_shot<D: FaultDriver>(&self, driver: &mut D) -> bool {
-        let n = self.code.num_qubits();
-        let stabs = self.code.stabilizers();
-        let p_sw = self.noise.p_swap * 4.0 / 15.0;
-        let p_cx = self.noise.p2q * 4.0 / 15.0;
-        let swap = PauliProbs {
-            px: p_sw,
-            py: p_sw,
-            pz: p_sw,
-        };
-        let cx = PauliProbs {
-            px: p_cx,
-            py: p_cx,
-            pz: p_cx,
-        };
-        let mut error = PauliString::identity(n);
-        let mut syndrome = 0u64;
-        for wave in &self.waves {
-            for q in 0..n {
-                driver.pauli_site(&mut error, q, wave.storage);
-            }
-            for check in &wave.checks {
-                let support = &self.supports[check.stabilizer];
-                let extra_hop_swaps = (2 * check.hops) as usize / support.len().max(1);
-                for &q in support {
-                    driver.pauli_site(&mut error, q, check.exposure);
-                    for _ in 0..(2 + extra_hop_swaps) {
-                        driver.pauli_site(&mut error, q, swap);
-                    }
-                    driver.pauli_site(&mut error, q, cx);
-                }
-                let mut bit = !stabs[check.stabilizer].commutes_with(&error);
-                if driver.flip_site(check.anc_flip) {
-                    bit = !bit;
-                }
-                if bit {
-                    syndrome |= 1 << check.stabilizer;
-                }
-            }
-        }
-        self.decoder.fails(&self.code, syndrome, &mut error)
+        let (syndrome, frame) = self.program.run(driver);
+        self.decoder.fails(syndrome, frame)
     }
 }
 
-/// Per-wave noise table of the chain schedule.
-#[derive(Clone, Debug)]
-struct WaveNoise {
-    /// Storage idling over the wave's slowest check.
-    storage: PauliProbs,
-    checks: Vec<CheckNoise>,
-}
-
-/// Noise of one check within a wave.
-#[derive(Clone, Debug)]
-struct CheckNoise {
-    stabilizer: usize,
-    /// Compute-idle twirl over the per-qubit exposure.
-    exposure: PauliProbs,
-    anc_flip: f64,
-    hops: u32,
-}
-
-/// Precomputes the per-wave noise tables of `schedule`.
-fn wave_noise(
+/// Compiles one chain cycle into its site program: per wave, storage
+/// idling over the wave's slowest check on every data qubit, then per
+/// check its exposure, SWAP (local plus chain-hop) and CX noise on each
+/// support qubit and the measurement with its ancilla flip.
+fn compile(
+    code: &StabilizerCode,
     schedule: &ChainSchedule,
-    supports: &[Vec<usize>],
     usc: &UscChannel,
     noise: UecNoise,
-) -> Vec<WaveNoise> {
-    schedule
-        .waves
-        .iter()
-        .map(|wave| {
-            let duration = wave.iter().map(|c| c.duration).fold(0.0f64, f64::max);
-            let checks = wave
-                .iter()
-                .map(|c| {
-                    let w = supports[c.stabilizer].len();
-                    let anc_idle = usc.compute_idle.twirl_probs(c.duration);
-                    let p_gate_anc = 1.0 - (1.0 - 8.0 / 15.0 * noise.p2q).powi(w as i32);
-                    CheckNoise {
-                        stabilizer: c.stabilizer,
-                        exposure: usc.compute_idle.twirl_probs(c.exposure),
-                        anc_flip: combine(
-                            combine(anc_idle.px + anc_idle.py, p_gate_anc),
-                            noise.meas_flip,
-                        ),
-                        hops: c.hops,
-                    }
-                })
-                .collect();
-            WaveNoise {
-                storage: usc.storage_idle.twirl_probs(duration),
-                checks,
+) -> SiteProgram {
+    let stabs = code.stabilizers();
+    let swap = uniform(noise.p_swap * 4.0 / 15.0);
+    let cx = uniform(noise.p2q * 4.0 / 15.0);
+    let mut program = SiteProgram::default();
+    for wave in &schedule.waves {
+        let duration = wave.iter().map(|c| c.duration).fold(0.0f64, f64::max);
+        let storage = usc.storage_idle.twirl_probs(duration);
+        for q in 0..code.num_qubits() {
+            program.pauli(q, storage);
+        }
+        for check in wave {
+            let stab = &stabs[check.stabilizer];
+            let support: Vec<usize> = stab.iter_support().map(|(q, _)| q).collect();
+            let exposure = usc.compute_idle.twirl_probs(check.exposure);
+            let extra_hop_swaps = (2 * check.hops) as usize / support.len().max(1);
+            for &q in &support {
+                program.pauli(q, exposure);
+                for _ in 0..(2 + extra_hop_swaps) {
+                    program.pauli(q, swap);
+                }
+                program.pauli(q, cx);
             }
-        })
-        .collect()
+            let anc_idle = usc.compute_idle.twirl_probs(check.duration);
+            let p_gate_anc = 1.0 - (1.0 - 8.0 / 15.0 * noise.p2q).powi(support.len() as i32);
+            let anc_flip = combine(
+                combine(anc_idle.px + anc_idle.py, p_gate_anc),
+                noise.meas_flip,
+            );
+            program.measure(check.stabilizer, stab, anc_flip);
+        }
+    }
+    program
 }
 
 #[cfg(test)]

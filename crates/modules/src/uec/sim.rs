@@ -11,7 +11,9 @@
 use hetarch_exec::WorkerPool;
 use serde::{Deserialize, Serialize};
 
-use crate::faults::{plain_rate, FaultDriver, ShotMetrics, ShotModel};
+use crate::faults::{
+    assert_frame_width, plain_rate, FaultDriver, Frame, ShotMetrics, ShotModel, SiteProgram,
+};
 
 use hetarch_cells::UscChannel;
 use hetarch_qsim::channels::PauliProbs;
@@ -70,11 +72,10 @@ pub struct UecResult {
 #[derive(Clone, Debug)]
 pub struct UecModule {
     code: StabilizerCode,
-    noise: UecNoise,
     assignment: Assignment,
     schedule: CycleSchedule,
     decoder: CycleDecoder,
-    slots: Vec<SlotNoise>,
+    program: SiteProgram,
 }
 
 impl UecModule {
@@ -84,8 +85,10 @@ impl UecModule {
     ///
     /// # Panics
     ///
-    /// Panics if the code exceeds the USC capacity.
+    /// Panics if the code has more than 64 qubits (the width of the shot's
+    /// Pauli frame) or exceeds the USC capacity.
     pub fn new(code: StabilizerCode, usc: UscChannel, noise: UecNoise) -> Self {
+        assert_frame_width(&code);
         let assignment = search_assignment(&code, usc.registers, usc.capacity / usc.registers);
         let schedule = build_schedule(&code, &assignment, &usc);
         let weight_cap = (code.distance().div_ceil(2)).clamp(1, 3);
@@ -93,14 +96,13 @@ impl UecModule {
         // schedule order.
         let groups: Vec<Vec<usize>> = schedule.checks.iter().map(|c| vec![c.stabilizer]).collect();
         let decoder = CycleDecoder::new(&code, weight_cap, &groups);
-        let slots = Self::slot_noise(&code, &usc, noise, &schedule);
+        let program = Self::compile(&code, &usc, noise, &schedule);
         UecModule {
             code,
-            noise,
             assignment,
             schedule,
             decoder,
-            slots,
+            program,
         }
     }
 
@@ -141,44 +143,54 @@ impl UecModule {
         }
     }
 
-    /// Precomputes the per-slot noise tables.
-    fn slot_noise(
+    /// Compiles one serialized cycle into its site program. Per slot:
+    /// storage idling on every data qubit (the involved ones only outside
+    /// their compute exposure, which follows as a second site), two SWAPs
+    /// and one CX per support qubit (the data-side marginal of two-qubit
+    /// depolarizing noise), then the measurement with its ancilla/readout
+    /// flip.
+    fn compile(
         code: &StabilizerCode,
         usc: &UscChannel,
         noise: UecNoise,
         schedule: &CycleSchedule,
-    ) -> Vec<SlotNoise> {
+    ) -> SiteProgram {
         let stabs = code.stabilizers();
-        schedule
-            .checks
-            .iter()
-            .map(|slot| {
-                let stab = &stabs[slot.stabilizer];
-                let support: Vec<usize> = stab.iter_support().map(|(q, _)| q).collect();
-                let mut involved = vec![false; code.num_qubits()];
-                for &q in &support {
-                    involved[q] = true;
+        let swap = uniform(noise.p_swap * 4.0 / 15.0);
+        let cx = uniform(noise.p2q * 4.0 / 15.0);
+        let mut program = SiteProgram::default();
+        for slot in &schedule.checks {
+            let stab = &stabs[slot.stabilizer];
+            let support: Vec<usize> = stab.iter_support().map(|(q, _)| q).collect();
+            let storage_uninvolved = usc.storage_idle.twirl_probs(slot.duration);
+            let storage_involved = usc
+                .storage_idle
+                .twirl_probs((slot.duration - slot.exposure).max(0.0));
+            let compute_exposure = usc.compute_idle.twirl_probs(slot.exposure);
+            for q in 0..code.num_qubits() {
+                if support.contains(&q) {
+                    program.pauli(q, storage_involved);
+                    program.pauli(q, compute_exposure);
+                } else {
+                    program.pauli(q, storage_uninvolved);
                 }
-                let anc_idle = usc.compute_idle.twirl_probs(slot.duration);
-                // X/Y on the ancilla flips its Z readout; each CX can also
-                // deposit a flipping component (8 of 15 depolarizing terms).
-                let p_gate_anc = 1.0 - (1.0 - 8.0 / 15.0 * noise.p2q).powi(slot.weight as i32);
-                let anc_flip = combine(
-                    combine(anc_idle.px + anc_idle.py, p_gate_anc),
-                    noise.meas_flip,
-                );
-                SlotNoise {
-                    storage_uninvolved: usc.storage_idle.twirl_probs(slot.duration),
-                    storage_involved: usc
-                        .storage_idle
-                        .twirl_probs((slot.duration - slot.exposure).max(0.0)),
-                    compute_exposure: usc.compute_idle.twirl_probs(slot.exposure),
-                    anc_flip,
-                    support,
-                    involved,
-                }
-            })
-            .collect()
+            }
+            for &q in &support {
+                program.pauli(q, swap);
+                program.pauli(q, swap);
+                program.pauli(q, cx);
+            }
+            let anc_idle = usc.compute_idle.twirl_probs(slot.duration);
+            // X/Y on the ancilla flips its Z readout; each CX can also
+            // deposit a flipping component (8 of 15 depolarizing terms).
+            let p_gate_anc = 1.0 - (1.0 - 8.0 / 15.0 * noise.p2q).powi(slot.weight as i32);
+            let anc_flip = combine(
+                combine(anc_idle.px + anc_idle.py, p_gate_anc),
+                noise.meas_flip,
+            );
+            program.measure(slot.stabilizer, stab, anc_flip);
+        }
+        program
     }
 }
 
@@ -187,81 +199,10 @@ impl ShotModel for UecModule {
         &UEC_METRICS
     }
 
-    /// One QEC cycle against an arbitrary [`FaultDriver`].
-    ///
-    /// The site-visit order is static — it never depends on sampled
-    /// outcomes — which is what lets the same body serve the legacy
-    /// Monte-Carlo path ([`RngFaults`], preserving the historical variate
-    /// stream exactly), the site recorder, and the forced-fault replays of
-    /// the rare-event estimator.
     fn run_shot<D: FaultDriver>(&self, driver: &mut D) -> bool {
-        let n = self.code.num_qubits();
-        let stabs = self.code.stabilizers();
-        let mut error = PauliString::identity(n);
-        let mut syndrome: u64 = 0;
-        for (slot, sn) in self.schedule.checks.iter().zip(&self.slots) {
-            // Idle noise on every data qubit for this slot.
-            for (q, &involved) in sn.involved.iter().enumerate() {
-                let probs = if involved {
-                    sn.storage_involved
-                } else {
-                    sn.storage_uninvolved
-                };
-                driver.pauli_site(&mut error, q, probs);
-                if involved {
-                    driver.pauli_site(&mut error, q, sn.compute_exposure);
-                }
-            }
-            // Gate noise: two SWAPs and one CX per involved qubit (the
-            // data-side marginal of two-qubit depolarizing noise).
-            let p_sw = self.noise.p_swap * 4.0 / 15.0;
-            let p_cx = self.noise.p2q * 4.0 / 15.0;
-            for &q in &sn.support {
-                for _ in 0..2 {
-                    driver.pauli_site(
-                        &mut error,
-                        q,
-                        PauliProbs {
-                            px: p_sw,
-                            py: p_sw,
-                            pz: p_sw,
-                        },
-                    );
-                }
-                driver.pauli_site(
-                    &mut error,
-                    q,
-                    PauliProbs {
-                        px: p_cx,
-                        py: p_cx,
-                        pz: p_cx,
-                    },
-                );
-            }
-            // Measured syndrome bit: the accumulated error so far, plus
-            // ancilla/readout faults.
-            let mut bit = !stabs[slot.stabilizer].commutes_with(&error);
-            if driver.flip_site(sn.anc_flip) {
-                bit = !bit;
-            }
-            if bit {
-                syndrome |= 1 << slot.stabilizer;
-            }
-        }
-        self.decoder.fails(&self.code, syndrome, &mut error)
+        let (syndrome, frame) = self.program.run(driver);
+        self.decoder.fails(syndrome, frame)
     }
-}
-
-/// Per-slot noise table of one serialized check.
-#[derive(Clone, Debug)]
-struct SlotNoise {
-    storage_uninvolved: PauliProbs,
-    storage_involved: PauliProbs,
-    compute_exposure: PauliProbs,
-    anc_flip: f64,
-    support: Vec<usize>,
-    /// `involved[q]` when data qubit `q` is in `support`.
-    involved: Vec<bool>,
 }
 
 /// The decode tail shared by every lookup-decoded module: the measured
@@ -270,38 +211,109 @@ struct SlotNoise {
 /// fault, never to a spurious multi-qubit correction) with the
 /// minimum-weight [`LookupDecoder`] as fallback, then a perfect round
 /// resolves any leftover syndrome.
+///
+/// Both tables are compiled to [`Frame`] masks: the first maps a measured
+/// syndrome to the first-order correction, or to the lookup correction
+/// where the first-order table has none; the second is the lookup table
+/// of the perfect round. A syndrome missing from a table corrects
+/// nothing.
 #[derive(Clone, Debug)]
 pub struct CycleDecoder {
-    lookup: LookupDecoder,
-    fault_table: HashMap<u64, PauliString>,
+    stabilizers: Vec<Frame>,
+    logicals: Vec<Frame>,
+    measured: SyndromeTable,
+    perfect: SyndromeTable,
 }
 
 impl CycleDecoder {
     /// Builds the lookup table over errors of weight ≤ `weight_cap` and
     /// the [`first_order_table`] of the extraction order `temporal_groups`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the code has more than 64 qubits or 63 stabilizers.
     pub fn new(code: &StabilizerCode, weight_cap: usize, temporal_groups: &[Vec<usize>]) -> Self {
+        assert_frame_width(code);
+        let lookup = LookupDecoder::new(code, weight_cap);
+        let r = code.stabilizers().len();
+        let mut measured = SyndromeTable::new(r);
+        let mut perfect = SyndromeTable::new(r);
+        for (bits, c) in lookup.entries() {
+            measured.insert(bits, Frame::of(c));
+            perfect.insert(bits, Frame::of(c));
+        }
+        for (bits, c) in first_order_table(code, temporal_groups) {
+            measured.insert(bits, Frame::of(&c));
+        }
         CycleDecoder {
-            lookup: LookupDecoder::new(code, weight_cap),
-            fault_table: first_order_table(code, temporal_groups),
+            stabilizers: code.stabilizers().iter().map(Frame::of).collect(),
+            logicals: code
+                .logical_x()
+                .iter()
+                .chain(code.logical_z())
+                .map(Frame::of)
+                .collect(),
+            measured,
+            perfect,
         }
     }
 
-    /// Applies the correction of measured `syndrome` and then of the
-    /// perfect round to `error` in place, and reports whether the final
-    /// error is a logical failure (a leftover syndrome or a logical flip).
-    /// Allocates nothing.
-    pub fn fails(&self, code: &StabilizerCode, syndrome: u64, error: &mut PauliString) -> bool {
-        let correction = self
-            .fault_table
-            .get(&syndrome)
-            .or_else(|| self.lookup.correction(syndrome));
-        if let Some(c) = correction {
-            error.xor_assign(c);
+    /// The syndrome of `frame`: bit `i` set when it anticommutes with
+    /// stabilizer `i`.
+    #[inline]
+    pub fn syndrome(&self, frame: Frame) -> u64 {
+        self.stabilizers.iter().enumerate().fold(0, |acc, (i, s)| {
+            acc | (u64::from(s.anticommutes(frame)) << i)
+        })
+    }
+
+    /// Corrects `frame` by the measured `syndrome` and then by the perfect
+    /// round, and reports whether the final error is a logical failure (a
+    /// leftover syndrome or a logical flip).
+    #[inline]
+    pub fn fails(&self, syndrome: u64, mut frame: Frame) -> bool {
+        frame ^= self.measured.get(syndrome);
+        frame ^= self.perfect.get(self.syndrome(frame));
+        self.syndrome(frame) != 0 || self.logicals.iter().any(|l| l.anticommutes(frame))
+    }
+}
+
+/// Codes with at most this many stabilizers index their syndrome tables
+/// directly (`2^12` frames, 64 KiB); larger codes keep a map, whose size
+/// follows the table's entries rather than the syndrome space.
+const DENSE_STABILIZERS: usize = 12;
+
+/// A syndrome → correction table; absent syndromes map to the identity.
+#[derive(Clone, Debug)]
+enum SyndromeTable {
+    Dense(Vec<Frame>),
+    Sparse(HashMap<u64, Frame>),
+}
+
+impl SyndromeTable {
+    fn new(num_stabilizers: usize) -> Self {
+        if num_stabilizers <= DENSE_STABILIZERS {
+            SyndromeTable::Dense(vec![Frame::default(); 1 << num_stabilizers])
+        } else {
+            SyndromeTable::Sparse(HashMap::new())
         }
-        if let Some(c) = self.lookup.correction(code.syndrome_bits(error)) {
-            error.xor_assign(c);
+    }
+
+    fn insert(&mut self, syndrome: u64, correction: Frame) {
+        match self {
+            SyndromeTable::Dense(t) => t[syndrome as usize] = correction,
+            SyndromeTable::Sparse(t) => {
+                t.insert(syndrome, correction);
+            }
         }
-        !code.in_normalizer(error) || code.is_logical_error(error)
+    }
+
+    #[inline]
+    fn get(&self, syndrome: u64) -> Frame {
+        match self {
+            SyndromeTable::Dense(t) => t[syndrome as usize],
+            SyndromeTable::Sparse(t) => t.get(&syndrome).copied().unwrap_or_default(),
+        }
     }
 }
 
@@ -372,6 +384,15 @@ pub fn first_order_table(
 
 pub(crate) fn combine(a: f64, b: f64) -> f64 {
     a * (1.0 - b) + b * (1.0 - a)
+}
+
+/// The Pauli channel firing X, Y and Z with probability `p` each.
+pub(crate) fn uniform(p: f64) -> PauliProbs {
+    PauliProbs {
+        px: p,
+        py: p,
+        pz: p,
+    }
 }
 
 #[cfg(test)]

@@ -7,22 +7,22 @@
 use hetarch_cells::UscCell;
 use hetarch_devices::catalog::{coherence_limited_compute, coherence_limited_storage};
 use hetarch_modules::baseline::layer_checks;
+use hetarch_modules::faults::Frame;
 use hetarch_modules::uec::{build_schedule, search_assignment, CycleDecoder};
 use hetarch_stab::codes::{color_17, reed_muller_15, rotated_surface_code, steane, StabilizerCode};
-use hetarch_stab::pauli::{Pauli, PauliString};
+use hetarch_stab::pauli::Pauli;
 
 /// Runs the full decode pipeline for a single injected fault and asserts it
 /// never produces a logical error.
 fn assert_single_faults_covered(code: &StabilizerCode, groups: &[Vec<usize>]) {
     let n = code.num_qubits();
-    let stabs = code.stabilizers();
+    let stabs: Vec<Frame> = code.stabilizers().iter().map(Frame::of).collect();
     let weight_cap = (code.distance().div_ceil(2)).clamp(1, 3);
     let decoder = CycleDecoder::new(code, weight_cap, groups);
 
-    let decode = |symptom: u64, error: &PauliString| {
-        let mut final_error = error.clone();
+    let decode = |symptom: u64, error: Frame| {
         assert!(
-            !decoder.fails(code, symptom, &mut final_error),
+            !decoder.fails(symptom, error),
             "{}: single fault left a syndrome or a logical error (symptom {symptom:#x})",
             code.name()
         );
@@ -32,23 +32,23 @@ fn assert_single_faults_covered(code: &StabilizerCode, groups: &[Vec<usize>]) {
     for k in 0..=groups.len() {
         for q in 0..n {
             for p in [Pauli::X, Pauli::Y, Pauli::Z] {
-                let e = PauliString::from_sparse(n, &[(q, p)]);
+                let mut e = Frame::default();
+                e.apply(1 << q, p);
                 let mut symptom = 0u64;
                 for group in &groups[k.min(groups.len())..] {
                     for &s in group {
-                        if !stabs[s].commutes_with(&e) {
+                        if stabs[s].anticommutes(e) {
                             symptom |= 1 << s;
                         }
                     }
                 }
-                decode(symptom, &e);
+                decode(symptom, e);
             }
         }
     }
     // Single measurement flips (no data error).
-    let identity = PauliString::identity(n);
     for s in 0..stabs.len() {
-        decode(1u64 << s, &identity);
+        decode(1u64 << s, Frame::default());
     }
 }
 

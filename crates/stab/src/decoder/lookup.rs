@@ -147,6 +147,12 @@ impl LookupDecoder {
     pub fn correction(&self, bits: u64) -> Option<&PauliString> {
         self.table.get(&bits)
     }
+
+    /// Every recorded `(syndrome, correction)` pair, in unspecified order:
+    /// for consumers that recompile the table into their own layout.
+    pub fn entries(&self) -> impl Iterator<Item = (u64, &PauliString)> + '_ {
+        self.table.iter().map(|(&bits, c)| (bits, c))
+    }
 }
 
 const PAULIS: [Pauli; 3] = [Pauli::X, Pauli::Y, Pauli::Z];
