@@ -2,26 +2,11 @@
 //!
 //! The `naive` rows run `apply_reference` (clone + conjugation sweep per
 //! Kraus operator); the `superop` rows run `apply` (the compiled
-//! `ChannelKernel` one-pass path). The PR 5 acceptance target is ≥3× on the
-//! 16-operator `Kraus2::depolarizing` at n = 5.
-//!
-//! The 2q `superop_per_state` / `superop_batch` rows compare, on a
-//! 16-state batch, a per-state loop of `Kraus2::apply` with one
-//! `Kraus2::apply_batch` call that blocks lanes of states through the
-//! kernel (target ≥1.5×). Single-qubit channels have no lane-blocked path
-//! — `Kraus1::apply_batch` is the per-state loop — so the 1q group has no
-//! batch rows.
+//! `ChannelKernel` one-pass path). The 16-operator `Kraus2::depolarizing`
+//! at n = 5 is where the kernel pays most (≥3× over the Kraus sum).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hetarch::prelude::*;
-
-/// States per batch in the 2q `superop_per_state`/`superop_batch` rows: a
-/// multiple of the lane width, sized like a cell-characterization probe set.
-const BATCH: usize = 16;
-
-fn batch_of_states(n: usize) -> Vec<DensityMatrix> {
-    (0..BATCH).map(|_| DensityMatrix::zero_state(n)).collect()
-}
 
 fn bench_kraus1(c: &mut Criterion) {
     let mut group = c.benchmark_group("channel_kernels_1q");
@@ -58,18 +43,6 @@ fn bench_kraus2(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("superop", n), &n, |b, &n| {
             let mut rho = DensityMatrix::zero_state(n);
             b.iter(|| depol.apply(&mut rho, 0, 1));
-        });
-        group.bench_with_input(BenchmarkId::new("superop_per_state", n), &n, |b, &n| {
-            let mut states = batch_of_states(n);
-            b.iter(|| {
-                for rho in states.iter_mut() {
-                    depol.apply(rho, 0, 1);
-                }
-            });
-        });
-        group.bench_with_input(BenchmarkId::new("superop_batch", n), &n, |b, &n| {
-            let mut states = batch_of_states(n);
-            b.iter(|| depol.apply_batch(&mut states, 0, 1));
         });
     }
     group.finish();

@@ -4,6 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hetarch::prelude::*;
+use hetarch::stab::codes::SurfaceDecoder;
 
 fn bench_fig4_point(c: &mut Criterion) {
     c.benchmark_group("figures")
@@ -23,10 +24,11 @@ fn bench_fig6_point(c: &mut Criterion) {
                 ..SurfaceNoise::default()
             };
             let mem = SurfaceMemory::new(13, 13, noise);
+            let pool = WorkerPool::available();
             let mut seed = 0;
             b.iter(|| {
                 seed += 1;
-                mem.logical_error_rate(1_000, seed)
+                mem.logical_error_rate_on(&pool, SurfaceDecoder::UnionFind, 1_000, seed)
             });
         });
 }
@@ -43,10 +45,11 @@ fn bench_fig9_point(c: &mut Criterion) {
             .characterize();
             let noise = UecNoise::default();
             let module = UecModule::new(color_17(), usc, noise);
+            let pool = WorkerPool::available();
             let mut seed = 0;
             b.iter(|| {
                 seed += 1;
-                module.logical_error_rate(2_000, seed)
+                module.logical_error_rate_on(&pool, 2_000, seed)
             });
         });
 }
@@ -55,6 +58,7 @@ fn bench_table4_point(c: &mut Criterion) {
     c.benchmark_group("figures")
         .sample_size(10)
         .bench_function("table4_point_sc3_sc4", |b| {
+            let pool = WorkerPool::available();
             b.iter(|| {
                 let mut cfg = CtConfig::heterogeneous(
                     rotated_surface_code(3),
@@ -62,7 +66,7 @@ fn bench_table4_point(c: &mut Criterion) {
                     50e-3,
                 );
                 cfg.shots = 1_000;
-                CtModule::new(cfg).evaluate()
+                CtModule::new(cfg).evaluate(&pool)
             });
         });
 }

@@ -31,11 +31,12 @@ fn bench_detector_assembly(c: &mut Criterion) {
     group.sample_size(10);
     let mem = SurfaceMemory::new(9, 9, SurfaceNoise::default());
     let circuit = mem.circuit();
+    let pool = WorkerPool::available();
     group.bench_function("d9_detectors_4096_shots", |b| {
         let mut seed = 0u64;
         b.iter(|| {
             seed += 1;
-            sample_detectors(WorkerPool::global(), &circuit, 4096, seed)
+            sample_detectors(&pool, &circuit, 4096, seed)
         });
     });
     group.finish();

@@ -49,6 +49,7 @@ fn bench_monte_carlo(c: &mut Criterion) {
     let ch = usc();
     let noise = UecNoise::default();
     let shots = 2_000;
+    let pool = WorkerPool::available();
     group.throughput(Throughput::Elements(shots as u64));
     for code in [steane(), color_17(), reed_muller_15()] {
         let module = UecModule::new(code.clone(), ch.clone(), noise);
@@ -59,7 +60,7 @@ fn bench_monte_carlo(c: &mut Criterion) {
                 let mut seed = 0;
                 b.iter(|| {
                     seed += 1;
-                    module.logical_error_rate(shots, seed)
+                    module.logical_error_rate_on(&pool, shots, seed)
                 });
             },
         );

@@ -15,6 +15,7 @@ use hetarch::prelude::*;
 use hetarch_bench::{header, shots};
 
 fn main() {
+    let pool = WorkerPool::available();
     header(
         "Ablations",
         "Design-choice ablations called out in DESIGN.md",
@@ -108,7 +109,7 @@ fn main() {
             p_swap,
             ..UecNoise::default()
         };
-        let r = UecModule::new(steane(), usc.clone(), noise).logical_error_rate(n, 42);
+        let r = UecModule::new(steane(), usc.clone(), noise).logical_error_rate_on(&pool, n, 42);
         println!(
             "   p_swap = {:>6.4}: logical {:.4}",
             p_swap, r.logical_error_rate
@@ -135,7 +136,7 @@ fn main() {
         module.schedule().cycle_duration * 1e6,
         serial_duration * 1e6
     );
-    let r = module.logical_error_rate(n.min(5_000), 7);
+    let r = module.logical_error_rate_on(&pool, n.min(5_000), 7);
     println!(
         "   d=6 chained logical error per cycle: {:.4}",
         r.logical_error_rate
@@ -150,7 +151,7 @@ fn main() {
         ("union-find (production)", SurfaceDecoder::UnionFind),
         ("greedy matching", SurfaceDecoder::GreedyMatching),
     ] {
-        let (_, per_round) = mem.logical_error_rate_on(WorkerPool::global(), which, n, 13);
+        let (_, per_round) = mem.logical_error_rate_on(&pool, which, n, 13);
         println!("   {name:<24} logical/round {per_round:.5}");
     }
 }

@@ -6,6 +6,7 @@ use hetarch::prelude::*;
 use hetarch_bench::{header, shots};
 
 fn main() {
+    let pool = WorkerPool::available();
     header(
         "Figure 12",
         "CT logical error probability vs T_S for three code pairs",
@@ -28,7 +29,7 @@ fn main() {
         for (_, a, b) in &pairs {
             let mut cfg = CtConfig::heterogeneous(a.clone(), b.clone(), ts * 1e-3);
             cfg.shots = n;
-            let r = CtModule::new(cfg).evaluate();
+            let r = CtModule::new(cfg).evaluate(&pool);
             print!(" {:>11.3}", r.logical_error_probability);
         }
         println!();

@@ -3,9 +3,12 @@
 //! α from the Tc = 0.1 ms baseline.
 
 use hetarch::prelude::*;
+use hetarch::stab::codes::SurfaceDecoder;
 use hetarch_bench::{header, shots};
 
 fn main() {
+    let pool = WorkerPool::available();
+    let uf = SurfaceDecoder::UnionFind;
     header(
         "Figure 6",
         "d = 13 surface code, Tc baseline 0.1 ms, p2 = 1%, 1 us readout.\n\
@@ -29,8 +32,9 @@ fn main() {
             t_anc: base.t_anc * alpha,
             ..base
         };
-        let (_, p_data) = SurfaceMemory::new(d, d, data_noise).logical_error_rate(n, 6);
-        let (_, p_anc) = SurfaceMemory::new(d, d, anc_noise).logical_error_rate(n, 7);
+        let (_, p_data) =
+            SurfaceMemory::new(d, d, data_noise).logical_error_rate_on(&pool, uf, n, 6);
+        let (_, p_anc) = SurfaceMemory::new(d, d, anc_noise).logical_error_rate_on(&pool, uf, n, 7);
         if alpha == 1.0 {
             homogeneous = Some(p_data);
         }

@@ -3,9 +3,11 @@
 //! system is the ratio-1 column.
 
 use hetarch::prelude::*;
+use hetarch::stab::codes::SurfaceDecoder;
 use hetarch_bench::{header, shots};
 
 fn main() {
+    let pool = WorkerPool::available();
     header(
         "Figure 7",
         "Logical error per cycle vs distance for T_CD/T_CA ratios (T_CA = 0.1 ms)",
@@ -26,7 +28,12 @@ fn main() {
                 t_data: 0.1e-3 * ratio,
                 ..SurfaceNoise::default()
             };
-            let (_, p) = SurfaceMemory::new(d, d, noise).logical_error_rate(n, 8 + d as u64);
+            let (_, p) = SurfaceMemory::new(d, d, noise).logical_error_rate_on(
+                &pool,
+                SurfaceDecoder::UnionFind,
+                n,
+                8 + d as u64,
+            );
             print!(" {:>10.5}", p);
         }
         println!();

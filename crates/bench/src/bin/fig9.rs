@@ -5,6 +5,7 @@ use hetarch::prelude::*;
 use hetarch_bench::{header, shots};
 
 fn main() {
+    let pool = WorkerPool::available();
     header(
         "Figure 9",
         "Per-cycle logical error on the UEC module vs T_S (serialized checks,\n\
@@ -35,7 +36,7 @@ fn main() {
             )
             .expect("design rules hold")
             .characterize();
-            let r = UecModule::new(code.clone(), usc, noise).logical_error_rate(n, 9);
+            let r = UecModule::new(code.clone(), usc, noise).logical_error_rate_on(&pool, n, 9);
             print!(" {:>9.4}", r.logical_error_rate);
         }
         println!();

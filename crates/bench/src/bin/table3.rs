@@ -4,7 +4,15 @@
 use hetarch::prelude::*;
 use hetarch_bench::{header, shots};
 
-fn uec_rate(code: &StabilizerCode, p2q: f64, tc: f64, ts: f64, n: usize, seed: u64) -> f64 {
+fn uec_rate(
+    pool: &WorkerPool,
+    code: &StabilizerCode,
+    p2q: f64,
+    tc: f64,
+    ts: f64,
+    n: usize,
+    seed: u64,
+) -> f64 {
     let usc = UscCell::new(
         catalog::coherence_limited_compute(tc),
         catalog::coherence_limited_storage(ts),
@@ -17,7 +25,7 @@ fn uec_rate(code: &StabilizerCode, p2q: f64, tc: f64, ts: f64, n: usize, seed: u
         ..UecNoise::default()
     };
     UecModule::new(code.clone(), usc, noise)
-        .logical_error_rate(n, seed)
+        .logical_error_rate_on(pool, n, seed)
         .logical_error_rate
 }
 
@@ -26,14 +34,14 @@ fn uec_rate(code: &StabilizerCode, p2q: f64, tc: f64, ts: f64, n: usize, seed: u
 /// interpolating the crossing. Computed idle-free (gate errors only), the
 /// code-intrinsic break-even the paper's PT column reports; the Het./Hom.
 /// columns include the full idle model.
-fn pseudothreshold(code: &StabilizerCode, n: usize) -> Option<f64> {
+fn pseudothreshold(pool: &WorkerPool, code: &StabilizerCode, n: usize) -> Option<f64> {
     let grid: Vec<f64> = (0..13).map(|i| 2.5e-4 * 2f64.powi(i)).collect(); // 2.5e-4 .. ~1
     let mut prev: Option<(f64, f64)> = None;
     for &p in &grid {
         if p > 0.6 {
             break;
         }
-        let logical = uec_rate(code, p, 1e3, 1e3, n, 33);
+        let logical = uec_rate(pool, code, p, 1e3, 1e3, n, 33);
         let margin = logical - p;
         if let Some((pp, pm)) = prev {
             if pm < 0.0 && margin >= 0.0 {
@@ -51,6 +59,7 @@ fn pseudothreshold(code: &StabilizerCode, n: usize) -> Option<f64> {
 }
 
 fn main() {
+    let pool = WorkerPool::available();
     header(
         "Table 3",
         "QEC code, pseudothreshold (PT), het/hom logical error rates and\n\
@@ -73,18 +82,18 @@ fn main() {
     ];
     for (code, has_pt) in codes {
         let pt = if has_pt {
-            pseudothreshold(&code, pt_shots)
+            pseudothreshold(&pool, &code, pt_shots)
                 .map(|p| format!("{p:.4}"))
                 .unwrap_or_else(|| "-".into())
         } else {
             "-".into() // thresholds, not pseudothresholds, apply
         };
-        let het = uec_rate(&code, 1e-2, 0.5e-3, 50e-3, n, 42);
+        let het = uec_rate(&pool, &code, 1e-2, 0.5e-3, 50e-3, n, 42);
         let hom = if code.name().starts_with("SC") {
-            hom_surface_logical_error(code.distance(), 0.5e-3, noise, n, 43)
+            hom_surface_logical_error(&pool, code.distance(), 0.5e-3, noise, n, 43)
         } else {
             HomModule::new(code.clone(), 0.5e-3, noise)
-                .logical_error_rate(n, 43)
+                .logical_error_rate_on(&pool, n, 43)
                 .logical_error_rate
         };
         let red = if het < hom {

@@ -6,6 +6,7 @@ use hetarch::prelude::*;
 use hetarch_bench::{header, shots};
 
 fn main() {
+    let pool = WorkerPool::available();
     header(
         "Table 4",
         "CT logical error probabilities: heterogeneous above the diagonal,\n\
@@ -26,10 +27,10 @@ fn main() {
         for j in (i + 1)..k {
             let mut cfg = CtConfig::heterogeneous(codes[i].clone(), codes[j].clone(), 50e-3);
             cfg.shots = n;
-            het[i][j] = CtModule::new(cfg).evaluate().logical_error_probability;
+            het[i][j] = CtModule::new(cfg).evaluate(&pool).logical_error_probability;
             let mut cfg = CtConfig::homogeneous(codes[i].clone(), codes[j].clone());
             cfg.shots = n;
-            hom[j][i] = CtModule::new(cfg).evaluate().logical_error_probability;
+            hom[j][i] = CtModule::new(cfg).evaluate(&pool).logical_error_probability;
         }
     }
 

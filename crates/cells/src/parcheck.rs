@@ -142,47 +142,33 @@ impl ParCheckCell {
         let idle_b_ch = idle_b
             .channel(g2.time + t_read)
             .expect("non-negative duration");
-        // All five probes (four classical basis inputs + the Bell coherence
-        // probe) run the same circuit, so they are materialized up front and
-        // every channel step is one batched apply over the whole set.
-        let mut states: Vec<DensityMatrix> = (0..4usize)
-            .map(|input| {
-                let mut rho = DensityMatrix::zero_state(2);
-                if input & 1 == 1 {
-                    hetarch_qsim::gates::x(&mut rho, 0);
-                }
-                if input & 2 == 2 {
-                    hetarch_qsim::gates::x(&mut rho, 1);
-                }
-                rho
-            })
-            .collect();
-        states.push({
-            let mut rho = DensityMatrix::zero_state(2);
-            hetarch_qsim::gates::h(&mut rho, 0);
-            rho
-        });
         // CX from a (qubit 0) onto b (qubit 1), then decoherence during the
-        // gate and the readout window.
-        for rho in states.iter_mut() {
-            hetarch_qsim::gates::cnot(rho, 0, 1);
-        }
-        depol2.apply_batch(&mut states, 0, 1);
-        idle_a_ch.apply_batch(&mut states, 0);
-        idle_b_ch.apply_batch(&mut states, 1);
+        // gate and the readout window; all five probes run this circuit.
+        let run = |mut rho: DensityMatrix| {
+            hetarch_qsim::gates::cnot(&mut rho, 0, 1);
+            depol2.apply(&mut rho, 0, 1);
+            idle_a_ch.apply(&mut rho, 0);
+            idle_b_ch.apply(&mut rho, 1);
+            rho
+        };
 
         let mut total = 0.0;
-        for (input, rho) in states.iter().take(4).enumerate() {
+        for input in 0..4usize {
+            let mut rho = DensityMatrix::zero_state(2);
+            if input & 1 == 1 {
+                hetarch_qsim::gates::x(&mut rho, 0);
+            }
+            if input & 2 == 2 {
+                hetarch_qsim::gates::x(&mut rho, 1);
+            }
+            let mut rho = run(rho);
             let parity = (input & 1) ^ ((input >> 1) & 1) == 1;
             let p_correct = {
                 let mut branch = rho.clone();
                 project_z(&mut branch, 1, parity)
             };
             // Preservation of qubit a: probability its Z value survived.
-            let keep_a = {
-                let mut branch = rho.clone();
-                project_z(&mut branch, 0, input & 1 == 1)
-            };
+            let keep_a = project_z(&mut rho, 0, input & 1 == 1);
             total += p_correct * keep_a;
         }
         let classical_fidelity = total / 4.0;
@@ -194,7 +180,9 @@ impl ParCheckCell {
             use hetarch_qsim::complex::C64;
             let inv = std::f64::consts::FRAC_1_SQRT_2;
             let phi_plus = [C64::new(inv, 0.0), C64::ZERO, C64::ZERO, C64::new(inv, 0.0)];
-            hetarch_qsim::fidelity::fidelity_with_pure(&states[4], &phi_plus)
+            let mut rho = DensityMatrix::zero_state(2);
+            hetarch_qsim::gates::h(&mut rho, 0);
+            hetarch_qsim::fidelity::fidelity_with_pure(&run(rho), &phi_plus)
         };
 
         // Report the worst probe family: the cell abstraction must hold for

@@ -6,7 +6,6 @@
 
 use hetarch_qsim::channels::{IdleParams, Kraus2};
 use hetarch_qsim::matrix::Mat;
-use hetarch_qsim::state::DensityMatrix;
 use serde::{Deserialize, Serialize};
 
 use hetarch_devices::device::{DeviceRole, DeviceSpec};
@@ -111,8 +110,7 @@ impl RegisterCell {
             IdleParams::new(storage.t1, storage.t2).expect("catalog storage coherence is physical");
 
         // Channels are hoisted out of the probe closure so each compiles its
-        // superoperator kernel once across the six Pauli-eigenstate probes;
-        // each channel step is one batched apply over the whole probe set.
+        // superoperator kernel once across the six Pauli-eigenstate probes.
         let depol_swap =
             Kraus2::depolarizing(swap.error).expect("gate error validated by DeviceSpec");
         let compute_idle_ch = compute_idle
@@ -121,14 +119,12 @@ impl RegisterCell {
         let storage_idle_ch = storage_idle
             .channel(swap.time)
             .expect("non-negative duration");
-        let fidelity = average_transfer_fidelity(|states: &mut [DensityMatrix]| {
+        let fidelity = average_transfer_fidelity(|rho| {
             // Qubit 0 = compute (input), qubit 1 = storage mode.
-            for rho in states.iter_mut() {
-                rho.apply_2q(0, 1, &Mat::swap());
-            }
-            depol_swap.apply_batch(states, 0, 1);
-            compute_idle_ch.apply_batch(states, 0);
-            storage_idle_ch.apply_batch(states, 1);
+            rho.apply_2q(0, 1, &Mat::swap());
+            depol_swap.apply(rho, 0, 1);
+            compute_idle_ch.apply(rho, 0);
+            storage_idle_ch.apply(rho, 1);
         });
 
         RegisterChannel {

@@ -158,64 +158,46 @@ impl SeqOpCell {
         let idle_swap = channels_for(swap_phase);
         let idle_g2 = channels_for(g2_c1.time);
 
-        // Qubits: 0 = s1 mode, 1 = c1, 2 = c2, 3 = s2 mode. All nine product
-        // probes run the same circuit, so they are materialized up front and
-        // every gate/channel step sweeps the whole batch — channel steps as
-        // one batched apply each.
-        let idle_all = |states: &mut [DensityMatrix], chs: &[(usize, Kraus1)]| {
+        // Qubits: 0 = s1 mode, 1 = c1, 2 = c2, 3 = s2 mode. Each of the nine
+        // product probes runs the circuit on its own state.
+        let idle_all = |rho: &mut DensityMatrix, chs: &[(usize, Kraus1)]| {
             for (q, ch) in chs {
-                ch.apply_batch(states, *q);
+                ch.apply(rho, *q);
             }
         };
         let probes = [0usize, 1, 2]; // 0 -> |0>, 1 -> |1>, 2 -> |+>
-        let inputs: Vec<(usize, usize)> = probes
-            .iter()
-            .flat_map(|&a| probes.iter().map(move |&b| (a, b)))
-            .collect();
-        let mut states: Vec<DensityMatrix> = inputs
-            .iter()
-            .map(|&(a, b)| {
+        let mut total = 0.0;
+        for a in probes {
+            for b in probes {
                 let mut rho = DensityMatrix::zero_state(4);
                 prepare(&mut rho, 0, a);
                 prepare(&mut rho, 3, b);
-                rho
-            })
-            .collect();
-        // Load both operands (parallel swaps).
-        for rho in states.iter_mut() {
-            gates::swap(rho, 0, 1);
-            gates::swap(rho, 3, 2);
+                // Load both operands (parallel swaps).
+                gates::swap(&mut rho, 0, 1);
+                gates::swap(&mut rho, 3, 2);
+                depol_swap1.apply(&mut rho, 0, 1);
+                depol_swap2.apply(&mut rho, 3, 2);
+                idle_all(&mut rho, &idle_swap);
+                // Entangle (c1 drives the CNOT, so its gate quality applies).
+                gates::cnot(&mut rho, 1, 2);
+                depol_g2_c1.apply(&mut rho, 1, 2);
+                idle_all(&mut rho, &idle_g2);
+                // Store back.
+                gates::swap(&mut rho, 0, 1);
+                gates::swap(&mut rho, 3, 2);
+                depol_swap1.apply(&mut rho, 0, 1);
+                depol_swap2.apply(&mut rho, 3, 2);
+                idle_all(&mut rho, &idle_swap);
+                let out = rho.partial_trace(&[0, 3]);
+                total += fidelity_with_pure(&out, &ideal_cnot_output(a, b));
+            }
         }
-        depol_swap1.apply_batch(&mut states, 0, 1);
-        depol_swap2.apply_batch(&mut states, 3, 2);
-        idle_all(&mut states, &idle_swap);
-        // Entangle (c1 drives the CNOT, so its gate quality applies).
-        for rho in states.iter_mut() {
-            gates::cnot(rho, 1, 2);
-        }
-        depol_g2_c1.apply_batch(&mut states, 1, 2);
-        idle_all(&mut states, &idle_g2);
-        // Store back.
-        for rho in states.iter_mut() {
-            gates::swap(rho, 0, 1);
-            gates::swap(rho, 3, 2);
-        }
-        depol_swap1.apply_batch(&mut states, 0, 1);
-        depol_swap2.apply_batch(&mut states, 3, 2);
-        idle_all(&mut states, &idle_swap);
-
-        let mut total = 0.0;
-        for (&(a, b), rho) in inputs.iter().zip(&states) {
-            let out = rho.partial_trace(&[0, 3]);
-            total += fidelity_with_pure(&out, &ideal_cnot_output(a, b));
-        }
-        let cnot_fid = (total / inputs.len() as f64).clamp(0.0, 1.0);
+        let cnot_fid = (total / (probes.len() * probes.len()) as f64).clamp(0.0, 1.0);
         let cnot_time = 2.0 * swap_phase + g2_c1.time;
 
         // Parity check on the two in-compute qubits via the cp ancilla:
         // CX(c1 -> cp), CX(c2 -> cp), measure cp. Characterized over the
-        // four classical inputs on three qubits (0 = c1, 1 = c2, 2 = cp),
-        // batched the same way.
+        // four classical inputs on three qubits (0 = c1, 1 = c2, 2 = cp).
         // The parity window spans both serial CXs plus readout; `x + x`
         // equals `2.0 * x` bit for bit, so the uncalibrated duration is
         // unchanged. Each compute slot decoheres with its own parameters.
@@ -223,34 +205,24 @@ impl SeqOpCell {
         let idle_par_c1 = compute_idle.channel(parity_window).expect("valid");
         let idle_par_c2 = idle_c2.channel(parity_window).expect("valid");
         let idle_par_cp = idle_cp.channel(parity_window).expect("valid");
-        let mut pstates: Vec<DensityMatrix> = (0..4usize)
-            .map(|input| {
-                let mut rho = DensityMatrix::zero_state(3);
-                if input & 1 == 1 {
-                    gates::x(&mut rho, 0);
-                }
-                if input & 2 == 2 {
-                    gates::x(&mut rho, 1);
-                }
-                rho
-            })
-            .collect();
-        for rho in pstates.iter_mut() {
-            gates::cnot(rho, 0, 2);
-        }
-        depol_g2_c1.apply_batch(&mut pstates, 0, 2);
-        for rho in pstates.iter_mut() {
-            gates::cnot(rho, 1, 2);
-        }
-        depol_g2_c2.apply_batch(&mut pstates, 1, 2);
-        idle_par_c1.apply_batch(&mut pstates, 0);
-        idle_par_c2.apply_batch(&mut pstates, 1);
-        idle_par_cp.apply_batch(&mut pstates, 2);
         let mut ptotal = 0.0;
-        for (input, rho) in pstates.iter().enumerate() {
+        for input in 0..4usize {
+            let mut rho = DensityMatrix::zero_state(3);
+            if input & 1 == 1 {
+                gates::x(&mut rho, 0);
+            }
+            if input & 2 == 2 {
+                gates::x(&mut rho, 1);
+            }
+            gates::cnot(&mut rho, 0, 2);
+            depol_g2_c1.apply(&mut rho, 0, 2);
+            gates::cnot(&mut rho, 1, 2);
+            depol_g2_c2.apply(&mut rho, 1, 2);
+            idle_par_c1.apply(&mut rho, 0);
+            idle_par_c2.apply(&mut rho, 1);
+            idle_par_cp.apply(&mut rho, 2);
             let parity = ((input & 1) ^ ((input >> 1) & 1)) == 1;
-            let mut branch = rho.clone();
-            ptotal += project_z(&mut branch, 2, parity);
+            ptotal += project_z(&mut rho, 2, parity);
         }
         let parity_fid = (ptotal / 4.0).clamp(0.0, 1.0);
 

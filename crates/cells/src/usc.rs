@@ -194,59 +194,45 @@ impl UscCell {
         let idle_read = channels_for(t_read);
 
         // Qubits: 0 = s0 mode, 1 = c0, 2 = s1 mode, 3 = c1, 4 = ancilla.
-        // All four classical inputs run the same circuit, so they are
-        // materialized up front and every channel step is one batched
-        // apply over the whole probe set.
-        let idle_all = |states: &mut [DensityMatrix], chs: &[(usize, Kraus1)]| {
+        // Each of the four classical inputs runs the circuit on its own
+        // state.
+        let idle_all = |rho: &mut DensityMatrix, chs: &[(usize, Kraus1)]| {
             for (q, ch) in chs {
-                ch.apply_batch(states, *q);
+                ch.apply(rho, *q);
             }
         };
-        let mut states: Vec<DensityMatrix> = (0..4usize)
-            .map(|input| {
-                let mut rho = DensityMatrix::zero_state(5);
-                if input & 1 == 1 {
-                    gates::x(&mut rho, 0);
-                }
-                if input & 2 == 2 {
-                    gates::x(&mut rho, 2);
-                }
-                rho
-            })
-            .collect();
-        // Swap out (parallel: data live in different registers).
-        for rho in states.iter_mut() {
-            gates::swap(rho, 0, 1);
-            gates::swap(rho, 2, 3);
-        }
-        depol_swap0.apply_batch(&mut states, 0, 1);
-        depol_swap1.apply_batch(&mut states, 2, 3);
-        idle_all(&mut states, &idle_swap);
-        // Serial CXs to ancilla; each is driven by its register's compute
-        // device, so its gate quality and duration apply.
-        for rho in states.iter_mut() {
-            gates::cnot(rho, 1, 4);
-        }
-        depol_g2_c0.apply_batch(&mut states, 1, 4);
-        idle_all(&mut states, &idle_g2_first);
-        for rho in states.iter_mut() {
-            gates::cnot(rho, 3, 4);
-        }
-        depol_g2_c1.apply_batch(&mut states, 3, 4);
-        idle_all(&mut states, &idle_g2_second);
-        // Swap back.
-        for rho in states.iter_mut() {
-            gates::swap(rho, 0, 1);
-            gates::swap(rho, 2, 3);
-        }
-        depol_swap0.apply_batch(&mut states, 0, 1);
-        depol_swap1.apply_batch(&mut states, 2, 3);
-        idle_all(&mut states, &idle_swap);
-        // Readout window.
-        idle_all(&mut states, &idle_read);
-
         let mut total = 0.0;
-        for (input, rho) in states.iter().enumerate() {
+        for input in 0..4usize {
+            let mut rho = DensityMatrix::zero_state(5);
+            if input & 1 == 1 {
+                gates::x(&mut rho, 0);
+            }
+            if input & 2 == 2 {
+                gates::x(&mut rho, 2);
+            }
+            // Swap out (parallel: data live in different registers).
+            gates::swap(&mut rho, 0, 1);
+            gates::swap(&mut rho, 2, 3);
+            depol_swap0.apply(&mut rho, 0, 1);
+            depol_swap1.apply(&mut rho, 2, 3);
+            idle_all(&mut rho, &idle_swap);
+            // Serial CXs to ancilla; each is driven by its register's compute
+            // device, so its gate quality and duration apply.
+            gates::cnot(&mut rho, 1, 4);
+            depol_g2_c0.apply(&mut rho, 1, 4);
+            idle_all(&mut rho, &idle_g2_first);
+            gates::cnot(&mut rho, 3, 4);
+            depol_g2_c1.apply(&mut rho, 3, 4);
+            idle_all(&mut rho, &idle_g2_second);
+            // Swap back.
+            gates::swap(&mut rho, 0, 1);
+            gates::swap(&mut rho, 2, 3);
+            depol_swap0.apply(&mut rho, 0, 1);
+            depol_swap1.apply(&mut rho, 2, 3);
+            idle_all(&mut rho, &idle_swap);
+            // Readout window.
+            idle_all(&mut rho, &idle_read);
+
             let parity = ((input & 1) ^ ((input >> 1) & 1)) == 1;
             let p_syndrome = {
                 let mut b = rho.clone();
@@ -256,10 +242,7 @@ impl UscCell {
                 let mut b = rho.clone();
                 project_z(&mut b, 0, input & 1 == 1)
             };
-            let p_data1 = {
-                let mut b = rho.clone();
-                project_z(&mut b, 2, input & 2 == 2)
-            };
+            let p_data1 = project_z(&mut rho, 2, input & 2 == 2);
             total += p_syndrome * p_data0 * p_data1;
         }
         let fidelity = (total / 4.0).clamp(0.0, 1.0);

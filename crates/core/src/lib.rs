@@ -75,7 +75,7 @@ pub mod prelude {
     pub use hetarch_devices::catalog;
     pub use hetarch_devices::rules::validate;
     pub use hetarch_devices::{DeviceGraph, DeviceId, DeviceRole, DeviceSpec};
-    pub use hetarch_dse::{pareto_front, sweep, Axis, CostLedger, DesignSpace};
+    pub use hetarch_dse::{pareto_front, sweep_on, Axis, CostLedger, DesignSpace};
     pub use hetarch_exec::rare::{RareConfig, RareOutcome, RareReport};
     pub use hetarch_exec::{shard_seed, shards, Shard, WorkerPool};
     pub use hetarch_modules::baseline::{hom_surface_logical_error, HomModule};

@@ -146,7 +146,7 @@ pub fn catalog() -> Vec<DeviceSpec> {
 }
 
 /// Single-mode planar resonator (§3.1: coherence times of 1 ms demonstrated
-/// on-chip [41]).
+/// on-chip \[41\]).
 pub fn planar_resonator() -> DeviceSpec {
     DeviceSpec {
         name: "Single-mode planar resonator".into(),
@@ -167,7 +167,7 @@ pub fn planar_resonator() -> DeviceSpec {
     }
 }
 
-/// Micromachined resonator (§3.1: 5 ms coherence [63]).
+/// Micromachined resonator (§3.1: 5 ms coherence \[63\]).
 pub fn micromachined_resonator() -> DeviceSpec {
     DeviceSpec {
         name: "Micromachined resonator".into(),
@@ -192,8 +192,8 @@ pub fn micromachined_resonator() -> DeviceSpec {
     }
 }
 
-/// Speculative nanomechanical resonator (§3.1: >1 s phonon lifetimes [69] if
-/// coupling to superconducting qubits [93] succeeds).
+/// Speculative nanomechanical resonator (§3.1: >1 s phonon lifetimes \[69\] if
+/// coupling to superconducting qubits \[93\] succeeds).
 pub fn nanomechanical_resonator() -> DeviceSpec {
     DeviceSpec {
         name: "Nanomechanical resonator (speculative)".into(),

@@ -12,7 +12,7 @@ use hetarch_exec::WorkerPool;
 use hetarch_modules::distill::{DistillConfig, DistillModule};
 
 use crate::space::{Axis, DesignSpace};
-use crate::sweep::sweep;
+use crate::sweep::sweep_on;
 
 /// One evaluated distillation design point.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -39,6 +39,7 @@ pub struct DistillExploration {
 /// smallest `T_S` that achieves `threshold` (e.g. 0.9) of the best delivered
 /// rate — the paper's "Ts = 1 ms is sufficient above 10 kHz" style finding.
 pub fn explore_distill_storage(
+    pool: &WorkerPool,
     gen_rate_hz: f64,
     ts_values: &[f64],
     sim_duration: f64,
@@ -46,7 +47,7 @@ pub fn explore_distill_storage(
     seed: u64,
 ) -> DistillExploration {
     let space = DesignSpace::new(vec![Axis::new("ts", ts_values.to_vec())]);
-    let results = sweep(&space, |p| {
+    let results = sweep_on(pool, space.points(), |p| {
         let ts = p.get("ts");
         let module = DistillModule::new(DistillConfig::heterogeneous(ts, gen_rate_hz, seed));
         module.run(sim_duration).delivered_rate_hz
@@ -71,61 +72,6 @@ pub fn explore_distill_storage(
         points,
         sufficient_ts,
     }
-}
-
-/// One evaluated surface-code design point.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
-pub struct SurfacePoint {
-    /// Data-qubit coherence scaling factor α.
-    pub alpha: f64,
-    /// Whether α was applied to data (true) or ancilla (false) qubits.
-    pub scaled_data: bool,
-    /// Logical error rate per cycle.
-    pub logical_per_round: f64,
-}
-
-/// Sweeps the data- vs ancilla-coherence scaling of Fig. 6 and reports where
-/// the returns diminish (the largest α whose marginal improvement still
-/// exceeds `min_gain`, e.g. 5%).
-pub fn explore_surface_coherence(
-    d: usize,
-    base_tc: f64,
-    alphas: &[f64],
-    shots: usize,
-    seed: u64,
-) -> Vec<SurfacePoint> {
-    use hetarch_stab::codes::{SurfaceMemory, SurfaceNoise};
-    let mut space_axes = vec![Axis::new("alpha", alphas.to_vec())];
-    space_axes.push(Axis::new("data", vec![0.0, 1.0]));
-    let space = DesignSpace::new(space_axes);
-    let results = sweep(&space, |p| {
-        let alpha = p.get("alpha");
-        let scaled_data = p.get("data") > 0.5;
-        let noise = SurfaceNoise {
-            t_data: if scaled_data {
-                base_tc * alpha
-            } else {
-                base_tc
-            },
-            t_anc: if scaled_data {
-                base_tc
-            } else {
-                base_tc * alpha
-            },
-            ..SurfaceNoise::default()
-        };
-        SurfaceMemory::new(d, d, noise)
-            .logical_error_rate(shots, seed)
-            .1
-    });
-    results
-        .into_iter()
-        .map(|(p, rate)| SurfacePoint {
-            alpha: p.get("alpha"),
-            scaled_data: p.get("data") > 0.5,
-            logical_per_round: rate,
-        })
-        .collect()
 }
 
 /// Estimator selection for surface-memory design points.
@@ -163,11 +109,15 @@ pub struct SurfaceRatePoint {
     pub converged: bool,
 }
 
-/// As [`explore_surface_coherence`] with an explicit estimator choice: the
-/// rare-event cost mode evaluates each design point with the stratified
-/// estimator and reports `(p_L, sigma, truncation_bound)` per point, which
-/// is what makes deep-subthreshold sweeps meaningful at all.
+/// Sweeps the data- vs ancilla-coherence scaling of Fig. 6 on `pool`:
+/// every α in `alphas` applied once to the data and once to the ancilla
+/// qubits, each point evaluated with `estimator`. The rare-event cost mode
+/// reports `(p_L, sigma, truncation_bound)` per point, which is what makes
+/// deep-subthreshold sweeps meaningful at all. Each point's Monte Carlo
+/// runs on the same `pool` as the sweep, so the result is bit-identical
+/// for every worker count.
 pub fn explore_surface_coherence_with(
+    pool: &WorkerPool,
     d: usize,
     base_tc: f64,
     alphas: &[f64],
@@ -178,7 +128,7 @@ pub fn explore_surface_coherence_with(
     let mut space_axes = vec![Axis::new("alpha", alphas.to_vec())];
     space_axes.push(Axis::new("data", vec![0.0, 1.0]));
     let space = DesignSpace::new(space_axes);
-    let results = sweep(&space, |p| {
+    let results = sweep_on(pool, space.points(), |p| {
         let alpha = p.get("alpha");
         let scaled_data = p.get("data") > 0.5;
         let noise = SurfaceNoise {
@@ -197,7 +147,8 @@ pub fn explore_surface_coherence_with(
         let memory = SurfaceMemory::new(d, d, noise);
         match estimator {
             SurfaceEstimator::Plain { shots } => {
-                let (per_shot, per_round) = memory.logical_error_rate(shots, seed);
+                let (per_shot, per_round) =
+                    memory.logical_error_rate_on(pool, SurfaceDecoder::UnionFind, shots, seed);
                 let sigma = if shots == 0 {
                     0.0
                 } else {
@@ -207,7 +158,7 @@ pub fn explore_surface_coherence_with(
             }
             SurfaceEstimator::Rare(config) => {
                 let outcome = memory.logical_error_rate_rare_on(
-                    WorkerPool::global(),
+                    pool,
                     SurfaceDecoder::UnionFind,
                     config,
                     seed,
@@ -252,25 +203,27 @@ pub struct CapacityPoint {
 /// Sweeps the distillation module's memory capacities — the §4.1 sizing
 /// study that found "two Register cells for the input memory with three
 /// modes each ... and one output Register with three modes" sufficient.
+/// The capacity points run in parallel on `pool`.
 pub fn explore_distill_capacity(
+    pool: &WorkerPool,
     gen_rate_hz: f64,
     ts: f64,
     sim_duration: f64,
     seed: u64,
 ) -> Vec<CapacityPoint> {
-    let mut out = Vec::new();
-    for (input_pairs, output_pairs) in [(2, 1), (3, 3), (6, 3), (9, 3), (12, 6)] {
+    const CAPACITIES: [(usize, usize); 5] = [(2, 1), (3, 3), (6, 3), (9, 3), (12, 6)];
+    pool.map_indexed(CAPACITIES.len(), |i| {
+        let (input_pairs, output_pairs) = CAPACITIES[i];
         let mut cfg = DistillConfig::heterogeneous(ts, gen_rate_hz, seed);
         cfg.input_capacity = input_pairs;
         cfg.output_capacity = output_pairs;
         let report = DistillModule::new(cfg).run(sim_duration);
-        out.push(CapacityPoint {
+        CapacityPoint {
             input_pairs,
             output_pairs,
             rate_hz: report.delivered_rate_hz,
-        });
-    }
-    out
+        }
+    })
 }
 
 /// One evaluated compute-device choice (the §3.1 within-type tradeoff:
@@ -293,8 +246,9 @@ pub struct ComputeChoicePoint {
 /// characterized with the snapshot's per-slot overrides (keyed by layout
 /// label, e.g. `"register/storage"`), so the comparison reflects today's
 /// measured devices rather than the nominal catalog. An empty snapshot
-/// compares the nominal devices.
+/// compares the nominal devices. The devices run in parallel on `pool`.
 pub fn explore_compute_choice(
+    pool: &WorkerPool,
     gen_rate_hz: f64,
     ts: f64,
     sim_duration: f64,
@@ -307,8 +261,9 @@ pub fn explore_compute_choice(
     };
     use hetarch_devices::device::GateSpec;
 
-    let mut out = Vec::new();
-    for base in [fixed_frequency_qubit(), flux_tunable_qubit()] {
+    let devices = [fixed_frequency_qubit(), flux_tunable_qubit()];
+    pool.map_indexed(devices.len(), |i| {
+        let base = &devices[i];
         let mut compute = base.clone();
         // §4 convention: gate errors are coherence-limited.
         compute.gate_1q = Some(GateSpec::new(40e-9, 0.0));
@@ -320,14 +275,13 @@ pub fn explore_compute_choice(
         cfg.register = (*lib.get_with_calib::<RegisterCell>(&compute, &storage, calib)).clone();
         cfg.parcheck = (*lib.get_with_calib::<ParCheckCell>(&compute, &compute, calib)).clone();
         let report = DistillModule::new(cfg).run(sim_duration);
-        out.push(ComputeChoicePoint {
+        ComputeChoicePoint {
             device: base.name.clone(),
             rate_hz: report.delivered_rate_hz,
             control_lines: base.control.total(),
             t2: base.t2,
-        });
-    }
-    out
+        }
+    })
 }
 
 #[cfg(test)]
@@ -336,7 +290,14 @@ mod tests {
 
     #[test]
     fn distill_exploration_finds_sufficient_ts() {
-        let ex = explore_distill_storage(1e6, &[0.5e-3, 2.5e-3, 12.5e-3], 1.5e-3, 0.5, 3);
+        let ex = explore_distill_storage(
+            &WorkerPool::new(2),
+            1e6,
+            &[0.5e-3, 2.5e-3, 12.5e-3],
+            1.5e-3,
+            0.5,
+            3,
+        );
         assert_eq!(ex.points.len(), 3);
         let best = ex.points.iter().map(|p| p.rate_hz).fold(0.0, f64::max);
         assert!(best > 0.0, "no pairs delivered at 1 MHz");
@@ -346,7 +307,8 @@ mod tests {
 
     #[test]
     fn longer_ts_never_much_worse() {
-        let ex = explore_distill_storage(1e6, &[0.5e-3, 12.5e-3], 1.5e-3, 0.9, 4);
+        let ex =
+            explore_distill_storage(&WorkerPool::new(2), 1e6, &[0.5e-3, 12.5e-3], 1.5e-3, 0.9, 4);
         let short = ex.points[0].rate_hz;
         let long = ex.points[1].rate_hz;
         assert!(long >= short * 0.8, "long {long} vs short {short}");
@@ -356,7 +318,7 @@ mod tests {
     fn paper_capacity_sizing_is_sufficient() {
         // §4.1: 6 input pairs + 3 output pairs suffice — larger memories do
         // not deliver meaningfully more.
-        let pts = explore_distill_capacity(1e6, 12.5e-3, 4e-3, 11);
+        let pts = explore_distill_capacity(&WorkerPool::new(2), 1e6, 12.5e-3, 4e-3, 11);
         let rate_of = |inp: usize| {
             pts.iter()
                 .find(|p| p.input_pairs == inp)
@@ -383,6 +345,7 @@ mod tests {
         let mut fluxonium_sum = 0.0;
         for seed in [5, 6, 7, 8, 9] {
             let pts = explore_compute_choice(
+                &WorkerPool::new(2),
                 2e6,
                 12.5e-3,
                 2e-3,
@@ -411,7 +374,9 @@ mod tests {
         use hetarch_exec::rare::RareConfig;
         // One high-noise design point evaluated both ways.
         let alphas = [1.0];
+        let pool = WorkerPool::new(2);
         let plain = explore_surface_coherence_with(
+            &pool,
             3,
             0.1e-3,
             &alphas,
@@ -419,6 +384,7 @@ mod tests {
             21,
         );
         let rare = explore_surface_coherence_with(
+            &pool,
             3,
             0.1e-3,
             &alphas,
@@ -453,7 +419,14 @@ mod tests {
 
     #[test]
     fn surface_exploration_shapes() {
-        let pts = explore_surface_coherence(3, 0.1e-3, &[1.0, 4.0], 1500, 9);
+        let pts = explore_surface_coherence_with(
+            &WorkerPool::new(2),
+            3,
+            0.1e-3,
+            &[1.0, 4.0],
+            SurfaceEstimator::Plain { shots: 1500 },
+            9,
+        );
         assert_eq!(pts.len(), 4);
         // Scaling data coherence by 4 should help.
         let base = pts

@@ -4,38 +4,28 @@
 use hetarch_exec::{CancelToken, Cancelled, WorkerPool};
 use hetarch_obs as obs;
 
-use crate::space::{DesignSpace, Point};
+use crate::space::Point;
 
 // Sweep metrics (no-ops unless the `obs` feature is on and `HETARCH_OBS=1`).
 static POINTS_EVALUATED: obs::Counter = obs::Counter::new("dse.points_evaluated");
 static SWEEPS: obs::Counter = obs::Counter::new("dse.sweeps");
 static POINT_LATENCY_NS: obs::Histogram = obs::Histogram::new("dse.point_latency_ns");
 
-/// Evaluates `f` at every point of `space` in parallel on the global
-/// [`WorkerPool`], preserving point order in the output.
+/// Evaluates `f` at every point on `pool`, preserving point order in the
+/// output regardless of which worker evaluated which point.
 ///
 /// # Examples
 ///
 /// ```
 /// use hetarch_dse::space::{Axis, DesignSpace};
-/// use hetarch_dse::sweep::sweep;
+/// use hetarch_dse::sweep::sweep_on;
+/// use hetarch_exec::WorkerPool;
 ///
 /// let space = DesignSpace::new(vec![Axis::new("x", vec![1.0, 2.0, 3.0])]);
-/// let results = sweep(&space, |p| p.get("x") * 10.0);
+/// let results = sweep_on(&WorkerPool::new(2), space.points(), |p| p.get("x") * 10.0);
 /// let values: Vec<f64> = results.iter().map(|(_, v)| *v).collect();
 /// assert_eq!(values, vec![10.0, 20.0, 30.0]);
 /// ```
-pub fn sweep<T, F>(space: &DesignSpace, f: F) -> Vec<(Point, T)>
-where
-    T: Send,
-    F: Fn(&Point) -> T + Sync,
-{
-    sweep_on(WorkerPool::global(), space.points(), f)
-}
-
-/// Evaluates `f` at every point on an explicit [`WorkerPool`], preserving
-/// point order in the output regardless of which worker evaluated which
-/// point.
 pub fn sweep_on<T, F>(pool: &WorkerPool, points: Vec<Point>, f: F) -> Vec<(Point, T)>
 where
     T: Send,
@@ -94,7 +84,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::space::Axis;
+    use crate::space::{Axis, DesignSpace};
 
     #[test]
     fn parallel_matches_serial() {
@@ -118,7 +108,7 @@ mod tests {
     #[test]
     fn order_is_point_order() {
         let space = DesignSpace::new(vec![Axis::new("x", vec![3.0, 1.0, 2.0])]);
-        let out = sweep(&space, |p| p.get("x"));
+        let out = sweep_on(&WorkerPool::new(2), space.points(), |p| p.get("x"));
         let xs: Vec<f64> = out.iter().map(|(_, v)| *v).collect();
         assert_eq!(xs, vec![3.0, 1.0, 2.0]);
     }
@@ -126,7 +116,9 @@ mod tests {
     #[test]
     fn single_point_space() {
         let space = DesignSpace::new(vec![Axis::new("only", vec![42.0])]);
-        let out = sweep(&space, |p| p.get("only") as i64);
+        let out = sweep_on(&WorkerPool::new(2), space.points(), |p| {
+            p.get("only") as i64
+        });
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].1, 42);
     }

@@ -41,7 +41,7 @@ pub mod rare;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use hetarch_obs as obs;
 
@@ -51,7 +51,6 @@ static MAP_CALLS: obs::Counter = obs::Counter::new("exec.map_calls");
 static JOBS_EXECUTED: obs::Counter = obs::Counter::new("exec.jobs_executed");
 static SHARDS_EXECUTED: obs::Counter = obs::Counter::new("exec.shards_executed");
 static PANICS_OBSERVED: obs::Counter = obs::Counter::new("exec.panics_observed");
-static GLOBAL_WORKERS: obs::Gauge = obs::Gauge::new("exec.global_workers");
 static QUEUE_WAIT_NS: obs::Histogram = obs::Histogram::new("exec.queue_wait_ns");
 static COMPUTE_NS: obs::Histogram = obs::Histogram::new("exec.compute_ns");
 static JOBS_PER_WORKER: obs::Histogram = obs::Histogram::new("exec.jobs_per_worker");
@@ -165,8 +164,6 @@ pub struct WorkerPool {
     workers: usize,
 }
 
-static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
-
 impl WorkerPool {
     /// A pool with exactly `workers` threads (1 = fully serial execution).
     ///
@@ -178,46 +175,11 @@ impl WorkerPool {
         WorkerPool { workers }
     }
 
-    /// The process-wide default pool: `HETARCH_WORKERS` if set, otherwise
-    /// the machine's available parallelism.
-    ///
-    /// The resolution happens **once**: the first call reads the
-    /// environment and caches the pool in a `OnceLock` for the lifetime of
-    /// the process, so later changes to `HETARCH_WORKERS` are ignored. The
-    /// resolved count is recorded as the `exec.global_workers` obs gauge.
-    ///
-    /// # Panics
-    ///
-    /// Panics (on the first call) if `HETARCH_WORKERS` is set to anything
-    /// other than a positive integer — a typo'd worker count should fail
-    /// loudly, not silently fall back to full parallelism.
-    pub fn global() -> &'static WorkerPool {
-        GLOBAL.get_or_init(|| {
-            let pool = WorkerPool::from_env_str(std::env::var("HETARCH_WORKERS").ok().as_deref());
-            GLOBAL_WORKERS.set(pool.workers as u64);
-            pool
-        })
-    }
-
-    /// Resolves a pool from an optional `HETARCH_WORKERS` value — the
-    /// testable seam behind [`WorkerPool::global`]. `None` (variable unset)
-    /// falls back to the machine's available parallelism.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is not a positive integer.
-    pub fn from_env_str(value: Option<&str>) -> WorkerPool {
-        let workers = match value {
-            None => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-            Some(s) => match s.trim().parse::<usize>() {
-                Ok(w) if w >= 1 => w,
-                Ok(_) => panic!("HETARCH_WORKERS must be at least 1, got `{s}`"),
-                Err(_) => panic!("HETARCH_WORKERS must be a positive integer, got `{s}`"),
-            },
-        };
-        WorkerPool::new(workers)
+    /// A pool sized to the machine's available parallelism (1 if it cannot
+    /// be determined). Results never depend on the worker count, so this
+    /// only decides how fast a run finishes.
+    pub fn available() -> Self {
+        WorkerPool::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
     /// Number of worker threads.
@@ -513,28 +475,8 @@ mod tests {
     }
 
     #[test]
-    fn from_env_str_accepts_positive_integers() {
-        assert_eq!(WorkerPool::from_env_str(Some("1")).workers(), 1);
-        assert_eq!(WorkerPool::from_env_str(Some(" 8 ")).workers(), 8);
-        assert!(WorkerPool::from_env_str(None).workers() >= 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "HETARCH_WORKERS must be a positive integer, got `abc`")]
-    fn from_env_str_rejects_garbage() {
-        WorkerPool::from_env_str(Some("abc"));
-    }
-
-    #[test]
-    #[should_panic(expected = "HETARCH_WORKERS must be at least 1")]
-    fn from_env_str_rejects_zero() {
-        WorkerPool::from_env_str(Some("0"));
-    }
-
-    #[test]
-    #[should_panic(expected = "HETARCH_WORKERS must be a positive integer, got `-2`")]
-    fn from_env_str_rejects_negative() {
-        WorkerPool::from_env_str(Some("-2"));
+    fn available_pool_has_at_least_one_worker() {
+        assert!(WorkerPool::available().workers() >= 1);
     }
 
     #[test]

@@ -214,18 +214,13 @@ impl HomModule {
         self.layers.iter().map(|l| self.layer_duration(l)).sum()
     }
 
-    /// Runs `shots` Monte-Carlo cycles.
+    /// Runs `shots` Monte-Carlo cycles on `pool`.
     ///
-    /// Shots are sharded over the global [`WorkerPool`] with the same
-    /// `(seed, shard)` contract as [`crate::uec::UecModule`]: the result is
-    /// bit-identical for every worker count. `shots == 0` reports zero. For
-    /// the rare-event estimator or a cancellation token, call
-    /// [`estimate`](crate::faults::estimate) on the module directly.
-    pub fn logical_error_rate(&self, shots: usize, seed: u64) -> HomResult {
-        self.logical_error_rate_on(WorkerPool::global(), shots, seed)
-    }
-
-    /// As [`Self::logical_error_rate`] with an explicit worker pool.
+    /// Shots are sharded with the same `(seed, shard)` contract as
+    /// [`crate::uec::UecModule`]: the result is bit-identical for every
+    /// worker count. `shots == 0` reports zero. For the rare-event estimator
+    /// or a cancellation token, call [`estimate`](crate::faults::estimate)
+    /// on the module directly.
     pub fn logical_error_rate_on(&self, pool: &WorkerPool, shots: usize, seed: u64) -> HomResult {
         HomResult {
             logical_error_rate: plain_rate(self, pool, shots, seed),
@@ -282,15 +277,17 @@ impl ShotModel for HomModule {
 /// The homogeneous baseline for surface codes: the known-optimal square
 /// lattice transpilation is the standard parallel extraction circuit, so the
 /// paper evaluates those with the full circuit-level pipeline rather than the
-/// generic router. Returns the logical error rate **per round**.
+/// generic router. Returns the logical error rate **per round**, estimated
+/// on `pool`.
 pub fn hom_surface_logical_error(
+    pool: &WorkerPool,
     d: usize,
     tc: f64,
     noise: UecNoise,
     shots: usize,
     seed: u64,
 ) -> f64 {
-    use hetarch_stab::codes::{SurfaceMemory, SurfaceNoise};
+    use hetarch_stab::codes::{SurfaceDecoder, SurfaceMemory, SurfaceNoise};
     let sn = SurfaceNoise {
         t_data: tc,
         t_anc: tc,
@@ -299,7 +296,12 @@ pub fn hom_surface_logical_error(
         p_meas: noise.meas_flip,
         ..SurfaceNoise::default()
     };
-    let (_, per_round) = SurfaceMemory::new(d, d, sn).logical_error_rate(shots, seed);
+    let (_, per_round) = SurfaceMemory::new(d, d, sn).logical_error_rate_on(
+        pool,
+        SurfaceDecoder::UnionFind,
+        shots,
+        seed,
+    );
     per_round
 }
 
@@ -363,9 +365,16 @@ mod tests {
     fn surface_code_beats_non_native_codes_homogeneously() {
         let noise = UecNoise::default();
         let shots = 4000;
-        let sc =
-            HomModule::new(rotated_surface_code(3), 0.5e-3, noise).logical_error_rate(shots, 5);
-        let rm = HomModule::new(reed_muller_15(), 0.5e-3, noise).logical_error_rate(shots, 5);
+        let sc = HomModule::new(rotated_surface_code(3), 0.5e-3, noise).logical_error_rate_on(
+            &WorkerPool::new(4),
+            shots,
+            5,
+        );
+        let rm = HomModule::new(reed_muller_15(), 0.5e-3, noise).logical_error_rate_on(
+            &WorkerPool::new(4),
+            shots,
+            5,
+        );
         assert!(
             sc.logical_error_rate < rm.logical_error_rate,
             "native SC3 ({}) should beat routed RM ({})",
@@ -386,7 +395,9 @@ mod tests {
     fn rare_estimator_tracks_plain_baseline() {
         let m = HomModule::new(steane(), 0.5e-3, UecNoise::default());
         let shots = 20_000;
-        let plain = m.logical_error_rate(shots, 29).logical_error_rate;
+        let plain = m
+            .logical_error_rate_on(&WorkerPool::new(4), shots, 29)
+            .logical_error_rate;
         let plain_sigma = (plain * (1.0 - plain) / shots as f64).sqrt();
         let config = RareConfig {
             max_strata: 24,
@@ -395,7 +406,7 @@ mod tests {
             ..RareConfig::default()
         };
         let ctx = RunCtx {
-            pool: WorkerPool::global(),
+            pool: &WorkerPool::new(4),
             seed: 31,
             cancel: None,
         };

@@ -22,6 +22,7 @@ use hetarch_cells::{CellLibrary, SeqOpCell, UscCell};
 use hetarch_devices::catalog::{
     coherence_limited_compute, coherence_limited_storage, homogeneous_pseudo_storage,
 };
+use hetarch_exec::WorkerPool;
 use hetarch_stab::codes::StabilizerCode;
 
 use crate::baseline::{hom_surface_logical_error, HomModule};
@@ -137,8 +138,10 @@ impl CtModule {
     }
 
     /// Evaluates the CT state-preparation error probability by composing the
-    /// five sub-modules (paper §4.3 simulation methodology).
-    pub fn evaluate(&self) -> CtResult {
+    /// five sub-modules (paper §4.3 simulation methodology). The logical
+    /// `|+⟩` Monte Carlo runs on `pool`; the result does not depend on its
+    /// worker count.
+    pub fn evaluate(&self, pool: &WorkerPool) -> CtResult {
         let c = &self.config;
         let lib = CellLibrary::new();
         let het = c.arch == Architecture::Heterogeneous;
@@ -192,8 +195,8 @@ impl CtModule {
             p2q: c.p2q,
             ..UecNoise::default()
         };
-        let plus_a = self.plus_state_error(&c.code_a, noise, c.seed.wrapping_add(11));
-        let plus_b = self.plus_state_error(&c.code_b, noise, c.seed.wrapping_add(13));
+        let plus_a = self.plus_state_error(pool, &c.code_a, noise, c.seed.wrapping_add(11));
+        let plus_b = self.plus_state_error(pool, &c.code_b, noise, c.seed.wrapping_add(13));
 
         // --- Step 4: transversal CNOT layer between CAT and |+> states.
         // Physical faults here are subsequently error-corrected; only
@@ -235,7 +238,13 @@ impl CtModule {
 
     /// Logical `|+⟩` preparation error: one stabilizer-measurement cycle of
     /// the code on the architecture under test (the §4.2 methodology).
-    fn plus_state_error(&self, code: &StabilizerCode, noise: UecNoise, seed: u64) -> f64 {
+    fn plus_state_error(
+        &self,
+        pool: &WorkerPool,
+        code: &StabilizerCode,
+        noise: UecNoise,
+        seed: u64,
+    ) -> f64 {
         let c = &self.config;
         match c.arch {
             Architecture::Heterogeneous => {
@@ -245,15 +254,15 @@ impl CtModule {
                     &coherence_limited_storage(c.ts),
                 );
                 UecModule::new(code.clone(), (*usc).clone(), noise)
-                    .logical_error_rate(c.shots, seed)
+                    .logical_error_rate_on(pool, c.shots, seed)
                     .logical_error_rate
             }
             Architecture::Homogeneous => {
                 if code.name().starts_with("SC") {
-                    hom_surface_logical_error(code.distance(), c.tc, noise, c.shots, seed)
+                    hom_surface_logical_error(pool, code.distance(), c.tc, noise, c.shots, seed)
                 } else {
                     HomModule::new(code.clone(), c.tc, noise)
-                        .logical_error_rate(c.shots, seed)
+                        .logical_error_rate_on(pool, c.shots, seed)
                         .logical_error_rate
                 }
             }
@@ -292,7 +301,7 @@ mod tests {
 
     fn quick(mut cfg: CtConfig) -> CtResult {
         cfg.shots = 3000;
-        CtModule::new(cfg).evaluate()
+        CtModule::new(cfg).evaluate(&WorkerPool::new(4))
     }
 
     #[test]
@@ -303,7 +312,7 @@ mod tests {
             CtConfig::heterogeneous(rotated_surface_code(3), rotated_surface_code(3), 5e-3);
         cfg.shots = 64;
         cfg.seed = u64::MAX;
-        let r = CtModule::new(cfg).evaluate();
+        let r = CtModule::new(cfg).evaluate(&WorkerPool::new(4));
         assert!((0.0..=1.0).contains(&r.logical_error_probability));
     }
 

@@ -417,17 +417,6 @@ impl DistillModule {
             .run(duration)
         })
     }
-
-    /// Mean delivered rate over `trials` independent replicas (the
-    /// high-shot estimator behind the Fig. 4 sweeps), on the global
-    /// [`WorkerPool`].
-    pub fn mean_delivered_rate_hz(&self, duration: f64, trials: usize) -> f64 {
-        if trials == 0 {
-            return 0.0;
-        }
-        let reports = self.run_batch_on(WorkerPool::global(), duration, trials);
-        reports.iter().map(|r| r.delivered_rate_hz).sum::<f64>() / trials as f64
-    }
 }
 
 #[cfg(test)]

@@ -272,19 +272,14 @@ impl ChainUecModule {
         &self.schedule
     }
 
-    /// Per-cycle logical error rate over `shots` Monte-Carlo cycles.
+    /// Per-cycle logical error rate over `shots` Monte-Carlo cycles on
+    /// `pool`.
     ///
-    /// Shots are sharded over the global [`WorkerPool`]; shard boundaries
-    /// and per-shard RNG streams depend only on `(shots, seed)`, so the
-    /// result is **bit-identical for every worker count**. `shots == 0`
-    /// reports a rate of zero. For the rare-event estimator or a
-    /// cancellation token, call [`estimate`](crate::faults::estimate) on the
-    /// module directly.
-    pub fn logical_error_rate(&self, shots: usize, seed: u64) -> UecResult {
-        self.logical_error_rate_on(WorkerPool::global(), shots, seed)
-    }
-
-    /// As [`Self::logical_error_rate`] with an explicit worker pool.
+    /// Shard boundaries and per-shard RNG streams depend only on
+    /// `(shots, seed)`, so the result is **bit-identical for every worker
+    /// count**. `shots == 0` reports a rate of zero. For the rare-event
+    /// estimator or a cancellation token, call
+    /// [`estimate`](crate::faults::estimate) on the module directly.
     pub fn logical_error_rate_on(&self, pool: &WorkerPool, shots: usize, seed: u64) -> UecResult {
         UecResult {
             logical_error_rate: plain_rate(self, pool, shots, seed),
@@ -405,7 +400,7 @@ mod tests {
     fn oversized_code_runs_end_to_end() {
         let code = rotated_surface_code(6); // 36 data qubits > 30
         let module = ChainUecModule::new(code, usc(50e-3), 1, UecNoise::default());
-        let r = module.logical_error_rate(1500, 3);
+        let r = module.logical_error_rate_on(&WorkerPool::new(4), 1500, 3);
         assert!(r.logical_error_rate < 0.5, "rate {}", r.logical_error_rate);
         assert!(r.cycle_duration > 0.0);
     }
@@ -417,8 +412,12 @@ mod tests {
         let ch = usc(50e-3);
         let chain = ChainUecModule::new(steane(), ch.clone(), 1, UecNoise::default());
         let single = crate::uec::UecModule::new(steane(), ch, UecNoise::default());
-        let a = chain.logical_error_rate(6000, 9).logical_error_rate;
-        let b = single.logical_error_rate(6000, 9).logical_error_rate;
+        let a = chain
+            .logical_error_rate_on(&WorkerPool::new(4), 6000, 9)
+            .logical_error_rate;
+        let b = single
+            .logical_error_rate_on(&WorkerPool::new(4), 6000, 9)
+            .logical_error_rate;
         assert!(a < 3.0 * b + 0.02, "chain {a} vs single {b}");
     }
 

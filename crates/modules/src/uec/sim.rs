@@ -121,20 +121,14 @@ impl UecModule {
         &self.assignment
     }
 
-    /// Runs `shots` Monte-Carlo cycles and returns the per-cycle logical
-    /// error rate.
+    /// Runs `shots` Monte-Carlo cycles on `pool` and returns the per-cycle
+    /// logical error rate.
     ///
-    /// Shots are sharded over the global [`WorkerPool`]; shard boundaries
-    /// and the per-shard RNG streams depend only on `(shots, seed)`, so the
-    /// result is **bit-identical for every worker count** and across
-    /// repeated runs. `shots == 0` reports a rate of zero. For the
-    /// rare-event estimator or a cancellation token, call
+    /// Shard boundaries and the per-shard RNG streams depend only on
+    /// `(shots, seed)`, so the result is **bit-identical for every worker
+    /// count** and across repeated runs. `shots == 0` reports a rate of
+    /// zero. For the rare-event estimator or a cancellation token, call
     /// [`estimate`](crate::faults::estimate) on the module directly.
-    pub fn logical_error_rate(&self, shots: usize, seed: u64) -> UecResult {
-        self.logical_error_rate_on(WorkerPool::global(), shots, seed)
-    }
-
-    /// As [`Self::logical_error_rate`] with an explicit worker pool.
     pub fn logical_error_rate_on(&self, pool: &WorkerPool, shots: usize, seed: u64) -> UecResult {
         UecResult {
             logical_error_rate: plain_rate(self, pool, shots, seed),
@@ -440,15 +434,23 @@ mod tests {
         .unwrap()
         .characterize();
         let m = UecModule::new(steane(), ch, noise);
-        let r = m.logical_error_rate(500, 3);
+        let r = m.logical_error_rate_on(&WorkerPool::new(4), 500, 3);
         assert_eq!(r.logical_error_rate, 0.0);
     }
 
     #[test]
     fn longer_storage_reduces_logical_error() {
         let noise = UecNoise::default();
-        let short = UecModule::new(steane(), usc(0.5e-3), noise).logical_error_rate(4000, 7);
-        let long = UecModule::new(steane(), usc(50e-3), noise).logical_error_rate(4000, 7);
+        let short = UecModule::new(steane(), usc(0.5e-3), noise).logical_error_rate_on(
+            &WorkerPool::new(4),
+            4000,
+            7,
+        );
+        let long = UecModule::new(steane(), usc(50e-3), noise).logical_error_rate_on(
+            &WorkerPool::new(4),
+            4000,
+            7,
+        );
         assert!(
             long.logical_error_rate < short.logical_error_rate,
             "Ts=50ms ({}) should beat Ts=0.5ms ({})",
@@ -460,7 +462,7 @@ mod tests {
     #[test]
     fn cycle_duration_reported() {
         let m = UecModule::new(steane(), usc(1e-3), UecNoise::default());
-        let r = m.logical_error_rate(10, 1);
+        let r = m.logical_error_rate_on(&WorkerPool::new(4), 10, 1);
         assert!(
             r.cycle_duration > 5e-6 && r.cycle_duration < 50e-6,
             "cycle duration {}",
@@ -471,15 +473,15 @@ mod tests {
     #[test]
     fn surface_code_runs_on_uec() {
         let m = UecModule::new(rotated_surface_code(3), usc(50e-3), UecNoise::default());
-        let r = m.logical_error_rate(2000, 11);
+        let r = m.logical_error_rate_on(&WorkerPool::new(4), 2000, 11);
         assert!(r.logical_error_rate < 0.2, "rate {}", r.logical_error_rate);
     }
 
     #[test]
     fn results_deterministic_for_seed() {
         let m = UecModule::new(steane(), usc(1e-3), UecNoise::default());
-        let a = m.logical_error_rate(1000, 42);
-        let b = m.logical_error_rate(1000, 42);
+        let a = m.logical_error_rate_on(&WorkerPool::new(4), 1000, 42);
+        let b = m.logical_error_rate_on(&WorkerPool::new(4), 1000, 42);
         assert_eq!(a.logical_error_rate, b.logical_error_rate);
     }
 
@@ -490,7 +492,9 @@ mod tests {
         // bars.
         let m = UecModule::new(steane(), usc(1e-3), UecNoise::default());
         let shots = 20_000;
-        let plain = m.logical_error_rate(shots, 17).logical_error_rate;
+        let plain = m
+            .logical_error_rate_on(&WorkerPool::new(4), shots, 17)
+            .logical_error_rate;
         let plain_sigma = (plain * (1.0 - plain) / shots as f64).sqrt();
         let config = RareConfig {
             max_strata: 24,
@@ -498,7 +502,7 @@ mod tests {
             shots_per_stratum: 4_000,
             ..RareConfig::default()
         };
-        let outcome = rare(&m, WorkerPool::global(), config, 19);
+        let outcome = rare(&m, &WorkerPool::new(4), config, 19);
         let report = outcome.report();
         assert!(report.p_l > 0.0, "default noise must fail sometimes");
         let tolerance = 5.0 * (plain_sigma + report.sigma) + report.truncation_bound;

@@ -241,57 +241,55 @@ pub fn dejmps_density(
     pair2: &BellDiagonal,
     noise: &DistillNoise,
 ) -> Option<DistillOutcome> {
-    dejmps_density_batch(&[(*pair1, *pair2)], noise)
-        .pop()
-        .expect("batch of one yields one outcome")
+    DejmpsRound::new(noise).run(pair1, pair2)
 }
 
-/// Runs one DEJMPS round exactly on every input pair combination in
-/// `inputs`, applying each noise channel to all 4-qubit protocol states in
-/// one `apply_batch` call so the whole batch shares its compiled kernel.
-///
-/// Per state, the circuit and its operation order are exactly those of
-/// [`dejmps_density`], so outcome `k` is bit-identical to
-/// `dejmps_density(&inputs[k].0, &inputs[k].1, noise)`.
-pub fn dejmps_density_batch(
-    inputs: &[(BellDiagonal, BellDiagonal)],
-    noise: &DistillNoise,
-) -> Vec<Option<DistillOutcome>> {
-    // Qubits 0,1 = kept pair; 2,3 = sacrificed pair.
-    let mut states: Vec<DensityMatrix> = inputs
-        .iter()
-        .map(|(p1, p2)| p1.to_density_matrix().tensor(&p2.to_density_matrix()))
-        .collect();
+/// The noise channels of one DEJMPS round, built once so every input pair
+/// run through the round shares their compiled kernels.
+struct DejmpsRound {
+    depol_1q: Option<Kraus1>,
+    depol_2q: Option<Kraus2>,
+    meas_flip: Option<Kraus1>,
+}
 
-    let half_pi = std::f64::consts::FRAC_PI_2;
-    for rho in &mut states {
-        gates::rx(rho, 0, half_pi);
-        gates::rx(rho, 2, half_pi);
-        gates::rx(rho, 1, -half_pi);
-        gates::rx(rho, 3, -half_pi);
-    }
-    if noise.p1q > 0.0 {
-        let d = Kraus1::depolarizing(noise.p1q).expect("validated probability");
-        for q in 0..4 {
-            d.apply_batch(&mut states, q);
+impl DejmpsRound {
+    fn new(noise: &DistillNoise) -> Self {
+        DejmpsRound {
+            depol_1q: (noise.p1q > 0.0)
+                .then(|| Kraus1::depolarizing(noise.p1q).expect("validated probability")),
+            depol_2q: (noise.p2q > 0.0)
+                .then(|| Kraus2::depolarizing(noise.p2q).expect("validated probability")),
+            meas_flip: (noise.meas_flip > 0.0)
+                .then(|| Kraus1::bit_flip(noise.meas_flip).expect("validated probability")),
         }
     }
-    for rho in &mut states {
-        gates::cnot(rho, 0, 2);
-        gates::cnot(rho, 1, 3);
-    }
-    if noise.p2q > 0.0 {
-        let d = Kraus2::depolarizing(noise.p2q).expect("validated probability");
-        d.apply_batch(&mut states, 0, 2);
-        d.apply_batch(&mut states, 1, 3);
-    }
-    if noise.meas_flip > 0.0 {
-        let f = Kraus1::bit_flip(noise.meas_flip).expect("validated probability");
-        f.apply_batch(&mut states, 2);
-        f.apply_batch(&mut states, 3);
-    }
 
-    states.iter().map(herald_equal_outcomes).collect()
+    /// The round of [`dejmps_density`] on one input pair combination.
+    fn run(&self, pair1: &BellDiagonal, pair2: &BellDiagonal) -> Option<DistillOutcome> {
+        // Qubits 0,1 = kept pair; 2,3 = sacrificed pair.
+        let mut rho = pair1.to_density_matrix().tensor(&pair2.to_density_matrix());
+        let half_pi = std::f64::consts::FRAC_PI_2;
+        gates::rx(&mut rho, 0, half_pi);
+        gates::rx(&mut rho, 2, half_pi);
+        gates::rx(&mut rho, 1, -half_pi);
+        gates::rx(&mut rho, 3, -half_pi);
+        if let Some(d) = &self.depol_1q {
+            for q in 0..4 {
+                d.apply(&mut rho, q);
+            }
+        }
+        gates::cnot(&mut rho, 0, 2);
+        gates::cnot(&mut rho, 1, 3);
+        if let Some(d) = &self.depol_2q {
+            d.apply(&mut rho, 0, 2);
+            d.apply(&mut rho, 1, 3);
+        }
+        if let Some(f) = &self.meas_flip {
+            f.apply(&mut rho, 2);
+            f.apply(&mut rho, 3);
+        }
+        herald_equal_outcomes(&rho)
+    }
 }
 
 /// Measures qubits 2/3 of a post-circuit DEJMPS state and heralds on equal
@@ -350,30 +348,24 @@ pub struct DejmpsTable {
 impl DejmpsTable {
     /// Builds the table for a fixed per-round noise setting.
     ///
-    /// All 16 pure Bell input combinations are simulated in one
-    /// [`dejmps_density_batch`] call, so the protocol's channel kernels are
-    /// compiled once and swept across the whole probe set.
+    /// All 16 pure Bell input combinations run through one round whose
+    /// channel kernels are compiled once for the whole table.
     pub fn new(noise: &DistillNoise) -> Self {
-        let mut inputs = Vec::with_capacity(16);
+        let round = DejmpsRound::new(noise);
+        let mut success = [[0.0; 4]; 4];
+        let mut out = [[[0.0; 4]; 4]; 4];
         for i in 0..4 {
             for j in 0..4 {
                 let mut pi = [0.0; 4];
                 pi[i] = 1.0;
                 let mut pj = [0.0; 4];
                 pj[j] = 1.0;
-                inputs.push((BellDiagonal::new(pi), BellDiagonal::new(pj)));
-            }
-        }
-        let outcomes = dejmps_density_batch(&inputs, noise);
-        let mut success = [[0.0; 4]; 4];
-        let mut out = [[[0.0; 4]; 4]; 4];
-        for (idx, outcome) in outcomes.iter().enumerate() {
-            let (i, j) = (idx / 4, idx % 4);
-            if let Some(o) = outcome {
-                success[i][j] = o.success_prob;
-                let comp = o.pair.components();
-                for k in 0..4 {
-                    out[i][j][k] = comp[k] * o.success_prob;
+                if let Some(o) = round.run(&BellDiagonal::new(pi), &BellDiagonal::new(pj)) {
+                    success[i][j] = o.success_prob;
+                    let comp = o.pair.components();
+                    for k in 0..4 {
+                        out[i][j][k] = comp[k] * o.success_prob;
+                    }
                 }
             }
         }

@@ -170,21 +170,6 @@ impl Kraus1 {
         crate::conformance::debug_validate_state(rho, "Kraus1::apply");
     }
 
-    /// Applies the channel to qubit `q` of every state in `states`, one
-    /// [`apply`](Kraus1::apply) per state. The 1q contraction is too cheap
-    /// for lane blocking across states to pay, so unlike
-    /// [`Kraus2::apply_batch`] this is a plain loop; empty batches are a
-    /// no-op.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` is out of range for any state.
-    pub fn apply_batch(&self, states: &mut [DensityMatrix], q: usize) {
-        for rho in states {
-            self.apply(rho, q);
-        }
-    }
-
     /// Applies the channel by the literal Kraus sum `Σ_k K_k ρ K_k†`
     /// (one density-matrix clone and conjugation sweep per operator).
     ///
@@ -322,23 +307,6 @@ impl Kraus2 {
         self.kernel().apply(rho, q_hi, q_lo);
         #[cfg(feature = "validate")]
         crate::conformance::debug_validate_state(rho, "Kraus2::apply");
-    }
-
-    /// Applies the channel to qubits `(q_hi, q_lo)` of every state in
-    /// `states` through one kernel pass blocked across lanes of states.
-    /// Bit-identical to calling [`apply`](Kraus2::apply) on each state;
-    /// empty batches are a no-op.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the states disagree on qubit count, the qubits coincide,
-    /// or either qubit is out of range.
-    pub fn apply_batch(&self, states: &mut [DensityMatrix], q_hi: usize, q_lo: usize) {
-        self.kernel().apply_batch(states, q_hi, q_lo);
-        #[cfg(feature = "validate")]
-        for rho in states.iter() {
-            crate::conformance::debug_validate_state(rho, "Kraus2::apply_batch");
-        }
     }
 
     /// Applies the channel by the literal Kraus sum `Σ_k K_k ρ K_k†`

@@ -5,7 +5,8 @@
 //! upward is actually a quantum channel and every density matrix stays a
 //! density matrix. This module centralizes those invariants:
 //!
-//! * **CPTP / trace preservation** — `Σ K†K = I` for [`Kraus1`]/[`Kraus2`]
+//! * **CPTP / trace preservation** — `Σ K†K = I` for
+//!   [`Kraus1`](crate::channels::Kraus1)/[`Kraus2`](crate::channels::Kraus2)
 //!   sets ([`check_kraus1`], [`check_kraus2`]).
 //! * **State invariants** — unit trace, Hermiticity, and positive
 //!   semidefiniteness for [`DensityMatrix`] ([`check_density_matrix`]).
@@ -13,10 +14,12 @@
 //!   disc dips below zero does the check fall back to a tolerance-aware
 //!   complex Cholesky factorization, which is exact for Hermitian matrices.
 //!
-//! With the `validate` feature enabled, [`Kraus1::apply`] and
-//! [`Kraus2::apply`] run [`check_density_matrix`] on their output in debug
-//! builds, so any test suite built on `hetarch-testkit` (which enables the
-//! feature) turns every channel application into an invariant check.
+//! With the `validate` feature enabled,
+//! [`Kraus1::apply`](crate::channels::Kraus1::apply) and
+//! [`Kraus2::apply`](crate::channels::Kraus2::apply) run
+//! [`check_density_matrix`] on their output in debug builds, so any test
+//! suite built on `hetarch-testkit` (which enables the feature) turns every
+//! channel application into an invariant check.
 
 use crate::complex::C64;
 use crate::error::QsimError;

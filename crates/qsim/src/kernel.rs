@@ -42,13 +42,9 @@
 //! performs exactly the floating-point operations of the `C64` product in
 //! the same order, so results are bit-identical to the interleaved form.
 //!
-//! [`ChannelKernel2::apply_batch`] pushes one compiled kernel through a
-//! whole slice of states: coefficient loads, block index arithmetic, and
-//! bounds checks are amortized across the batch, and the innermost loop
-//! runs across states — independent lanes with no cross-state data flow, so
-//! each state still sees its exact scalar result. Single-qubit kernels have
-//! no batch form: their 4×4 contraction is too cheap for lane blocking to
-//! pay, so `Kraus1::apply_batch` loops over [`ChannelKernel1::apply`].
+//! Every channel application is one `apply` on one state: callers that
+//! push several states through a channel build the channel (and so compile
+//! its kernel) once and apply it per state.
 
 use hetarch_obs as obs;
 
@@ -213,21 +209,6 @@ impl ChannelKernel2 {
     pub fn apply(&self, rho: &mut DensityMatrix, q_hi: usize, q_lo: usize) {
         OBS_APPLIES.inc();
         rho.apply_superop_2q(q_hi, q_lo, self);
-    }
-
-    /// Applies the channel to qubits `(q_hi, q_lo)` of every state in
-    /// `states`, blocking over states for cache locality: each 4×4 block
-    /// position is gathered across the batch and contracted with the inner
-    /// loop running over states. Each state receives exactly the floats
-    /// [`apply`](Self::apply) would have produced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the states disagree on qubit count, the qubits coincide,
-    /// or either qubit is out of range.
-    pub fn apply_batch(&self, states: &mut [DensityMatrix], q_hi: usize, q_lo: usize) {
-        OBS_APPLIES.add(states.len() as u64);
-        DensityMatrix::apply_superop_2q_batch(states, q_hi, q_lo, self);
     }
 
     /// Compressed-row views `(nnz, cols, vals_re, vals_im)` for the

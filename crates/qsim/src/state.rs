@@ -15,12 +15,6 @@ use crate::error::QsimError;
 use crate::kernel::{ChannelKernel1, ChannelKernel2};
 use crate::matrix::Mat;
 
-/// States per blocked lane group in the batched two-qubit superoperator
-/// traversal. Four f64 pairs fill a 512-bit vector register; the tail of a
-/// batch falls back to the single-state path, which computes identical
-/// floats.
-const LANES: usize = 4;
-
 /// A density matrix over `n` qubits.
 ///
 /// # Examples
@@ -436,109 +430,6 @@ impl DensityMatrix {
                     }
                 }
             }
-        }
-    }
-
-    /// Applies a precompiled two-qubit channel superoperator to qubits
-    /// `(q_hi, q_lo)` of every state in `states`, blocking over states:
-    /// full lane groups of [`LANES`] states are gathered 4×4 block by 4×4
-    /// block into component-major lane arrays and contracted with the
-    /// innermost loop across states, so the per-row sparse sum becomes a
-    /// vector FMA chain; the remainder goes through the single-state path.
-    /// Per state the arithmetic and its ascending-column order are
-    /// identical to [`apply_superop_2q`](Self::apply_superop_2q), so
-    /// results are bit-identical to applying the kernel per state.
-    ///
-    /// An empty batch is a no-op. This is the hot path behind
-    /// [`crate::kernel::ChannelKernel2::apply_batch`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the states disagree on qubit count, the qubits coincide,
-    /// or either qubit is out of range.
-    pub fn apply_superop_2q_batch(
-        states: &mut [DensityMatrix],
-        q_hi: usize,
-        q_lo: usize,
-        kernel: &ChannelKernel2,
-    ) {
-        let Some(first) = states.first() else {
-            return;
-        };
-        let n = first.n;
-        assert!(q_hi < n && q_lo < n, "qubit out of range");
-        assert_ne!(q_hi, q_lo, "two-qubit channel requires distinct qubits");
-        for s in states.iter() {
-            assert_eq!(s.n, n, "batched states must share the qubit count");
-        }
-        let (nnz, cols, v_re, v_im) = kernel.rows();
-        let mh = 1usize << q_hi;
-        let ml = 1usize << q_lo;
-        let dim = first.dim;
-        let mut chunks = states.chunks_exact_mut(LANES);
-        for chunk in chunks.by_ref() {
-            for base_r in 0..dim {
-                if base_r & (mh | ml) != 0 {
-                    continue;
-                }
-                let rows = [
-                    base_r * dim,
-                    (base_r | ml) * dim,
-                    (base_r | mh) * dim,
-                    (base_r | mh | ml) * dim,
-                ];
-                for base_c in 0..dim {
-                    if base_c & (mh | ml) != 0 {
-                        continue;
-                    }
-                    let blk = [base_c, base_c | ml, base_c | mh, base_c | mh | ml];
-                    let mut b_re = [[0.0f64; LANES]; 16];
-                    let mut b_im = [[0.0f64; LANES]; 16];
-                    for (l, st) in chunk.iter().enumerate() {
-                        for (i, &row) in rows.iter().enumerate() {
-                            for (j, &col) in blk.iter().enumerate() {
-                                let z = st.data[row + col];
-                                b_re[i * 4 + j][l] = z.re;
-                                b_im[i * 4 + j][l] = z.im;
-                            }
-                        }
-                    }
-                    let mut o_re = [[0.0f64; LANES]; 16];
-                    let mut o_im = [[0.0f64; LANES]; 16];
-                    // Row-local lane accumulators stay in vector registers
-                    // across the sparse sum; per (r, l) the ascending-column
-                    // order matches the single-state path exactly.
-                    for r in 0..16 {
-                        let k = nnz[r] as usize;
-                        let mut acc_re = [0.0f64; LANES];
-                        let mut acc_im = [0.0f64; LANES];
-                        for t in 0..k {
-                            let c = cols[r][t] as usize;
-                            let wr = v_re[r][t];
-                            let wi = v_im[r][t];
-                            for l in 0..LANES {
-                                acc_re[l] += wr * b_re[c][l] - wi * b_im[c][l];
-                                acc_im[l] += wr * b_im[c][l] + wi * b_re[c][l];
-                            }
-                        }
-                        o_re[r] = acc_re;
-                        o_im[r] = acc_im;
-                    }
-                    for (l, st) in chunk.iter_mut().enumerate() {
-                        for (i, &row) in rows.iter().enumerate() {
-                            for (j, &col) in blk.iter().enumerate() {
-                                st.data[row + col] = C64 {
-                                    re: o_re[i * 4 + j][l],
-                                    im: o_im[i * 4 + j][l],
-                                };
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        for st in chunks.into_remainder() {
-            st.apply_superop_2q(q_hi, q_lo, kernel);
         }
     }
 

@@ -10,15 +10,16 @@
 //!
 //! ## Request lifecycle
 //!
-//! A compute query is parsed, canonicalized into its [`QueryKey`], and
-//! admitted through the single-flight [`QueryCache`]: a cached response is
-//! returned immediately; an in-flight identical query is **coalesced**
-//! (this request waits on the same execution and shares the same response
-//! buffer, byte for byte); otherwise the request leads and enqueues a job
-//! on the bounded [`JobQueue`]. A full queue replies `busy` with the
-//! current depth — backpressure is explicit and buffering is never
-//! unbounded. Executor threads pop jobs and run [`evaluate`] on the shared
-//! [`CellLibrary`] and [`WorkerPool`] with the slot's [`CancelToken`]
+//! A compute query is parsed, canonicalized into its
+//! [`QueryKey`](crate::query::QueryKey), and admitted through the
+//! single-flight [`QueryCache`]: a cached response is returned immediately;
+//! an in-flight identical query is **coalesced** (this request waits on the
+//! same execution and shares the same response buffer, byte for byte);
+//! otherwise the request leads and enqueues a job on the bounded
+//! [`JobQueue`]. A full queue replies `busy` with the current depth —
+//! backpressure is explicit and buffering is never unbounded. Executor
+//! threads pop jobs and run [`evaluate`] on the shared [`CellLibrary`] and
+//! [`WorkerPool`] with the slot's [`CancelToken`](hetarch_exec::CancelToken)
 //! threaded through every sweep/shard loop.
 //!
 //! ## Cancellation and shutdown

@@ -108,8 +108,10 @@ pub fn repetition_matching_graph(d: usize, rounds: usize, px: f64, p_meas: f64) 
     g
 }
 
-/// Monte-Carlo logical error rate of the repetition memory (per shot).
+/// Monte-Carlo logical error rate of the repetition memory (per shot),
+/// with detectors sampled on `pool`.
 pub fn repetition_logical_error_rate(
+    pool: &hetarch_exec::WorkerPool,
     d: usize,
     rounds: usize,
     px: f64,
@@ -123,7 +125,7 @@ pub fn repetition_logical_error_rate(
     let graph = repetition_matching_graph(d, rounds, px, p_meas);
     debug_assert_eq!(graph.num_nodes(), circuit.num_detectors());
     let decoder = UnionFindDecoder::new(&graph);
-    let samples = sample_detectors(hetarch_exec::WorkerPool::global(), &circuit, shots, seed);
+    let samples = sample_detectors(pool, &circuit, shots, seed);
     let n_det = circuit.num_detectors();
     let mut failures = 0;
     let mut syn = vec![false; n_det];
@@ -142,6 +144,7 @@ pub fn repetition_logical_error_rate(
 mod tests {
     use super::*;
     use crate::detector::nondeterministic_detectors;
+    use hetarch_exec::WorkerPool;
 
     #[test]
     fn code_parameters() {
@@ -168,19 +171,22 @@ mod tests {
         // The repetition code's threshold (with measurement noise) is ~10%;
         // at 2% the logical rate must fall sharply with d.
         let shots = 20_000;
-        let p3 = repetition_logical_error_rate(3, 3, 0.02, 0.02, shots, 1);
-        let p7 = repetition_logical_error_rate(7, 7, 0.02, 0.02, shots, 2);
+        let p3 = repetition_logical_error_rate(&WorkerPool::new(4), 3, 3, 0.02, 0.02, shots, 1);
+        let p7 = repetition_logical_error_rate(&WorkerPool::new(4), 7, 7, 0.02, 0.02, shots, 2);
         assert!(p7 < p3 / 2.0, "d=7 ({p7}) should be well below d=3 ({p3})");
     }
 
     #[test]
     fn noiseless_memory_is_perfect() {
-        assert_eq!(repetition_logical_error_rate(5, 5, 0.0, 0.0, 500, 3), 0.0);
+        assert_eq!(
+            repetition_logical_error_rate(&WorkerPool::new(4), 5, 5, 0.0, 0.0, 500, 3),
+            0.0
+        );
     }
 
     #[test]
     fn saturated_noise_randomizes() {
-        let p = repetition_logical_error_rate(3, 2, 0.5, 0.0, 20_000, 4);
+        let p = repetition_logical_error_rate(&WorkerPool::new(4), 3, 2, 0.5, 0.0, 20_000, 4);
         assert!((p - 0.5).abs() < 0.05, "rate {p}");
     }
 }

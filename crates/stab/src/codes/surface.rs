@@ -625,21 +625,15 @@ impl SurfaceMemory {
         g
     }
 
-    /// Runs the full Monte-Carlo memory experiment: sample detectors, decode
-    /// each shot with union-find, and compare against the true observable.
+    /// Runs the full Monte-Carlo memory experiment on `pool`: sample
+    /// detectors, decode each shot with `which` decoder (the decoder
+    /// ablation knob), and compare against the true observable.
     ///
     /// Returns `(logical_error_rate_per_shot, logical_error_rate_per_round)`.
     ///
-    /// Sampling and decoding are sharded over the global
-    /// [`WorkerPool`]; shard boundaries and RNG streams depend only on
-    /// `(shots, seed)`, so the result is **bit-identical for every worker
-    /// count**. `shots == 0` reports a rate of zero.
-    pub fn logical_error_rate(&self, shots: usize, seed: u64) -> (f64, f64) {
-        self.logical_error_rate_on(WorkerPool::global(), SurfaceDecoder::UnionFind, shots, seed)
-    }
-
-    /// As [`Self::logical_error_rate`] with an explicit worker pool and
-    /// decoder choice (the decoder ablation knob).
+    /// Shard boundaries and RNG streams depend only on `(shots, seed)`, so
+    /// the result is **bit-identical for every worker count**. `shots == 0`
+    /// reports a rate of zero.
     pub fn logical_error_rate_on(
         &self,
         pool: &WorkerPool,
@@ -692,7 +686,7 @@ impl SurfaceMemory {
     /// Rare-event logical error rate via weight-stratified importance
     /// sampling.
     ///
-    /// Where the plain [`Self::logical_error_rate`] returns `0/N` for any
+    /// Where the plain [`Self::logical_error_rate_on`] returns `0/N` for any
     /// deep-subthreshold point, this estimator resolves per-shot rates far
     /// below `1/shots` and reports an explicit error budget: the
     /// [`hetarch_exec::rare::RareReport`] carries `(p_L, sigma,
@@ -763,6 +757,11 @@ mod tests {
     use super::*;
     use crate::detector::nondeterministic_detectors;
 
+    /// The plain union-find rate on a fixed four-worker pool.
+    pub(super) fn rate(mem: &SurfaceMemory, shots: usize, seed: u64) -> (f64, f64) {
+        mem.logical_error_rate_on(&WorkerPool::new(4), SurfaceDecoder::UnionFind, shots, seed)
+    }
+
     #[test]
     fn lattice_counts() {
         for d in [2, 3, 4, 5, 7] {
@@ -809,7 +808,7 @@ mod tests {
             ..SurfaceNoise::default()
         };
         let mem = SurfaceMemory::new(3, 3, noise);
-        let (per_shot, _) = mem.logical_error_rate(200, 5);
+        let (per_shot, _) = rate(&mem, 200, 5);
         assert_eq!(per_shot, 0.0);
     }
 
@@ -824,7 +823,7 @@ mod tests {
             ..SurfaceNoise::default()
         };
         let mem = SurfaceMemory::new(3, 3, noise);
-        let (per_shot, _) = mem.logical_error_rate(2000, 7);
+        let (per_shot, _) = rate(&mem, 2000, 7);
         assert!(per_shot < 0.05, "low-noise d=3 logical rate {per_shot}");
     }
 
@@ -839,8 +838,8 @@ mod tests {
             ..SurfaceNoise::default()
         };
         let shots = 20_000;
-        let (p3, _) = SurfaceMemory::new(3, 3, noise).logical_error_rate(shots, 11);
-        let (p5, _) = SurfaceMemory::new(5, 5, noise).logical_error_rate(shots, 13);
+        let (p3, _) = rate(&SurfaceMemory::new(3, 3, noise), shots, 11);
+        let (p5, _) = rate(&SurfaceMemory::new(5, 5, noise), shots, 13);
         assert!(p5 < p3, "below threshold d=5 ({p5}) should beat d=3 ({p3})");
     }
 
@@ -857,7 +856,7 @@ mod tests {
         };
         let mem = SurfaceMemory::new(3, 2, noise);
         let shots = 40_000;
-        let (plain, _) = mem.logical_error_rate(shots, 31);
+        let (plain, _) = rate(&mem, shots, 31);
         let config = RareConfig {
             max_strata: 40,
             rel_tol: 0.02,
@@ -865,7 +864,7 @@ mod tests {
             ..RareConfig::default()
         };
         let outcome = mem.logical_error_rate_rare_on(
-            WorkerPool::global(),
+            &WorkerPool::new(4),
             SurfaceDecoder::UnionFind,
             config,
             33,
@@ -908,8 +907,8 @@ mod tests {
             ..base
         };
         let shots = 8_000;
-        let (p_base, _) = SurfaceMemory::new(3, 3, base).logical_error_rate(shots, 17);
-        let (p_better, _) = SurfaceMemory::new(3, 3, better).logical_error_rate(shots, 17);
+        let (p_base, _) = rate(&SurfaceMemory::new(3, 3, base), shots, 17);
+        let (p_better, _) = rate(&SurfaceMemory::new(3, 3, better), shots, 17);
         assert!(
             p_better < p_base,
             "5x data coherence should help: {p_better} vs {p_base}"
@@ -919,6 +918,7 @@ mod tests {
 
 #[cfg(test)]
 mod xbasis_tests {
+    use super::tests::rate;
     use super::*;
     use crate::detector::nondeterministic_detectors;
 
@@ -946,7 +946,7 @@ mod xbasis_tests {
             ..SurfaceNoise::default()
         };
         let mem = SurfaceMemory::new_x(3, 3, noise);
-        let (per_shot, _) = mem.logical_error_rate(200, 5);
+        let (per_shot, _) = rate(&mem, 200, 5);
         assert_eq!(per_shot, 0.0);
     }
 
@@ -956,8 +956,8 @@ mod xbasis_tests {
         // the two bases should have statistically similar logical rates.
         let noise = SurfaceNoise::default();
         let shots = 8_000;
-        let (_, pz) = SurfaceMemory::new(5, 5, noise).logical_error_rate(shots, 21);
-        let (_, px) = SurfaceMemory::new_x(5, 5, noise).logical_error_rate(shots, 22);
+        let (_, pz) = rate(&SurfaceMemory::new(5, 5, noise), shots, 21);
+        let (_, px) = rate(&SurfaceMemory::new_x(5, 5, noise), shots, 22);
         assert!(
             (px - pz).abs() < 0.5 * (px + pz),
             "X-memory {px} vs Z-memory {pz} should be within 50%"

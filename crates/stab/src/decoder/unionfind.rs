@@ -587,7 +587,7 @@ impl UnionFindDecoder {
 
     /// The original per-shot decoder, kept as the bit-identity
     /// oracle for the scratch/batch paths (mirroring `apply_reference` in
-    /// qsim). Allocates a fresh dense [`DecodeState`] per call.
+    /// qsim). Allocates a fresh dense decode state per call.
     ///
     /// # Panics
     ///

@@ -8,11 +8,14 @@
 //! # Example
 //!
 //! ```
-//! use hetarch_stab::codes::{SurfaceMemory, SurfaceNoise};
+//! use hetarch_exec::WorkerPool;
+//! use hetarch_stab::codes::{SurfaceDecoder, SurfaceMemory, SurfaceNoise};
 //!
 //! // A small distance-3 memory experiment with the paper's noise defaults.
 //! let mem = SurfaceMemory::new(3, 3, SurfaceNoise::default());
-//! let (per_shot, per_round) = mem.logical_error_rate(2_000, 42);
+//! let pool = WorkerPool::new(2);
+//! let (per_shot, per_round) =
+//!     mem.logical_error_rate_on(&pool, SurfaceDecoder::UnionFind, 2_000, 42);
 //! assert!(per_shot < 0.5);
 //! assert!(per_round <= per_shot);
 //! ```

@@ -179,7 +179,7 @@ fn every_single_pauli_fault_fires_some_detector_or_is_harmless() {
             &[q],
         );
         c.append(&mem.circuit());
-        let s = sample_detectors(hetarch_exec::WorkerPool::global(), &c, 64, 1);
+        let s = sample_detectors(&hetarch_exec::WorkerPool::new(4), &c, 64, 1);
         let fired: usize = (0..c.num_detectors())
             .map(|d| usize::from(s.detectors.get(d, 0)))
             .sum();

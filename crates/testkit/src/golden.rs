@@ -15,7 +15,8 @@
 //!   round-trips the exact bit pattern — deterministic across runs,
 //!   platforms, and optimization levels;
 //! * results themselves come from worker-count-invariant seeded Monte
-//!   Carlo, so the rendered values are identical for any `HETARCH_WORKERS`.
+//!   Carlo, so the rendered values are identical for any worker pool the
+//!   caller passes.
 //!
 //! For serde-serializable values, [`Snapshot::serde_hex`] additionally pins
 //! the binary encoding (hex-dumped), so format drift in `vendor/serde` or

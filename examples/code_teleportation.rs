@@ -7,6 +7,7 @@
 use hetarch::prelude::*;
 
 fn main() {
+    let pool = WorkerPool::available();
     let pairs: Vec<(&str, StabilizerCode, StabilizerCode)> = vec![
         ("SC3 <-> RM15", rotated_surface_code(3), reed_muller_15()),
         (
@@ -25,10 +26,10 @@ fn main() {
     for (name, a, b) in &pairs {
         let mut het_cfg = CtConfig::heterogeneous(a.clone(), b.clone(), 50e-3);
         het_cfg.shots = 10_000;
-        let het = CtModule::new(het_cfg).evaluate();
+        let het = CtModule::new(het_cfg).evaluate(&pool);
         let mut hom_cfg = CtConfig::homogeneous(a.clone(), b.clone());
         hom_cfg.shots = 10_000;
-        let hom = CtModule::new(hom_cfg).evaluate();
+        let hom = CtModule::new(hom_cfg).evaluate(&pool);
         println!(
             "{:>14} {:>10.3} {:>10.3} {:>9.2}x",
             name,
@@ -41,7 +42,7 @@ fn main() {
     // Error breakdown for one pair.
     let mut cfg = CtConfig::heterogeneous(rotated_surface_code(3), reed_muller_15(), 50e-3);
     cfg.shots = 10_000;
-    let r = CtModule::new(cfg).evaluate();
+    let r = CtModule::new(cfg).evaluate(&pool);
     println!("\nBreakdown for SC3 <-> RM15 at Ts = 50 ms:");
     println!(
         "  EP link (2 pairs @ F = {:.4}): {:.4}",
@@ -72,7 +73,7 @@ fn main() {
             ts_ms * 1e-3,
         );
         cfg.shots = 6_000;
-        let r = CtModule::new(cfg).evaluate();
+        let r = CtModule::new(cfg).evaluate(&pool);
         println!("  Ts = {ts_ms:>5.1} ms: {:.3}", r.logical_error_probability);
     }
 }

@@ -8,10 +8,11 @@ use hetarch::prelude::*;
 use hetarch_dse::explore::explore_distill_storage;
 
 fn main() {
+    let pool = WorkerPool::available();
     // --- 1. Which storage coherence is "enough" for distillation? -------
     let ts_values = [0.5e-3, 1e-3, 2.5e-3, 5e-3, 12.5e-3, 50e-3];
     for gen_rate in [1e5, 1e6] {
-        let ex = explore_distill_storage(gen_rate, &ts_values, 5e-3, 0.9, 13);
+        let ex = explore_distill_storage(&pool, gen_rate, &ts_values, 5e-3, 0.9, 13);
         println!("EP generation {} kHz:", gen_rate / 1e3);
         for p in &ex.points {
             println!(

@@ -7,6 +7,7 @@
 use hetarch::prelude::*;
 
 fn main() {
+    let pool = WorkerPool::available();
     let compute = catalog::coherence_limited_compute(0.5e-3);
     let storage = catalog::coherence_limited_storage(50e-3);
     let usc = UscCell::new(compute, storage)
@@ -36,12 +37,12 @@ fn main() {
     ];
     for code in codes {
         let module = UecModule::new(code.clone(), usc.clone(), noise);
-        let het = module.logical_error_rate(shots, 42);
+        let het = module.logical_error_rate_on(&pool, shots, 42);
         let hom = if code.name().starts_with("SC") {
-            hom_surface_logical_error(code.distance(), 0.5e-3, noise, shots, 43)
+            hom_surface_logical_error(&pool, code.distance(), 0.5e-3, noise, shots, 43)
         } else {
             HomModule::new(code.clone(), 0.5e-3, noise)
-                .logical_error_rate(shots, 43)
+                .logical_error_rate_on(&pool, shots, 43)
                 .logical_error_rate
         };
         println!(

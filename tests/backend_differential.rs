@@ -1,17 +1,14 @@
-//! Differential property suite for the batched density-matrix apply path:
-//! `Kraus2::apply_batch` (`apply_superop_2q_batch`, lane-blocked over
-//! states) and `Kraus1::apply_batch` (a per-state loop) must agree with
-//! per-state `apply` and with the Kraus-sum reference (`apply_reference`)
-//! on random mixed states and random batch sizes — including the
-//! degenerate sizes 0 and 1 and sizes that exercise both the full-lane path
-//! and the per-state remainder. On top of the ≤1e-12 analytic bound, the
-//! batched and per-state outputs are checked *bit-identical*: lane blocking
-//! never mixes floats between states, so both perform the same operations
-//! in the same order per state.
+//! Differential property suite for the density-matrix apply path: per-state
+//! `Kraus1::apply`/`Kraus2::apply` (the compiled superoperator kernels) must
+//! agree with the Kraus-sum reference (`apply_reference`) to ≤1e-12 on
+//! random CPTP channels and random mixed states.
+//!
+//! Per-state `apply` is the only channel-apply path; the lane-blocked batch
+//! path and its batch-vs-per-state bitwise comparisons were removed together.
 //!
 //! The suite closes the contract at the module layer too:
 //! `DistillModule::run_batch_on` (whose DEJMPS table and pair states ride
-//! the batched path) must stay worker-count invariant, and the
+//! the kernel path) must stay worker-count invariant, and the
 //! cross-simulator [`DiffOracle`] must pass on the exact path.
 
 use hetarch::modules::distill::{DistillConfig, DistillModule};
@@ -23,12 +20,12 @@ use proptest::prelude::*;
 
 const TOL: f64 = 1e-12;
 
-fn assert_states_close(batched: &DensityMatrix, reference: &DensityMatrix) {
-    assert_eq!(batched.dim(), reference.dim());
-    for (a, b) in batched.as_slice().iter().zip(reference.as_slice()) {
+fn assert_states_close(kernel: &DensityMatrix, reference: &DensityMatrix) {
+    assert_eq!(kernel.dim(), reference.dim());
+    for (a, b) in kernel.as_slice().iter().zip(reference.as_slice()) {
         assert!(
             a.approx_eq(*b, TOL),
-            "batched {a} vs reference {b} (|Δ| = {:.3e})",
+            "kernel {a} vs reference {b} (|Δ| = {:.3e})",
             (*a - *b).abs()
         );
     }
@@ -52,17 +49,6 @@ fn random_state(n: usize, angles: &[f64], noise: f64) -> DensityMatrix {
         depol.apply(&mut rho, q);
     }
     rho
-}
-
-/// A batch of `count` distinct random mixed states sharing qubit count `n`.
-fn random_batch(n: usize, count: usize, angles: &[f64], noise: f64) -> Vec<DensityMatrix> {
-    (0..count)
-        .map(|i| {
-            // Offset the angles per state so batch members differ.
-            let shifted: Vec<f64> = angles.iter().map(|a| a + 0.1 * i as f64).collect();
-            random_state(n, &shifted, noise)
-        })
-        .collect()
 }
 
 /// A random single-qubit CPTP channel assembled from the library primitives.
@@ -105,84 +91,41 @@ fn kraus2_strategy() -> impl Strategy<Value = Kraus2> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Single-qubit channels: on every state of a random batch,
-    /// `apply_batch` agrees with per-state `apply` bitwise and with the
-    /// Kraus-sum reference to ≤1e-12, for batch sizes 0..=9.
-    fn backend_1q_matches_scalar_and_reference(
+    /// Single-qubit channels on 3-qubit states: `apply` agrees with the
+    /// Kraus-sum reference to ≤1e-12.
+    fn apply_1q_matches_reference(
         ch in kraus1_strategy(),
         angles in proptest::collection::vec(0.0..std::f64::consts::TAU, 9),
         noise in 0.0..0.2f64,
         q in 0usize..3,
-        count in 0usize..=9,
     ) {
-        let via_batched = {
-            let mut states = random_batch(3, count, &angles, noise);
-            ch.apply_batch(&mut states, q);
-            states
-        };
-        let via_scalar = {
-            let mut states = random_batch(3, count, &angles, noise);
-            for rho in states.iter_mut() {
-                ch.apply(rho, q);
-            }
-            states
-        };
-        let via_reference = {
-            let mut states = random_batch(3, count, &angles, noise);
-            for rho in states.iter_mut() {
-                ch.apply_reference(rho, q);
-            }
-            states
-        };
-        prop_assert_eq!(via_batched.len(), count);
-        prop_assert_eq!(&via_batched, &via_scalar);
-        for (b, r) in via_batched.iter().zip(&via_reference) {
-            assert_states_close(b, r);
-        }
+        let mut via_kernel = random_state(3, &angles, noise);
+        ch.apply(&mut via_kernel, q);
+        let mut via_reference = random_state(3, &angles, noise);
+        ch.apply_reference(&mut via_reference, q);
+        assert_states_close(&via_kernel, &via_reference);
     }
 
-    /// The same property for two-qubit channels on 4-qubit states. Batch
-    /// sizes 0..=9 cover empty input, the pure remainder path, full lanes,
-    /// and lanes-plus-remainder.
-    fn backend_2q_matches_scalar_and_reference(
+    /// The same property for two-qubit channels on 4-qubit states, over
+    /// ordered and reversed qubit pairs.
+    fn apply_2q_matches_reference(
         ch in kraus2_strategy(),
         angles in proptest::collection::vec(0.0..std::f64::consts::TAU, 12),
         noise in 0.0..0.2f64,
         pair in prop_oneof![Just((0usize, 1usize)), Just((3, 1)), Just((2, 0)), Just((1, 3))],
-        count in 0usize..=9,
     ) {
-        let via_batched = {
-            let mut states = random_batch(4, count, &angles, noise);
-            ch.apply_batch(&mut states, pair.0, pair.1);
-            states
-        };
-        let via_scalar = {
-            let mut states = random_batch(4, count, &angles, noise);
-            for rho in states.iter_mut() {
-                ch.apply(rho, pair.0, pair.1);
-            }
-            states
-        };
-        let via_reference = {
-            let mut states = random_batch(4, count, &angles, noise);
-            for rho in states.iter_mut() {
-                ch.apply_reference(rho, pair.0, pair.1);
-            }
-            states
-        };
-        prop_assert_eq!(via_batched.len(), count);
-        // Bitwise: lane blocking performs the same float ops per state.
-        prop_assert_eq!(&via_batched, &via_scalar);
-        for (b, r) in via_batched.iter().zip(&via_reference) {
-            assert_states_close(b, r);
-        }
+        let mut via_kernel = random_state(4, &angles, noise);
+        ch.apply(&mut via_kernel, pair.0, pair.1);
+        let mut via_reference = random_state(4, &angles, noise);
+        ch.apply_reference(&mut via_reference, pair.0, pair.1);
+        assert_states_close(&via_kernel, &via_reference);
     }
 }
 
 /// The module-layer closure: `DistillModule::run_batch_on` threads its pair
-/// states and DEJMPS lookup table through the batched apply path, and
-/// the result must stay bit-identical across worker counts — batching is a
-/// per-shard layout decision, never a semantic one.
+/// states and DEJMPS lookup table through the kernel apply path, and the
+/// result must stay bit-identical across worker counts — the pool decides
+/// where a trial runs, never what it computes.
 #[test]
 fn distill_batch_reports_are_worker_count_invariant() {
     use hetarch::exec::WorkerPool;

@@ -5,13 +5,13 @@ use hetarch::prelude::*;
 fn quick_het(a: StabilizerCode, b: StabilizerCode, ts: f64) -> CtResult {
     let mut cfg = CtConfig::heterogeneous(a, b, ts);
     cfg.shots = 4_000;
-    CtModule::new(cfg).evaluate()
+    CtModule::new(cfg).evaluate(&WorkerPool::new(4))
 }
 
 fn quick_hom(a: StabilizerCode, b: StabilizerCode) -> CtResult {
     let mut cfg = CtConfig::homogeneous(a, b);
     cfg.shots = 4_000;
-    CtModule::new(cfg).evaluate()
+    CtModule::new(cfg).evaluate(&WorkerPool::new(4))
 }
 
 #[test]

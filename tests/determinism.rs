@@ -184,3 +184,35 @@ fn dse_sweep_is_worker_count_invariant() {
         }
     }
 }
+
+#[test]
+fn nested_surface_exploration_is_worker_count_invariant() {
+    use hetarch::dse::explore::{explore_surface_coherence_with, SurfaceEstimator};
+    // The sweep and each point's surface Monte Carlo share one caller-given
+    // pool, so every worker count runs the inner estimator nested inside
+    // the outer sweep.
+    let rare = RareConfig {
+        max_strata: 6,
+        rel_tol: 0.5,
+        shots_per_stratum: 700,
+        enumerate_threshold: 8,
+        ..RareConfig::default()
+    };
+    for estimator in [
+        SurfaceEstimator::Plain { shots: 1_300 },
+        SurfaceEstimator::Rare(rare),
+    ] {
+        let explore = |pool: &WorkerPool| {
+            explore_surface_coherence_with(pool, 3, 0.1e-3, &[1.0, 2.0], estimator, 47)
+        };
+        let baseline = explore(&WorkerPool::new(1));
+        assert_eq!(baseline.len(), 4);
+        for workers in WORKER_COUNTS {
+            assert_eq!(
+                explore(&WorkerPool::new(workers)),
+                baseline,
+                "{estimator:?} exploration differs at {workers} workers"
+            );
+        }
+    }
+}

@@ -42,7 +42,7 @@ fn uec_under_fifty_percent_measurement_flips() {
         meas_flip: 0.5, // syndromes carry zero information
     };
     let m = UecModule::new(steane(), usc, noise);
-    let r = m.logical_error_rate(4_000, 3);
+    let r = m.logical_error_rate_on(&WorkerPool::new(4), 4_000, 3);
     // Decoding from random syndromes applies random low-weight corrections;
     // the perfect round cleans up, so errors stay bounded well below chance.
     assert!(r.logical_error_rate < 0.5, "rate {}", r.logical_error_rate);
@@ -61,7 +61,8 @@ fn uec_at_maximal_gate_noise_saturates_sanely() {
         p_swap: 1.0,
         meas_flip: 0.5,
     };
-    let r = UecModule::new(steane(), usc, noise).logical_error_rate(2_000, 5);
+    let r =
+        UecModule::new(steane(), usc, noise).logical_error_rate_on(&WorkerPool::new(4), 2_000, 5);
     assert!(r.logical_error_rate <= 1.0);
     assert!(
         r.logical_error_rate > 0.3,
@@ -78,7 +79,12 @@ fn surface_memory_at_noise_saturation() {
         ..SurfaceNoise::default()
     };
     let mem = SurfaceMemory::new(3, 3, noise);
-    let (per_shot, per_round) = mem.logical_error_rate(2_000, 7);
+    let (per_shot, per_round) = mem.logical_error_rate_on(
+        &WorkerPool::new(4),
+        hetarch::stab::codes::SurfaceDecoder::UnionFind,
+        2_000,
+        7,
+    );
     // Fully randomized logical bit: per-shot rate near 50%.
     assert!(per_shot > 0.3 && per_shot <= 0.65, "per_shot {per_shot}");
     assert!(per_round <= per_shot);
@@ -136,13 +142,13 @@ fn ct_module_reports_starved_links() {
     let mut cfg = CtConfig::homogeneous(rotated_surface_code(3), rotated_surface_code(4));
     cfg.ep_rate_hz = 2e4; // 20 kHz: hopeless for the homogeneous memory
     cfg.shots = 1_000;
-    let starved = CtModule::new(cfg.clone()).evaluate();
+    let starved = CtModule::new(cfg.clone()).evaluate(&WorkerPool::new(4));
     assert!(starved.ep_starved, "20 kHz homogeneous link should starve");
     assert!(starved.ep_fidelity < cfg.ep_target);
 
     let mut healthy_cfg = cfg;
     healthy_cfg.ep_rate_hz = 1e6;
-    let healthy = CtModule::new(healthy_cfg).evaluate();
+    let healthy = CtModule::new(healthy_cfg).evaluate(&WorkerPool::new(4));
     assert!(!healthy.ep_starved);
     assert!(
         starved.logical_error_probability > healthy.logical_error_probability,
@@ -250,7 +256,7 @@ fn rare_estimator_with_zero_strata_is_explicitly_unconverged() {
         ..RareConfig::default()
     };
     let outcome = mem.logical_error_rate_rare_on(
-        WorkerPool::global(),
+        &WorkerPool::new(4),
         hetarch::stab::codes::SurfaceDecoder::UnionFind,
         config,
         3,
@@ -363,7 +369,7 @@ fn rare_estimator_reports_unconverged_when_tolerance_is_unreachable() {
         ..RareConfig::default()
     };
     let outcome = mem.logical_error_rate_rare_on(
-        WorkerPool::global(),
+        &WorkerPool::new(4),
         hetarch::stab::codes::SurfaceDecoder::UnionFind,
         config,
         5,

@@ -379,7 +379,7 @@ fn cell_channel_goldens_are_bit_stable() {
 
 #[test]
 fn uec_rate_goldens_are_worker_count_invariant() {
-    // HETARCH_WORKERS ∈ {1, 8}: the sharded Monte-Carlo seeding makes the
+    // Pools of 1 and 8 workers: the sharded Monte-Carlo seeding makes the
     // rendered curve identical regardless of parallelism.
     let single = uec_rate_snapshot(&WorkerPool::new(1));
     let eight = uec_rate_snapshot(&WorkerPool::new(8));

@@ -65,7 +65,7 @@ fn cell_library_cache_feeds_dse_ledger() {
 #[test]
 fn dse_sweep_runs_modules_in_parallel() {
     let space = DesignSpace::new(vec![Axis::new("ts", vec![1e-3, 12.5e-3])]);
-    let results = sweep(&space, |p| {
+    let results = sweep_on(&WorkerPool::new(2), space.points(), |p| {
         let cfg = DistillConfig::heterogeneous(p.get("ts"), 1e6, 5);
         DistillModule::new(cfg).run(0.5e-3).rounds_attempted
     });

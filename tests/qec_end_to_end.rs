@@ -1,6 +1,7 @@
 //! End-to-end error-corrected memory (paper §4.2 headline behaviours).
 
 use hetarch::prelude::*;
+use hetarch::stab::codes::SurfaceDecoder;
 use hetarch::testkit::prelude::*;
 
 fn usc(ts: f64) -> UscChannel {
@@ -30,8 +31,18 @@ fn surface_code_data_coherence_matters_more_than_ancilla() {
         t_anc: base.t_anc * 5.0,
         ..base
     };
-    let (_, p_data) = SurfaceMemory::new(d, d, data_scaled).logical_error_rate(shots, 41);
-    let (_, p_anc) = SurfaceMemory::new(d, d, anc_scaled).logical_error_rate(shots, 41);
+    let (_, p_data) = SurfaceMemory::new(d, d, data_scaled).logical_error_rate_on(
+        &WorkerPool::new(4),
+        SurfaceDecoder::UnionFind,
+        shots,
+        41,
+    );
+    let (_, p_anc) = SurfaceMemory::new(d, d, anc_scaled).logical_error_rate_on(
+        &WorkerPool::new(4),
+        SurfaceDecoder::UnionFind,
+        shots,
+        41,
+    );
     assert!(
         p_data < p_anc,
         "data-scaled {p_data} should beat ancilla-scaled {p_anc}"
@@ -50,8 +61,18 @@ fn surface_code_ratio_pushes_below_threshold() {
         t_anc: 0.05e-3,
         ..SurfaceNoise::default()
     };
-    let (_, p3) = SurfaceMemory::new(3, 3, noise).logical_error_rate(shots, 43);
-    let (_, p9) = SurfaceMemory::new(9, 9, noise).logical_error_rate(shots, 44);
+    let (_, p3) = SurfaceMemory::new(3, 3, noise).logical_error_rate_on(
+        &WorkerPool::new(4),
+        SurfaceDecoder::UnionFind,
+        shots,
+        43,
+    );
+    let (_, p9) = SurfaceMemory::new(9, 9, noise).logical_error_rate_on(
+        &WorkerPool::new(4),
+        SurfaceDecoder::UnionFind,
+        shots,
+        44,
+    );
     // Per-round rates over shots × d rounds each; the testkit two-proportion
     // comparison demands a 3σ separation, not just a raw inequality.
     let per_round_sample = |p: f64, d: u64| {
@@ -74,10 +95,10 @@ fn uec_favors_non_planar_codes() {
     let ch = usc(50e-3);
     for code in [steane(), color_17(), reed_muller_15()] {
         let het = UecModule::new(code.clone(), ch.clone(), noise())
-            .logical_error_rate(shots, 47)
+            .logical_error_rate_on(&WorkerPool::new(4), shots, 47)
             .logical_error_rate;
         let hom = HomModule::new(code.clone(), 0.5e-3, noise())
-            .logical_error_rate(shots, 48)
+            .logical_error_rate_on(&WorkerPool::new(4), shots, 48)
             .logical_error_rate;
         assert!(
             het < hom,
@@ -87,9 +108,9 @@ fn uec_favors_non_planar_codes() {
     }
     // Surface code: the square lattice is native, the baseline wins.
     let het_sc = UecModule::new(rotated_surface_code(3), ch, noise())
-        .logical_error_rate(shots, 49)
+        .logical_error_rate_on(&WorkerPool::new(4), shots, 49)
         .logical_error_rate;
-    let hom_sc = hom_surface_logical_error(3, 0.5e-3, noise(), shots, 50);
+    let hom_sc = hom_surface_logical_error(&WorkerPool::new(4), 3, 0.5e-3, noise(), shots, 50);
     assert!(
         hom_sc < het_sc,
         "surface code: homogeneous {hom_sc} should beat UEC {het_sc}"
@@ -102,10 +123,10 @@ fn uec_logical_error_falls_with_storage_coherence() {
     let shots = 5_000;
     for code in [steane(), rotated_surface_code(3)] {
         let hi = UecModule::new(code.clone(), usc(0.5e-3), noise())
-            .logical_error_rate(shots, 53)
+            .logical_error_rate_on(&WorkerPool::new(4), shots, 53)
             .logical_error_rate;
         let lo = UecModule::new(code.clone(), usc(50e-3), noise())
-            .logical_error_rate(shots, 53)
+            .logical_error_rate_on(&WorkerPool::new(4), shots, 53)
             .logical_error_rate;
         assert!(
             lo < hi,
@@ -128,7 +149,7 @@ fn uec_handles_any_code_up_to_capacity() {
         rotated_surface_code(5), // 25 data qubits
     ] {
         let m = UecModule::new(code.clone(), ch.clone(), noise());
-        let r = m.logical_error_rate(300, 59);
+        let r = m.logical_error_rate_on(&WorkerPool::new(4), 300, 59);
         assert!(
             r.logical_error_rate <= 1.0 && r.cycle_duration > 0.0,
             "{} must run on the UEC",

@@ -28,7 +28,8 @@ use proptest::prelude::*;
 /// Plain-estimator observation as a [`BinomialTest`], recovering the
 /// failure count from the reported rate.
 fn plain_observation(memory: &SurfaceMemory, shots: usize, seed: u64) -> BinomialTest {
-    let (per_shot, _per_round) = memory.logical_error_rate(shots, seed);
+    let (per_shot, _per_round) =
+        memory.logical_error_rate_on(&WorkerPool::new(4), SurfaceDecoder::UnionFind, shots, seed);
     let failures = (per_shot * shots as f64).round() as u64;
     BinomialTest::new(failures, shots as u64)
 }
@@ -37,7 +38,7 @@ fn cross_validate(memory: &SurfaceMemory, config: RareConfig, shots: usize, seed
     let plain = plain_observation(memory, shots, seed);
     let report = memory
         .logical_error_rate_rare_on(
-            WorkerPool::global(),
+            &WorkerPool::new(4),
             SurfaceDecoder::UnionFind,
             config,
             seed.wrapping_add(1),
@@ -173,7 +174,7 @@ fn chain_rare_estimate_tracks_plain_estimate() {
     .unwrap()
     .characterize();
     let chain = ChainUecModule::new(steane(), usc, 2, UecNoise::default());
-    let pool = WorkerPool::global();
+    let pool = &WorkerPool::new(4);
     let Estimate::Plain { failures, shots } =
         run(&chain, Estimator::Plain { shots: 20_000 }, pool, 17)
     else {
@@ -267,7 +268,12 @@ fn deep_subthreshold_d7_point_is_resolved_and_worker_invariant() {
     // The plain estimator at the stratified run's entire budget sees
     // nothing: every one of its shots lands in the overwhelming zero- and
     // low-weight mass.
-    let (plain_rate, _) = memory.logical_error_rate(baseline.total_shots, seed);
+    let (plain_rate, _) = memory.logical_error_rate_on(
+        &WorkerPool::new(4),
+        SurfaceDecoder::UnionFind,
+        baseline.total_shots,
+        seed,
+    );
     assert_eq!(
         plain_rate, 0.0,
         "plain estimator should be blind at this budget"
