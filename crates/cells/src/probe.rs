@@ -107,6 +107,24 @@ mod tests {
     }
 
     #[test]
+    fn each_probe_is_prepared_fresh_on_qubit_zero() {
+        // `op` sees every Pauli eigenstate once, in order, on qubit 0 with
+        // qubit 1 in |0>, although every call scrambles the state it gets.
+        let probes = pauli_eigenstate_probes();
+        let zero = [C64::ONE, C64::ZERO];
+        let calls = std::cell::Cell::new(0);
+        average_transfer_fidelity(|rho| {
+            let (_, psi) = &probes[calls.get()];
+            assert!((fidelity_with_pure(&rho.partial_trace(&[0]), psi) - 1.0).abs() < 1e-12);
+            assert!((fidelity_with_pure(&rho.partial_trace(&[1]), &zero) - 1.0).abs() < 1e-12);
+            rho.apply_1q(1, &Mat::pauli_x());
+            rho.apply_2q(0, 1, &Mat::swap());
+            calls.set(calls.get() + 1);
+        });
+        assert_eq!(calls.get(), probes.len());
+    }
+
+    #[test]
     fn pauli_eigenstate_probes_are_normalized() {
         for (_, psi) in pauli_eigenstate_probes() {
             let norm: f64 = psi.iter().map(|z| z.norm_sqr()).sum();

@@ -480,6 +480,15 @@ mod tests {
     }
 
     #[test]
+    fn available_pool_matches_serial_fold() {
+        let run = |pool: &WorkerPool| {
+            pool.run_shards(257, 16, 7, |s| format!("{}:{:x};", s.index, s.seed))
+                .concat()
+        };
+        assert_eq!(run(&WorkerPool::available()), run(&WorkerPool::new(1)));
+    }
+
+    #[test]
     fn uncancelled_try_paths_match_plain_paths() {
         for workers in [1, 2, 8] {
             let pool = WorkerPool::new(workers);

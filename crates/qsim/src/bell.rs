@@ -783,6 +783,50 @@ mod tests {
     }
 
     #[test]
+    fn table_matches_exact_simulation_on_every_pure_input_pair() {
+        // The table and `dejmps_density` share one round implementation;
+        // on the 16 pure Bell inputs that build the table they must agree,
+        // including on which combinations never herald (noiseless case).
+        let noisy = DistillNoise {
+            p2q: 0.005,
+            p1q: 0.0005,
+            meas_flip: 0.002,
+        };
+        let noiseless = DistillNoise {
+            p2q: 0.0,
+            p1q: 0.0,
+            meas_flip: 0.0,
+        };
+        for noise in [noisy, noiseless] {
+            let table = DejmpsTable::new(&noise);
+            for i in 0..4 {
+                for j in 0..4 {
+                    let mut pi = [0.0; 4];
+                    pi[i] = 1.0;
+                    let mut pj = [0.0; 4];
+                    pj[j] = 1.0;
+                    let (a, b) = (BellDiagonal::new(pi), BellDiagonal::new(pj));
+                    match (dejmps_density(&a, &b, &noise), table.round(&a, &b)) {
+                        (None, None) => {}
+                        (Some(exact), Some(fast)) => {
+                            assert!((exact.success_prob - fast.success_prob).abs() < 1e-12);
+                            for k in 0..4 {
+                                let (e, f) =
+                                    (exact.pair.components()[k], fast.pair.components()[k]);
+                                assert!(
+                                    (e - f).abs() < 1e-12,
+                                    "({i},{j}) component {k}: {e} vs {f}"
+                                );
+                            }
+                        }
+                        (exact, fast) => panic!("({i},{j}) herald mismatch: {exact:?} vs {fast:?}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn repeated_distillation_converges_toward_one() {
         let table = DejmpsTable::new(&DistillNoise::default());
         let mut pair = BellDiagonal::werner(0.75);

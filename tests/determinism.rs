@@ -216,3 +216,34 @@ fn nested_surface_exploration_is_worker_count_invariant() {
         }
     }
 }
+
+#[test]
+fn distill_capacity_exploration_is_worker_count_invariant() {
+    use hetarch::dse::explore::explore_distill_capacity;
+    let explore = |pool: &WorkerPool| explore_distill_capacity(pool, 1e6, 12.5e-3, 1e-3, 11);
+    let baseline = explore(&WorkerPool::new(1));
+    assert_eq!(baseline.len(), 5);
+    for workers in WORKER_COUNTS {
+        assert_eq!(
+            explore(&WorkerPool::new(workers)),
+            baseline,
+            "capacity exploration differs at {workers} workers"
+        );
+    }
+}
+
+#[test]
+fn compute_choice_exploration_is_worker_count_invariant() {
+    use hetarch::dse::explore::explore_compute_choice;
+    let calib = CalibSnapshot::default();
+    let explore = |pool: &WorkerPool| explore_compute_choice(pool, 2e6, 12.5e-3, 1e-3, 5, &calib);
+    let baseline = explore(&WorkerPool::new(1));
+    assert_eq!(baseline.len(), 2);
+    for workers in WORKER_COUNTS {
+        assert_eq!(
+            explore(&WorkerPool::new(workers)),
+            baseline,
+            "compute-choice exploration differs at {workers} workers"
+        );
+    }
+}
