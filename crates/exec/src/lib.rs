@@ -38,6 +38,7 @@
 
 pub mod rare;
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -152,6 +153,12 @@ pub fn shards(total: usize, shard_size: usize, seed: u64) -> Vec<Shard> {
         .collect()
 }
 
+thread_local! {
+    /// Set on the threads a [`WorkerPool::map_indexed`] call spawns, and
+    /// only there: a map called from a job body runs inline on its worker.
+    static ON_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
 /// A scoped worker pool.
 ///
 /// The pool stores only its worker count; each [`WorkerPool::map_indexed`]
@@ -159,6 +166,11 @@ pub fn shards(total: usize, shard_size: usize, seed: u64) -> Vec<Shard> {
 /// counter, so borrows of caller state need no `'static` bound and a
 /// panicking job cannot poison anything — the panic propagates out of the
 /// call and the pool remains fully usable.
+///
+/// A map called from inside a job — a sharded run nested in a sweep over
+/// the same pool — runs inline on the worker executing that job, so a
+/// nested call never holds more than the outer call's threads. Results are
+/// the same either way; only the parallelism of the inner call is given up.
 #[derive(Clone, Debug)]
 pub struct WorkerPool {
     workers: usize,
@@ -188,7 +200,9 @@ impl WorkerPool {
     }
 
     /// Evaluates `f(i)` for every `i in 0..n` and returns the results in
-    /// index order, regardless of which worker computed which index.
+    /// index order, regardless of which worker computed which index. Called
+    /// from a job of another map, it evaluates serially on that job's
+    /// worker.
     ///
     /// # Panics
     ///
@@ -243,7 +257,7 @@ impl WorkerPool {
     {
         MAP_CALLS.inc();
         let cancelled = || token.is_some_and(CancelToken::is_cancelled);
-        if self.workers == 1 || n <= 1 {
+        if self.workers == 1 || n <= 1 || ON_WORKER.with(Cell::get) {
             let mut out = Vec::with_capacity(n);
             for i in 0..n {
                 if cancelled() {
@@ -265,6 +279,7 @@ impl WorkerPool {
             for _ in 0..threads {
                 let tx = tx.clone();
                 s.spawn(move || {
+                    ON_WORKER.with(|on| on.set(true));
                     let mut mine = 0u64;
                     loop {
                         // Cancellation checkpoint: stop pulling new work;
@@ -558,6 +573,61 @@ mod tests {
             elapsed < std::time::Duration::from_millis(1500),
             "cancelled shard run held its workers for {elapsed:?}"
         );
+    }
+
+    #[test]
+    fn nested_maps_stay_on_the_outer_workers() {
+        // Four outer jobs, each running a 64-item map on the same 8-worker
+        // pool. Spawning per inner call would hold up to 4 + 4 × 8 = 36
+        // threads; inline inner maps keep to the outer call's workers.
+        let pool = WorkerPool::new(8);
+        let ids = std::sync::Mutex::new(std::collections::HashSet::new());
+        let started = AtomicUsize::new(0);
+        let sums = pool.map_indexed(4, |outer| {
+            pool.map_indexed(64, |inner| {
+                ids.lock()
+                    .expect("no item panics")
+                    .insert(std::thread::current().id());
+                // Hold the item until nine have started, more than 8
+                // threads can run at once, so inner threads spawned per
+                // call would all pick up items; the deadline bounds the
+                // wait of the four inline maps.
+                started.fetch_add(1, Ordering::SeqCst);
+                let deadline = std::time::Instant::now() + std::time::Duration::from_millis(200);
+                while started.load(Ordering::SeqCst) < 9 && std::time::Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+                outer * 64 + inner
+            })
+            .into_iter()
+            .sum::<usize>()
+        });
+        let expect: Vec<usize> = (0..4).map(|o| (0..64).map(|i| o * 64 + i).sum()).collect();
+        assert_eq!(sums, expect);
+        let threads = ids.into_inner().expect("no item panics").len();
+        assert!(threads <= 8, "nested maps ran on {threads} threads");
+        // The marker lives on the spawned workers only: the caller's next
+        // map still fans out.
+        assert!(!ON_WORKER.with(Cell::get));
+    }
+
+    #[test]
+    fn nested_try_map_checks_the_token_per_item() {
+        let pool = WorkerPool::new(4);
+        let token = CancelToken::new();
+        let ran = AtomicUsize::new(0);
+        let out = pool.map_indexed(2, |_| {
+            pool.try_map_indexed(64, &token, |i| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                if i == 9 {
+                    token.cancel();
+                }
+            })
+        });
+        assert!(out.iter().all(|r| *r == Err(Cancelled)));
+        // Each inline inner map stops right after the item that fired the
+        // token; the other may have run its own items up to that point.
+        assert!(ran.load(Ordering::Relaxed) <= 20);
     }
 
     #[test]

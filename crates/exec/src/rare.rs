@@ -19,14 +19,18 @@
 //! `f(w) ≤ 1`, which gives a rigorous truncation bound from the prior tail
 //! alone.
 //!
-//! The driver here is simulator-agnostic: callers supply a closure that
-//! evaluates one stratum (enumerate or sample — their choice per weight),
-//! and [`StratifiedEstimator`] handles stratum ordering, prior weighting,
-//! variance accumulation, adaptive stopping, and the explicit
-//! [`RareOutcome::Unconverged`] verdict when the tail bound cannot be
-//! driven below the requested tolerance.
+//! [`stratified`] is the one driver: it takes a [`FaultSites`] table,
+//! decides per weight whether to enumerate or sample, derives each
+//! stratum's seed, and hands the stratum to the caller's simulator, which
+//! only says how often its shots fail. [`StratifiedEstimator`] beneath it
+//! handles stratum ordering, prior weighting, variance accumulation,
+//! adaptive stopping, and the explicit [`RareOutcome::Unconverged`]
+//! verdict when the tail bound cannot be driven below the requested
+//! tolerance.
 
 use hetarch_obs as obs;
+
+use crate::{shard_seed, CancelToken, Cancelled};
 
 // Stratified-estimator metrics (inert unless the `obs` feature is on and
 // the runtime gate is armed; they never influence results).
@@ -230,33 +234,49 @@ pub struct FaultConfig {
     pub weight: f64,
 }
 
-/// Enumerates every weight-`weight` fault configuration, or returns `None`
-/// when there are more than `max_configs` of them (the caller should fall
-/// back to conditional sampling).
+/// The per-site fault table a stratified run walks: each site's trigger
+/// probability and the conditional distribution of its fault variants.
 ///
-/// `variant_count(i)` is the number of fault variants at site `i` (e.g. 3
-/// for a single-qubit Pauli channel, 15 for two-qubit depolarizing);
-/// `variant_weight(i, v)` is the conditional probability of variant `v`
-/// given that site `i` triggered (must sum to 1 over `v`). Variants with
-/// zero weight are skipped — they neither count against `max_configs` nor
-/// appear in the output.
+/// `hetarch_stab::frame::FaultModel` is the table of every rare-event path:
+/// the sites of a detector circuit, or of a module shot recorded by a dry
+/// run.
+pub trait FaultSites {
+    /// Per-site trigger probabilities, in site order.
+    fn trigger_probs(&self) -> &[f64];
+
+    /// Number of fault variants at `site`.
+    fn variant_count(&self, site: usize) -> usize;
+
+    /// Conditional probability of `variant` at `site`, given that the site
+    /// triggered.
+    fn variant_weight(&self, site: usize, variant: usize) -> f64;
+}
+
+/// Enumerates every weight-`weight` fault configuration of `sites`, or
+/// returns `None` when there are more than `max_configs` of them (the
+/// caller should fall back to conditional sampling).
+///
+/// A site's variants (e.g. 3 for a single-qubit Pauli channel, 15 for
+/// two-qubit depolarizing) carry conditional weights that sum to 1.
+/// Sites that never trigger and variants with zero weight are skipped —
+/// they neither count against `max_configs` nor appear in the output.
 pub fn enumerate_configs(
-    trigger_probs: &[f64],
+    sites: &impl FaultSites,
     weight: usize,
     max_configs: u64,
-    variant_count: &dyn Fn(usize) -> usize,
-    variant_weight: &dyn Fn(usize, usize) -> f64,
 ) -> Option<Vec<FaultConfig>> {
-    let n = trigger_probs.len();
     // Effective per-site variant multiplicity: zero-probability sites or
     // variants cannot appear in any configuration.
-    let effective: Vec<Vec<usize>> = (0..n)
-        .map(|i| {
-            if trigger_probs[i] <= 0.0 {
+    let effective: Vec<Vec<usize>> = sites
+        .trigger_probs()
+        .iter()
+        .enumerate()
+        .map(|(i, &p)| {
+            if p <= 0.0 {
                 Vec::new()
             } else {
-                (0..variant_count(i))
-                    .filter(|&v| variant_weight(i, v) > 0.0)
+                (0..sites.variant_count(i))
+                    .filter(|&v| sites.variant_weight(i, v) > 0.0)
                     .collect()
             }
         })
@@ -279,13 +299,7 @@ pub fn enumerate_configs(
     }
 
     let mut configs = Vec::with_capacity(ways[weight] as usize);
-    walk_configs(
-        trigger_probs,
-        &effective,
-        variant_weight,
-        weight,
-        &mut configs,
-    );
+    walk_configs(sites, &effective, weight, &mut configs);
     let total: f64 = configs.iter().map(|c| c.weight).sum();
     if total > 0.0 {
         for c in &mut configs {
@@ -313,12 +327,12 @@ struct Frame {
 /// is as deep as the site count, far more than a thread stack holds on
 /// large circuits.
 fn walk_configs(
-    probs: &[f64],
+    sites: &impl FaultSites,
     effective: &[Vec<usize>],
-    variant_weight: &dyn Fn(usize, usize) -> f64,
     weight: usize,
     out: &mut Vec<FaultConfig>,
 ) {
+    let probs = sites.trigger_probs();
     let mut path: Vec<(usize, usize)> = Vec::with_capacity(weight);
     let mut frames = vec![Frame {
         i: 0,
@@ -362,7 +376,7 @@ fn walk_configs(
             Frame {
                 i: i + 1,
                 remaining: remaining - 1,
-                product: product * probs[i] * variant_weight(i, v),
+                product: product * probs[i] * sites.variant_weight(i, v),
                 choice: 0,
                 triggered: true,
             }
@@ -542,11 +556,6 @@ impl<'a> StratifiedEstimator<'a> {
         StratifiedEstimator { prior, config }
     }
 
-    /// The configured tuning knobs.
-    pub fn config(&self) -> &RareConfig {
-        &self.config
-    }
-
     /// Runs the estimation loop. `evaluate(w)` must return the stratum
     /// verdict for weight `w`; it is only called for strata with positive
     /// prior mass.
@@ -559,10 +568,21 @@ impl<'a> StratifiedEstimator<'a> {
         let mut strata = Vec::new();
         let mut total_shots = 0usize;
         let mut tail = 1.0f64;
+        let mut converged = false;
 
         for w in 0..self.config.max_strata {
             let prior_w = self.prior.pmf(w);
-            let stat = if prior_w > 0.0 {
+            // Zero prior mass (e.g. weights below the count of p = 1 sites,
+            // or above the number of sites): recorded, never evaluated.
+            let mut stat = StratumStat {
+                weight: w,
+                prior: prior_w,
+                failure_rate: 0.0,
+                shots: 0,
+                failures: 0,
+                enumerated: true,
+            };
+            if prior_w > 0.0 {
                 STRATA_EVALUATED.inc();
                 match evaluate(w) {
                     StratumEval::Enumerated {
@@ -570,76 +590,110 @@ impl<'a> StratifiedEstimator<'a> {
                         configs: _,
                     } => {
                         p_l += prior_w * failure_probability;
-                        StratumStat {
-                            weight: w,
-                            prior: prior_w,
-                            failure_rate: failure_probability,
-                            shots: 0,
-                            failures: 0,
-                            enumerated: true,
-                        }
+                        stat.failure_rate = failure_probability;
                     }
                     StratumEval::Sampled { failures, shots } => {
                         STRATUM_SHOTS.add(shots as u64);
                         total_shots += shots;
-                        let f = if shots > 0 {
-                            failures as f64 / shots as f64
+                        if shots > 0 {
+                            let f = failures as f64 / shots as f64;
+                            p_l += prior_w * f;
+                            variance += prior_w * prior_w * f * (1.0 - f) / shots as f64;
+                            stat.failure_rate = f;
                         } else {
                             // No shots, no information: the whole stratum
                             // is truncation error.
                             unresolved += prior_w;
-                            0.0
-                        };
-                        if shots > 0 {
-                            p_l += prior_w * f;
-                            variance += prior_w * prior_w * f * (1.0 - f) / shots as f64;
                         }
-                        StratumStat {
-                            weight: w,
-                            prior: prior_w,
-                            failure_rate: f,
-                            shots,
-                            failures,
-                            enumerated: false,
-                        }
+                        stat.shots = shots;
+                        stat.failures = failures;
+                        stat.enumerated = false;
                     }
                 }
-            } else {
-                // Zero prior mass (e.g. weights below the count of p = 1
-                // sites, or above the number of sites): skip, keep going.
-                StratumStat {
-                    weight: w,
-                    prior: 0.0,
-                    failure_rate: 0.0,
-                    shots: 0,
-                    failures: 0,
-                    enumerated: true,
-                }
-            };
+            }
             strata.push(stat);
             tail = self.prior.tail_above(w) + unresolved;
             if tail <= self.config.abs_tol.max(self.config.rel_tol * p_l) {
-                let report = RareReport {
-                    p_l,
-                    sigma: variance.sqrt(),
-                    truncation_bound: tail,
-                    strata,
-                    total_shots,
-                    num_sites: self.prior.num_sites(),
-                };
-                return RareOutcome::Converged(report);
+                converged = true;
+                break;
             }
         }
 
-        RareOutcome::Unconverged(RareReport {
+        let report = RareReport {
             p_l,
             sigma: variance.sqrt(),
             truncation_bound: tail,
             strata,
             total_shots,
             num_sites: self.prior.num_sites(),
-        })
+        };
+        if converged {
+            RareOutcome::Converged(report)
+        } else {
+            RareOutcome::Unconverged(report)
+        }
     }
+}
+
+/// The weight-stratified estimate over `sites`: the one stratum policy of
+/// every rare-event path.
+///
+/// Builds the exact prior from the trigger probabilities and walks the
+/// strata with [`StratifiedEstimator`]. A stratum with at most
+/// [`RareConfig::enumerate_threshold`] configurations is enumerated with
+/// [`enumerate_configs`]; `enumerated(configs)` returns its exact failure
+/// probability, the summed weight of the failing configurations. A larger
+/// stratum `w` gets a [`ConditionalSampler`];
+/// `sampled(sampler, shots, seed)` returns the failures among
+/// [`RareConfig::shots_per_stratum`] conditioned shots drawn under the
+/// stratum seed [`shard_seed`]`(seed, w)`. Each caller keeps its own shot
+/// layout inside the two evaluations, so the report is whatever those
+/// evaluations make it: bit-identical for every worker count when they
+/// are.
+///
+/// `cancel` is checked before each stratum, and either evaluation may
+/// return [`Cancelled`] itself. After cancellation every remaining stratum
+/// reports zero shots, so the walk winds down quickly, and the partial
+/// outcome is discarded for [`Cancelled`].
+pub fn stratified(
+    sites: &impl FaultSites,
+    config: RareConfig,
+    seed: u64,
+    cancel: Option<&CancelToken>,
+    mut enumerated: impl FnMut(&[FaultConfig]) -> Result<f64, Cancelled>,
+    mut sampled: impl FnMut(&ConditionalSampler, usize, u64) -> Result<u64, Cancelled>,
+) -> Result<RareOutcome, Cancelled> {
+    let cancelled = || cancel.is_some_and(CancelToken::is_cancelled);
+    let unresolved = StratumEval::Sampled {
+        failures: 0,
+        shots: 0,
+    };
+    let trigger = sites.trigger_probs();
+    let prior = WeightPrior::poisson_binomial(trigger);
+    let outcome = StratifiedEstimator::new(&prior, config).run(|w| {
+        if cancelled() {
+            return unresolved;
+        }
+        let eval = match enumerate_configs(sites, w, config.enumerate_threshold) {
+            Some(configs) => {
+                enumerated(&configs).map(|failure_probability| StratumEval::Enumerated {
+                    failure_probability,
+                    configs: configs.len() as u64,
+                })
+            }
+            None => {
+                let shots = config.shots_per_stratum;
+                let sampler = ConditionalSampler::new(trigger, w);
+                sampled(&sampler, shots, shard_seed(seed, w as u64))
+                    .map(|failures| StratumEval::Sampled { failures, shots })
+            }
+        };
+        eval.unwrap_or(unresolved)
+    });
+    if cancelled() {
+        return Err(Cancelled);
+    }
+    Ok(outcome)
 }
 
 #[cfg(test)]
@@ -993,11 +1047,42 @@ mod tests {
         }
     }
 
+    /// A site table of explicit trigger probabilities and variant weights.
+    struct Sites {
+        probs: Vec<f64>,
+        weights: Vec<Vec<f64>>,
+    }
+
+    impl Sites {
+        /// Every site with `variants` equally likely variants.
+        fn uniform(probs: &[f64], variants: usize) -> Self {
+            Sites {
+                probs: probs.to_vec(),
+                weights: vec![vec![1.0 / variants as f64; variants]; probs.len()],
+            }
+        }
+    }
+
+    impl FaultSites for Sites {
+        fn trigger_probs(&self) -> &[f64] {
+            &self.probs
+        }
+
+        fn variant_count(&self, site: usize) -> usize {
+            self.weights[site].len()
+        }
+
+        fn variant_weight(&self, site: usize, variant: usize) -> f64 {
+            self.weights[site][variant]
+        }
+    }
+
     #[test]
     fn enumeration_counts_and_normalizes() {
         // 3 sites × 3 variants each, weight 2: C(3,2)·3² = 27 configs.
         let probs = [0.01, 0.02, 0.03];
-        let configs = enumerate_configs(&probs, 2, 1_000, &|_| 3, &|_, _| 1.0 / 3.0).unwrap();
+        let sites = Sites::uniform(&probs, 3);
+        let configs = enumerate_configs(&sites, 2, 1_000).unwrap();
         assert_eq!(configs.len(), 27);
         let total: f64 = configs.iter().map(|c| c.weight).sum();
         assert!((total - 1.0).abs() < 1e-12);
@@ -1006,7 +1091,7 @@ mod tests {
             assert!(c.weight > 0.0);
         }
         // Over budget: falls back to None.
-        assert!(enumerate_configs(&probs, 2, 26, &|_| 3, &|_, _| 1.0 / 3.0).is_none());
+        assert!(enumerate_configs(&sites, 2, 26).is_none());
     }
 
     #[test]
@@ -1024,7 +1109,11 @@ mod tests {
                 1.0 / 3.0
             }
         };
-        let configs = enumerate_configs(&probs, 1, 100, &|_| 3, &vw).unwrap();
+        let sites = Sites {
+            probs: probs.to_vec(),
+            weights: (0..3).map(|i| (0..3).map(|v| vw(i, v)).collect()).collect(),
+        };
+        let configs = enumerate_configs(&sites, 1, 100).unwrap();
         // Weight-1: site 0 (1 variant) + site 2 (3 variants) = 4 configs.
         assert_eq!(configs.len(), 4);
         assert!(configs.iter().all(|c| c.sites[0].0 != 1));
@@ -1093,8 +1182,10 @@ mod tests {
             ),
             weight in 0usize..=4,
         ) {
-            let probs: Vec<f64> = sites.iter().map(|s| s.0).collect();
-            let vw = |i: usize, v: usize| sites[i].1[v];
+            let table = Sites {
+                probs: sites.iter().map(|s| s.0).collect(),
+                weights: sites.iter().map(|s| s.1.clone()).collect(),
+            };
             let effective: Vec<Vec<usize>> = sites
                 .iter()
                 .map(|(p, ws)| {
@@ -1106,9 +1197,10 @@ mod tests {
                 })
                 .collect();
             let mut iterative = Vec::new();
-            walk_configs(&probs, &effective, &vw, weight, &mut iterative);
+            walk_configs(&table, &effective, weight, &mut iterative);
             let mut recursive = Vec::new();
-            dfs(&probs, &effective, &vw, 0, weight, 1.0, &mut Vec::new(), &mut recursive);
+            let vw = |i: usize, v: usize| table.variant_weight(i, v);
+            dfs(&table.probs, &effective, &vw, 0, weight, 1.0, &mut Vec::new(), &mut recursive);
             prop_assert_eq!(iterative.len(), recursive.len(), "{:?}, w = {}", &sites, weight);
             for (a, b) in iterative.iter().zip(&recursive) {
                 prop_assert_eq!(&a.sites, &b.sites);
@@ -1129,7 +1221,7 @@ mod tests {
                 for k in 0..8 {
                     probs[k * 5_000 + 17] = 1e-3 * (k + 1) as f64;
                 }
-                enumerate_configs(&probs, 1, 1_000, &|_| 3, &|_, _| 1.0 / 3.0)
+                enumerate_configs(&Sites::uniform(&probs, 3), 1, 1_000)
             })
             .unwrap()
             .join()
@@ -1305,6 +1397,87 @@ mod tests {
         assert!(per_round > 0.0 && per_round < report.p_l);
         assert!((1.0 - (1.0 - per_round).powi(5) - report.p_l).abs() < 1e-12);
         assert_eq!(report.per_round(0), 0.0);
+    }
+
+    #[test]
+    fn driver_enumerates_up_to_the_threshold_and_samples_beyond() {
+        // 4 sites × 3 variants: 12 weight-1 configurations.
+        let table = Sites::uniform(&[0.01, 0.02, 0.03, 0.04], 3);
+        let walk = |threshold: u64| {
+            let config = RareConfig {
+                max_strata: 2,
+                rel_tol: 0.0,
+                abs_tol: 0.0,
+                shots_per_stratum: 100,
+                enumerate_threshold: threshold,
+            };
+            let calls = std::cell::RefCell::new(Vec::new());
+            let outcome = stratified(
+                &table,
+                config,
+                5,
+                None,
+                |configs| {
+                    calls
+                        .borrow_mut()
+                        .push(format!("enumerated {}", configs.len()));
+                    Ok(0.5)
+                },
+                |sampler, shots, seed| {
+                    assert!(sampler.is_feasible());
+                    calls.borrow_mut().push(format!("sampled {shots} {seed:x}"));
+                    Ok(25)
+                },
+            )
+            .unwrap();
+            (outcome, calls.into_inner())
+        };
+        let (outcome, calls) = walk(12);
+        assert_eq!(calls, ["enumerated 1", "enumerated 12"]);
+        assert!(outcome.report().strata[1].enumerated);
+        let (outcome, calls) = walk(11);
+        let sampled = format!("sampled 100 {:x}", shard_seed(5, 1));
+        assert_eq!(calls, ["enumerated 1".to_string(), sampled]);
+        let stratum = outcome.report().strata[1];
+        assert!(!stratum.enumerated);
+        assert_eq!((stratum.failures, stratum.shots), (25, 100));
+    }
+
+    #[test]
+    fn driver_returns_cancelled_for_a_fired_token() {
+        let table = Sites::uniform(&[0.1; 6], 1);
+        let config = RareConfig {
+            enumerate_threshold: 1,
+            ..RareConfig::default()
+        };
+        let fired = CancelToken::new();
+        fired.cancel();
+        let outcome = stratified(
+            &table,
+            config,
+            1,
+            Some(&fired),
+            |_| unreachable!("no stratum runs under a fired token"),
+            |_, _, _| unreachable!("no stratum runs under a fired token"),
+        );
+        assert_eq!(outcome, Err(Cancelled));
+        // A token fired inside an evaluation winds the walk down.
+        let token = CancelToken::new();
+        let mut strata = 0;
+        let outcome = stratified(
+            &table,
+            config,
+            1,
+            Some(&token),
+            |_| Ok(0.0),
+            |_, _, _| {
+                strata += 1;
+                token.cancel();
+                Err(Cancelled)
+            },
+        );
+        assert_eq!(outcome, Err(Cancelled));
+        assert_eq!(strata, 1, "the walk stops sampling once cancelled");
     }
 
     #[test]

@@ -14,28 +14,28 @@
 //!   consuming one `u64` per Pauli site with positive total probability
 //!   and one per ancilla-flip site unconditionally, so seeds and goldens
 //!   keep their bits.
-//! * [`RecordFaults`] applies nothing and writes down each site's trigger
-//!   probability — one "dry" shot yields the full site table from which the
-//!   Poisson-binomial weight prior is built.
+//! * [`RecordFaults`] applies nothing and writes each site into a
+//!   [`FaultModel`] — one "dry" shot yields the full site table from which
+//!   the Poisson-binomial weight prior is built and conditioned variants
+//!   are drawn.
 //! * [`ForcedFaults`] replays a fixed weight-`w` fault configuration — the
 //!   conditioned shots of the stratified estimator.
 //!
 //! A module implements [`ShotModel`] once, and [`estimate`] wires the
 //! three drivers together into either estimator — plain Monte Carlo or the
-//! weight-stratified [`hetarch_exec::rare::StratifiedEstimator`] — on any
+//! weight-stratified driver [`hetarch_exec::rare::stratified`] — on any
 //! pool, with or without a cancellation token.
 
-use hetarch_exec::rare::{
-    enumerate_configs, ConditionalSampler, RareConfig, RareOutcome, StratifiedEstimator,
-    StratumEval, WeightPrior,
-};
-use hetarch_exec::{shard_seed, CancelToken, Cancelled, Shard, WorkerPool};
+use hetarch_exec::rare::{self, RareConfig, RareOutcome};
+use hetarch_exec::{CancelToken, Cancelled, Shard, WorkerPool};
 use hetarch_obs as obs;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use hetarch_qsim::channels::PauliProbs;
+use hetarch_stab::circuit::PauliErr;
 use hetarch_stab::codes::StabilizerCode;
+use hetarch_stab::frame::FaultModel;
 use hetarch_stab::pauli::{Pauli, PauliString};
 
 #[cfg(test)]
@@ -283,70 +283,12 @@ impl<R: Rng + ?Sized> FaultDriver for RngFaults<'_, R> {
     }
 }
 
-/// The probabilities of one recorded fault site.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum SiteProbs {
-    /// A single-qubit Pauli channel site (3 variants: X, Y, Z).
-    Pauli(PauliProbs),
-    /// A classical readout/ancilla flip site (1 variant).
-    Flip(f64),
-}
-
-impl SiteProbs {
-    /// Probability that the site triggers at all.
-    pub fn trigger(&self) -> f64 {
-        match self {
-            SiteProbs::Pauli(p) => p.total().min(1.0),
-            SiteProbs::Flip(p) => p.min(1.0),
-        }
-    }
-
-    /// Number of fault variants at this site.
-    pub fn variant_count(&self) -> usize {
-        match self {
-            SiteProbs::Pauli(_) => 3,
-            SiteProbs::Flip(_) => 1,
-        }
-    }
-
-    /// Conditional probability of variant `v` given the site triggered
-    /// (X, Y, Z in that order for Pauli sites).
-    pub fn variant_weight(&self, v: usize) -> f64 {
-        match self {
-            SiteProbs::Pauli(p) => {
-                let total = p.total();
-                if total <= 0.0 {
-                    return 0.0;
-                }
-                [p.px, p.py, p.pz][v] / total
-            }
-            SiteProbs::Flip(_) => 1.0,
-        }
-    }
-
-    /// Draws a variant from the conditional distribution.
-    pub fn sample_variant<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        match self {
-            SiteProbs::Pauli(p) => {
-                let r: f64 = rng.gen::<f64>() * p.total();
-                if r < p.px {
-                    0
-                } else if r < p.px + p.py {
-                    1
-                } else {
-                    2
-                }
-            }
-            SiteProbs::Flip(_) => 0,
-        }
-    }
-}
-
-/// A dry-run driver that records each visited site's probabilities without
-/// injecting any fault.
+/// A dry-run driver that records each visited site into a [`FaultModel`]
+/// without injecting any fault: Pauli sites with their X/Y/Z
+/// probabilities, flip sites with theirs, triggers capped at 1.
 #[derive(Clone, Debug, Default)]
 pub struct RecordFaults {
-    sites: Vec<SiteProbs>,
+    sites: FaultModel,
 }
 
 impl RecordFaults {
@@ -356,19 +298,24 @@ impl RecordFaults {
     }
 
     /// The recorded site table, in visit order.
-    pub fn into_sites(self) -> Vec<SiteProbs> {
+    pub fn into_model(self) -> FaultModel {
         self.sites
     }
 }
 
 impl FaultDriver for RecordFaults {
     fn pauli_site(&mut self, site: &PauliSite) -> Pauli {
-        self.sites.push(SiteProbs::Pauli(site.probs));
+        let p = site.probs;
+        self.sites.push_pauli(PauliErr {
+            px: p.px,
+            py: p.py,
+            pz: p.pz,
+        });
         Pauli::I
     }
 
     fn flip_site(&mut self, p: f64) -> bool {
-        self.sites.push(SiteProbs::Flip(p));
+        self.sites.push_flip(p);
         false
     }
 }
@@ -536,11 +483,11 @@ impl Estimate {
 /// * [`Estimator::Plain`] runs shards of 512 shots, each on its own
 ///   `StdRng::seed_from_u64(shard.seed)` stream through [`RngFaults`].
 /// * [`Estimator::Rare`] records the static site table with one
-///   [`RecordFaults`] dry shot, then walks the weight strata: a stratum
-///   with at most `enumerate_threshold` fault configurations is enumerated
-///   exactly, a larger one draws `shots_per_stratum` conditioned shots,
-///   sharded like the plain path under the per-stratum seed
-///   `shard_seed(seed, w)`.
+///   [`RecordFaults`] dry shot and hands it to
+///   [`hetarch_exec::rare::stratified`], which enumerates a stratum of at
+///   most `enumerate_threshold` fault configurations exactly and samples a
+///   larger one: `shots_per_stratum` conditioned shots, sharded like the
+///   plain path under the per-stratum seed `shard_seed(seed, w)`.
 ///
 /// Shard boundaries and streams depend only on the estimator and `seed`,
 /// so the result is **bit-identical for every worker count**, and an
@@ -570,7 +517,7 @@ pub fn estimate(
         Estimator::Rare(config) => {
             let mut recorder = RecordFaults::new();
             model.run_shot(&mut recorder);
-            let sites = recorder.into_sites();
+            let sites = recorder.into_model();
             let span = obs::span!(metrics.run_ns);
             let outcome = stratified(model, &sites, config, ctx)?;
             drop(span);
@@ -612,88 +559,58 @@ where
     }
 }
 
-/// The weight-stratified walk over a recorded site table.
+/// The module source of [`hetarch_exec::rare::stratified`]: enumerated
+/// configurations replay one by one through [`ForcedFaults`], checking the
+/// token every 64; a sampled stratum runs 512-shot shards, each drawing
+/// subsets and variants from one `StdRng` seeded by its shard seed.
 fn stratified(
     model: &impl ShotModel,
-    sites: &[SiteProbs],
+    sites: &FaultModel,
     config: RareConfig,
     ctx: &RunCtx<'_>,
 ) -> Result<RareOutcome, Cancelled> {
     let cancelled = || ctx.cancel.is_some_and(CancelToken::is_cancelled);
-    // After cancellation every remaining stratum reports zero shots: the
-    // estimator charges its prior mass to the truncation bound and its
-    // convergence loop terminates quickly. The partial outcome is
-    // discarded below.
-    let unresolved = StratumEval::Sampled {
-        failures: 0,
-        shots: 0,
-    };
-    let trigger: Vec<f64> = sites.iter().map(|s| s.trigger()).collect();
-    let prior = WeightPrior::poisson_binomial(&trigger);
-    let outcome = StratifiedEstimator::new(&prior, config).run(|w| {
-        if cancelled() {
-            return unresolved;
-        }
-        let enumerated = enumerate_configs(
-            &trigger,
-            w,
-            config.enumerate_threshold,
-            &|i| sites[i].variant_count(),
-            &|i, v| sites[i].variant_weight(v),
-        );
-        if let Some(configs) = enumerated {
-            let mut driver = ForcedFaults::new(sites.len(), &[]);
+    let n = sites.num_sites();
+    rare::stratified(
+        sites,
+        config,
+        ctx.seed,
+        ctx.cancel,
+        |configs| {
+            let mut driver = ForcedFaults::new(n, &[]);
             let mut failure_probability = 0.0;
             for (k, cfg) in configs.iter().enumerate() {
                 if k % 64 == 0 && cancelled() {
-                    return unresolved;
+                    return Err(Cancelled);
                 }
                 driver.reset(&cfg.sites);
                 if model.run_shot(&mut driver) {
                     failure_probability += cfg.weight;
                 }
             }
-            return StratumEval::Enumerated {
-                failure_probability,
-                configs: configs.len() as u64,
-            };
-        }
-        let sampler = ConditionalSampler::new(&trigger, w);
-        let counts = run_shards(
-            ctx,
-            config.shots_per_stratum,
-            shard_seed(ctx.seed, w as u64),
-            |shard| {
+            Ok(failure_probability)
+        },
+        |sampler, shots, seed| {
+            let counts = run_shards(ctx, shots, seed, |shard| {
                 let mut rng = StdRng::seed_from_u64(shard.seed);
                 let mut subset = Vec::new();
                 let mut hits: Vec<(usize, usize)> = Vec::new();
-                let mut driver = ForcedFaults::new(sites.len(), &[]);
+                let mut driver = ForcedFaults::new(n, &[]);
                 (0..shard.len)
                     .filter(|_| {
                         sampler.sample_into(&mut || rng.next_u64(), &mut subset);
                         hits.clear();
                         for &i in &subset {
-                            hits.push((i, sites[i].sample_variant(&mut rng)));
+                            hits.push((i, sites.sample_variant(i, &mut rng)));
                         }
                         driver.reset(&hits);
                         model.run_shot(&mut driver)
                     })
                     .count()
-            },
-        );
-        match counts {
-            Ok(counts) => StratumEval::Sampled {
-                failures: counts.into_iter().sum::<usize>() as u64,
-                shots: config.shots_per_stratum,
-            },
-            // Cancelled mid-stratum: let the loop wind down.
-            Err(Cancelled) => unresolved,
-        }
-    });
-    if cancelled() {
-        return Err(Cancelled);
-    }
-    Ok(outcome)
+            })?;
+            Ok(counts.into_iter().sum::<usize>() as u64)
+        },
+    )
 }
 
 #[cfg(test)]
@@ -750,19 +667,31 @@ mod tests {
 
     #[test]
     fn recorder_captures_static_site_table() {
+        use hetarch_exec::rare::FaultSites;
         let mut rec = RecordFaults::new();
         let failed = toy_shot(&mut rec);
         assert!(!failed, "recorder must not inject faults");
-        let sites = rec.into_sites();
-        assert_eq!(sites.len(), 4);
-        assert_eq!(sites[0].trigger(), 0.01);
-        assert_eq!(sites[1].trigger(), 0.025);
-        assert_eq!(sites[2].trigger(), 0.0);
-        assert_eq!(sites[3], SiteProbs::Flip(0.03));
+        let sites = rec.into_model();
+        assert_eq!(sites.num_sites(), 4);
+        assert_eq!(sites.trigger_probs(), [0.01, 0.025, 0.0, 0.03]);
+        assert_eq!(sites.variant_count(1), 3);
+        assert_eq!(sites.variant_count(3), 1);
         // Variant weights are conditional on triggering.
-        assert!((sites[1].variant_weight(0) - 0.02 / 0.025).abs() < 1e-15);
-        assert!((sites[1].variant_weight(2) - 0.005 / 0.025).abs() < 1e-15);
-        assert_eq!(sites[3].variant_weight(0), 1.0);
+        assert!((sites.variant_weight(1, 0) - 0.02 / 0.025).abs() < 1e-15);
+        assert!((sites.variant_weight(1, 2) - 0.005 / 0.025).abs() < 1e-15);
+        assert_eq!(sites.variant_weight(3, 0), 1.0);
+    }
+
+    #[test]
+    fn recorded_triggers_are_capped_at_one() {
+        use hetarch_exec::rare::FaultSites;
+        let mut rec = RecordFaults::new();
+        rec.pauli_site(&PauliSite::new(0, probs(0.6, 0.5, 0.0)));
+        rec.pauli_site(&PauliSite::new(0, probs(f64::NAN, 0.0, 0.0)));
+        rec.flip_site(1.5);
+        rec.flip_site(f64::NAN);
+        let sites = rec.into_model();
+        assert_eq!(sites.trigger_probs(), [1.0; 4]);
     }
 
     #[test]

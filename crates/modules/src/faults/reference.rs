@@ -16,6 +16,7 @@
 use std::collections::HashMap;
 
 use hetarch_cells::UscChannel;
+use hetarch_exec::rare::FaultSites;
 use hetarch_qsim::channels::IdleParams;
 use hetarch_stab::decoder::LookupDecoder;
 
@@ -46,11 +47,15 @@ impl<R: Rng + ?Sized> RefDriver for RngFaults<'_, R> {
 
 impl RefDriver for RecordFaults {
     fn pauli_site(&mut self, _error: &mut PauliString, _q: usize, probs: PauliProbs) {
-        self.sites.push(SiteProbs::Pauli(probs));
+        self.sites.push_pauli(PauliErr {
+            px: probs.px,
+            py: probs.py,
+            pz: probs.pz,
+        });
     }
 
     fn flip_site(&mut self, p: f64) -> bool {
-        self.sites.push(SiteProbs::Flip(p));
+        self.sites.push_flip(p);
         false
     }
 }
@@ -490,13 +495,16 @@ mod tests {
         .characterize()
     }
 
-    /// `SiteProbs` with every float compared by its bits.
-    fn site_bits(sites: &[SiteProbs]) -> Vec<[u64; 3]> {
-        sites
-            .iter()
-            .map(|s| match s {
-                SiteProbs::Pauli(p) => [p.px.to_bits(), p.py.to_bits(), p.pz.to_bits()],
-                SiteProbs::Flip(p) => [p.to_bits(), u64::MAX, u64::MAX],
+    /// A recorded site table with every float compared by its bits: each
+    /// site's trigger and variant weights.
+    fn site_bits(sites: &FaultModel) -> Vec<Vec<u64>> {
+        (0..sites.num_sites())
+            .map(|i| {
+                let variants = (0..sites.variant_count(i)).map(|v| sites.variant_weight(i, v));
+                std::iter::once(sites.trigger_probs()[i])
+                    .chain(variants)
+                    .map(f64::to_bits)
+                    .collect()
             })
             .collect()
     }
@@ -509,11 +517,13 @@ mod tests {
         assert!(!model.run_shot(&mut recorded));
         let mut recorded_ref = RecordFaults::new();
         assert!(!reference.run_ref(&mut recorded_ref));
-        let sites = recorded.into_sites();
+        let sites = recorded.into_model();
+        let sites_ref = recorded_ref.into_model();
+        assert_eq!(sites, sites_ref, "{name}: site tables differ");
         assert_eq!(
             site_bits(&sites),
-            site_bits(&recorded_ref.into_sites()),
-            "{name}: site tables differ"
+            site_bits(&sites_ref),
+            "{name}: site tables differ in their bits"
         );
 
         // Monte Carlo: the same fail bit per shot and the same stream
@@ -538,7 +548,7 @@ mod tests {
         assert!(failures > 0, "{name}: no Monte-Carlo shot failed");
 
         // Forced configurations of weight 1..=4 on random sites.
-        let n = sites.len();
+        let n = sites.num_sites();
         let mut rng = StdRng::seed_from_u64(0xF0_4CED);
         let mut failures = 0;
         let configs = 400;
@@ -547,7 +557,7 @@ mod tests {
             let hits: Vec<(usize, usize)> = (0..w)
                 .map(|_| {
                     let i = rng.gen_range(0..n);
-                    (i, rng.gen_range(0..sites[i].variant_count()))
+                    (i, rng.gen_range(0..sites.variant_count(i)))
                 })
                 .collect();
             let mut forced = ForcedFaults::new(n, &hits);

@@ -8,8 +8,8 @@
 
 use serde::{Deserialize, Serialize};
 
-use hetarch_exec::rare::{RareConfig, RareOutcome, StratifiedEstimator, StratumEval};
-use hetarch_exec::{shard_seed, WorkerPool};
+use hetarch_exec::rare::{self, RareConfig, RareOutcome};
+use hetarch_exec::WorkerPool;
 use hetarch_obs as obs;
 
 use crate::circuit::{Circuit, PauliErr};
@@ -18,7 +18,7 @@ use crate::decoder::graph::MatchingGraph;
 use crate::decoder::greedy::GreedyMatchingDecoder;
 use crate::decoder::unionfind::UnionFindDecoder;
 use crate::detector::{assemble_detectors, sample_detectors, DetectorSamples};
-use crate::frame::{enumerate_at_weight, sample_at_weight, FaultModel};
+use crate::frame::{run_configs, sample_conditioned, FaultModel};
 use crate::pauli::Pauli;
 
 /// Shots per decoding shard; fixed so shard boundaries never depend on the
@@ -287,30 +287,19 @@ impl ShardDecoder {
     /// `start..start + len`.
     fn count_failures(&self, samples: &DetectorSamples, start: usize, len: usize) -> u64 {
         match self {
-            ShardDecoder::UnionFind(uf) => {
-                let mut scratch = uf.new_scratch();
-                uf.count_failures(
-                    &mut scratch,
-                    &samples.detectors,
-                    &samples.observables,
-                    0,
-                    start,
-                    len,
-                )
-            }
-            ShardDecoder::Greedy(greedy) => {
-                let n_det = samples.detectors.rows();
+            ShardDecoder::UnionFind(uf) => uf.count_failures(
+                &mut uf.new_scratch(),
+                &samples.detectors,
+                &samples.observables,
+                0,
+                start,
+                len,
+            ),
+            ShardDecoder::Greedy(_) => {
                 let mut failures = 0u64;
-                let mut syndrome = vec![false; n_det];
-                for shot in start..start + len {
-                    for (d, s) in syndrome.iter_mut().enumerate() {
-                        *s = samples.detectors.get(d, shot);
-                    }
-                    let predicted = greedy.decode(&syndrome) & 1 == 1;
-                    if predicted != samples.observables.get(0, shot) {
-                        failures += 1;
-                    }
-                }
+                self.for_each_shot(samples, start, len, |_, failed| {
+                    failures += u64::from(failed);
+                });
                 failures
             }
         }
@@ -698,10 +687,12 @@ impl SurfaceMemory {
     /// returns [`RareOutcome::Unconverged`] when `max_strata` runs out
     /// first.
     ///
-    /// Stratum `w` derives its sampling seed as `shard_seed(seed, w)`, and
-    /// all conditioned sampling and decoding run through the sharded
-    /// engine, so the full report is **bit-identical for every worker
-    /// count**.
+    /// The stratum policy is [`hetarch_exec::rare::stratified`]'s: stratum
+    /// `w` samples under the seed `shard_seed(seed, w)`. Enumerated strata
+    /// run as one batched frame pass; sampled strata keep
+    /// [`crate::frame::sample_at_weight`]'s shards and streams. All
+    /// conditioned sampling and decoding run through the sharded engine,
+    /// so the full report is **bit-identical for every worker count**.
     pub fn logical_error_rate_rare_on(
         &self,
         pool: &WorkerPool,
@@ -712,42 +703,38 @@ impl SurfaceMemory {
         let circuit = self.circuit();
         let decoder = self.build_decoder(&circuit, which);
         let model = FaultModel::from_circuit(&circuit);
-        let prior = model.prior();
         let span = obs::span!(SURFACE_RUN_NS);
-
-        let outcome = StratifiedEstimator::new(&prior, config).run(|w| {
-            match enumerate_at_weight(&circuit, &model, w, config.enumerate_threshold) {
-                Some((configs, frames)) => {
-                    let samples = assemble_detectors(&circuit, &frames.meas_flips, configs.len());
-                    let mut failure_probability = 0.0;
-                    decoder.for_each_shot(&samples, 0, configs.len(), |shot, failed| {
-                        if failed {
-                            failure_probability += configs[shot].weight;
-                        }
-                    });
-                    StratumEval::Enumerated {
-                        failure_probability,
-                        configs: configs.len() as u64,
+        let outcome = rare::stratified(
+            &model,
+            config,
+            seed,
+            None,
+            |configs| {
+                let frames = run_configs(&circuit, &model, configs);
+                let samples = assemble_detectors(&circuit, &frames.meas_flips, configs.len());
+                let mut failure_probability = 0.0;
+                decoder.for_each_shot(&samples, 0, configs.len(), |shot, failed| {
+                    if failed {
+                        failure_probability += configs[shot].weight;
                     }
-                }
-                None => {
-                    let shots = config.shots_per_stratum;
-                    let stratum_seed = shard_seed(seed, w as u64);
-                    let frames = sample_at_weight(&circuit, &model, w, shots, stratum_seed, pool);
-                    let samples = assemble_detectors(&circuit, &frames.meas_flips, shots);
-                    let failures: u64 = pool
-                        .run_shards(shots, DECODE_SHARD_SHOTS, stratum_seed, |shard| {
-                            decoder.count_failures(&samples, shard.start, shard.len)
-                        })
-                        .into_iter()
-                        .sum();
-                    StratumEval::Sampled { failures, shots }
-                }
-            }
-        });
+                });
+                Ok(failure_probability)
+            },
+            |sampler, shots, stratum_seed| {
+                let frames =
+                    sample_conditioned(&circuit, &model, sampler, shots, stratum_seed, pool);
+                let samples = assemble_detectors(&circuit, &frames.meas_flips, shots);
+                Ok(pool
+                    .run_shards(shots, DECODE_SHARD_SHOTS, stratum_seed, |shard| {
+                        decoder.count_failures(&samples, shard.start, shard.len)
+                    })
+                    .into_iter()
+                    .sum())
+            },
+        )
+        .expect("no token, no cancellation");
         drop(span);
-        let report = outcome.report();
-        SURFACE_SHOTS.add(report.total_shots as u64);
+        SURFACE_SHOTS.add(outcome.report().total_shots as u64);
         outcome
     }
 }

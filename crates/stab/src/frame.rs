@@ -11,13 +11,15 @@
 //! sample produced by the tableau simulator; detectors and observables are
 //! assembled from those flips by [`crate::detector`].
 
-use hetarch_exec::rare::{enumerate_configs, ConditionalSampler, FaultConfig, WeightPrior};
+use hetarch_exec::rare::{
+    enumerate_configs, ConditionalSampler, FaultConfig, FaultSites, WeightPrior,
+};
 use hetarch_exec::{shard_seed, WorkerPool};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
 use crate::bits::BitTable;
-use crate::circuit::{Circuit, Gate1, Gate2, Instruction};
+use crate::circuit::{Circuit, Gate1, Gate2, Instruction, PauliErr};
 
 /// Shots per shard of a sharded [`FrameSampler::sample`] run. Word-aligned
 /// (a multiple of 64) so shard outputs splice into the merged table by whole
@@ -126,16 +128,11 @@ impl FrameSampler {
                     self.gate2(*g, a as usize, b as usize);
                 }
             }
-            Instruction::Measure { targets, flip } => {
+            Instruction::Measure { targets, flip }
+            | Instruction::MeasureReset { targets, flip } => {
                 for &q in targets {
                     self.record_measurement(q as usize, *flip, meas_flips, next_meas);
-                    self.randomize_z(q as usize);
-                }
-            }
-            Instruction::MeasureReset { targets, flip } => {
-                for &q in targets {
-                    self.record_measurement(q as usize, *flip, meas_flips, next_meas);
-                    self.clear_frames(q as usize);
+                    self.after_measurement(inst, q as usize);
                 }
             }
             Instruction::Reset(qs) => {
@@ -265,6 +262,16 @@ impl FrameSampler {
         }
     }
 
+    /// A measure-reset clears the measured qubit's frames; a plain
+    /// measurement randomizes its Z frame.
+    fn after_measurement(&mut self, inst: &Instruction, q: usize) {
+        if matches!(inst, Instruction::MeasureReset { .. }) {
+            self.clear_frames(q);
+        } else {
+            self.randomize_z(q);
+        }
+    }
+
     fn clear_frames(&mut self, q: usize) {
         self.xrow(q).fill(0);
         self.zrow(q).fill(0);
@@ -348,36 +355,35 @@ impl FrameSampler {
     }
 }
 
-/// One fault mechanism of a circuit, in [`Circuit::num_noise_sites`] order.
+/// One fault mechanism of a [`FaultModel`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum SiteKind {
-    /// A stochastic Pauli site (also covers `Depolarize1` with uniform
-    /// thirds). Variants: 0 = X, 1 = Y, 2 = Z.
-    Pauli {
-        /// X/Y/Z probabilities (not normalized; their sum is the trigger
-        /// probability).
-        px: f64,
-        py: f64,
-        pz: f64,
-    },
+    /// A stochastic Pauli site (also `Depolarize1`, as uniform thirds).
+    /// Variants: 0 = X, 1 = Y, 2 = Z.
+    Pauli(PauliErr),
     /// A two-qubit depolarizing site. Variants `v ∈ 0..15` encode the
     /// non-identity pair Pauli `k = v + 1` (`pa = k >> 2`, `pb = k & 3`,
     /// with 0 = I, 1 = X, 2 = Z, 3 = Y per factor).
     Dep2,
-    /// A classical measurement-record flip (single variant).
-    MeasFlip,
+    /// A classical flip of a measurement record or syndrome bit (single
+    /// variant).
+    Flip,
 }
 
-/// The fault-mechanism decomposition of a circuit's noise: one site per
-/// entry of [`Circuit::num_noise_sites`], each with its trigger probability
-/// and its conditional variant distribution.
+/// The fault-site table of a noise process: one entry per independent
+/// site, with its trigger probability and the conditional distribution of
+/// its fault variants.
 ///
-/// This is the bridge between a [`Circuit`] and the weight-stratified
-/// estimator in [`hetarch_exec::rare`]: the model's [`FaultModel::prior`]
-/// is the exact Poisson-binomial weight distribution, and
-/// [`sample_at_weight`] / [`enumerate_at_weight`] generate frames
-/// conditioned on exactly `w` triggered sites.
-#[derive(Clone, Debug)]
+/// It is the one table of every rare-event path.
+/// [`FaultModel::from_circuit`] builds it from a detector circuit's noise
+/// annotations; a module's dry shot records its sites into it with
+/// [`FaultModel::push_pauli`] and [`FaultModel::push_flip`]. Through
+/// [`FaultSites`] it feeds the stratified driver
+/// [`hetarch_exec::rare::stratified`] (the model's [`FaultModel::prior`] is
+/// the exact Poisson-binomial weight distribution), and
+/// [`FaultModel::sample_variant`] draws the variants of conditioned shots
+/// for [`sample_at_weight`] and the module replays alike.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultModel {
     kinds: Vec<SiteKind>,
     trigger: Vec<f64>,
@@ -387,35 +393,28 @@ impl FaultModel {
     /// Decomposes `circuit`'s noise annotations into fault sites, in the
     /// exact order [`Circuit::num_noise_sites`] counts them.
     pub fn from_circuit(circuit: &Circuit) -> Self {
-        let mut kinds = Vec::new();
-        let mut trigger = Vec::new();
+        let mut model = FaultModel::default();
         for inst in circuit.instructions() {
             match inst {
                 Instruction::PauliNoise(err, qs) => {
                     for _ in qs {
-                        kinds.push(SiteKind::Pauli {
-                            px: err.px,
-                            py: err.py,
-                            pz: err.pz,
-                        });
-                        trigger.push(err.total());
+                        model.push_pauli(*err);
                     }
                 }
                 Instruction::Depolarize1(p, qs) => {
                     let third = p / 3.0;
+                    let err = PauliErr {
+                        px: third,
+                        py: third,
+                        pz: third,
+                    };
                     for _ in qs {
-                        kinds.push(SiteKind::Pauli {
-                            px: third,
-                            py: third,
-                            pz: third,
-                        });
-                        trigger.push(*p);
+                        model.push(SiteKind::Pauli(err), *p);
                     }
                 }
                 Instruction::Depolarize2(p, pairs) => {
                     for _ in pairs {
-                        kinds.push(SiteKind::Dep2);
-                        trigger.push(*p);
+                        model.push(SiteKind::Dep2, *p);
                     }
                 }
                 Instruction::Measure { targets, flip }
@@ -423,25 +422,37 @@ impl FaultModel {
                     if *flip > 0.0 =>
                 {
                     for _ in targets {
-                        kinds.push(SiteKind::MeasFlip);
-                        trigger.push(*flip);
+                        model.push_flip(*flip);
                     }
                 }
                 _ => {}
             }
         }
-        debug_assert_eq!(kinds.len(), circuit.num_noise_sites());
-        FaultModel { kinds, trigger }
+        debug_assert_eq!(model.num_sites(), circuit.num_noise_sites());
+        model
+    }
+
+    /// Appends a stochastic Pauli site with X/Y/Z probabilities `err`. It
+    /// triggers with probability `err.total()`, capped at 1 (a NaN total
+    /// counts as 1).
+    pub fn push_pauli(&mut self, err: PauliErr) {
+        self.push(SiteKind::Pauli(err), err.total().min(1.0));
+    }
+
+    /// Appends a classical flip site of probability `p`, capped at 1 (NaN
+    /// counts as 1).
+    pub fn push_flip(&mut self, p: f64) {
+        self.push(SiteKind::Flip, p.min(1.0));
+    }
+
+    fn push(&mut self, kind: SiteKind, trigger: f64) {
+        self.kinds.push(kind);
+        self.trigger.push(trigger);
     }
 
     /// Number of fault sites.
     pub fn num_sites(&self) -> usize {
         self.kinds.len()
-    }
-
-    /// Per-site trigger probabilities, in site order.
-    pub fn trigger_probs(&self) -> &[f64] {
-        &self.trigger
     }
 
     /// The exact Poisson-binomial prior over the total triggered-site
@@ -450,61 +461,53 @@ impl FaultModel {
         WeightPrior::poisson_binomial(&self.trigger)
     }
 
-    /// Number of fault variants at site `i`.
-    pub fn variant_count(&self, i: usize) -> usize {
-        match self.kinds[i] {
-            SiteKind::Pauli { .. } => 3,
-            SiteKind::Dep2 => 15,
-            SiteKind::MeasFlip => 1,
-        }
-    }
-
-    /// Conditional probability of variant `v` at site `i`, given the site
-    /// triggered.
-    pub fn variant_weight(&self, i: usize, v: usize) -> f64 {
-        match self.kinds[i] {
-            SiteKind::Pauli { px, py, pz } => {
-                let total = px + py + pz;
-                if total <= 0.0 {
-                    return 0.0;
-                }
-                [px, py, pz][v] / total
-            }
-            SiteKind::Dep2 => 1.0 / 15.0,
-            SiteKind::MeasFlip => 1.0,
-        }
-    }
-
-    /// Draws a variant for a triggered site (the same conditional
-    /// distribution [`FaultModel::variant_weight`] describes).
-    fn sample_variant(&self, i: usize, rng: &mut StdRng) -> u8 {
-        match self.kinds[i] {
-            SiteKind::Pauli { px, py, pz } => {
-                let r: f64 = rng.gen::<f64>() * (px + py + pz);
-                if r < px {
+    /// Draws a variant of a triggered `site` from the conditional
+    /// distribution [`FaultSites::variant_weight`] describes: one uniform
+    /// variate for a Pauli site, one `0..15` draw for a two-qubit site,
+    /// none for a flip.
+    pub fn sample_variant<R: Rng + ?Sized>(&self, site: usize, rng: &mut R) -> usize {
+        match self.kinds[site] {
+            SiteKind::Pauli(err) => {
+                let r: f64 = rng.gen::<f64>() * err.total();
+                if r < err.px {
                     0
-                } else if r < px + py {
+                } else if r < err.px + err.py {
                     1
                 } else {
                     2
                 }
             }
-            SiteKind::Dep2 => rng.gen_range(0..15u8),
-            SiteKind::MeasFlip => 0,
+            SiteKind::Dep2 => usize::from(rng.gen_range(0..15u8)),
+            SiteKind::Flip => 0,
+        }
+    }
+}
+
+impl FaultSites for FaultModel {
+    fn trigger_probs(&self) -> &[f64] {
+        &self.trigger
+    }
+
+    fn variant_count(&self, site: usize) -> usize {
+        match self.kinds[site] {
+            SiteKind::Pauli(_) => 3,
+            SiteKind::Dep2 => 15,
+            SiteKind::Flip => 1,
         }
     }
 
-    /// Enumerates all weight-`weight` fault configurations, or `None` when
-    /// there are more than `max_configs` (fall back to
-    /// [`sample_at_weight`]).
-    pub fn enumerate(&self, weight: usize, max_configs: u64) -> Option<Vec<FaultConfig>> {
-        enumerate_configs(
-            &self.trigger,
-            weight,
-            max_configs,
-            &|i| self.variant_count(i),
-            &|i, v| self.variant_weight(i, v),
-        )
+    fn variant_weight(&self, site: usize, variant: usize) -> f64 {
+        match self.kinds[site] {
+            SiteKind::Pauli(err) => {
+                let total = err.total();
+                if total <= 0.0 {
+                    return 0.0;
+                }
+                [err.px, err.py, err.pz][variant] / total
+            }
+            SiteKind::Dep2 => 1.0 / 15.0,
+            SiteKind::Flip => 1.0,
+        }
     }
 }
 
@@ -552,32 +555,19 @@ impl FrameSampler {
                         site += 1;
                     }
                 }
-                Instruction::Measure { targets, flip } => {
+                Instruction::Measure { targets, flip }
+                | Instruction::MeasureReset { targets, flip } => {
                     for &q in targets {
                         self.record_measurement(q as usize, 0.0, &mut meas_flips, &mut next_meas);
                         if *flip > 0.0 {
+                            let row = next_meas - 1;
                             for &(shot, _) in &site_hits[site] {
-                                let row = next_meas - 1;
                                 let v = meas_flips.get(row, shot as usize);
                                 meas_flips.set(row, shot as usize, !v);
                             }
                             site += 1;
                         }
-                        self.randomize_z(q as usize);
-                    }
-                }
-                Instruction::MeasureReset { targets, flip } => {
-                    for &q in targets {
-                        self.record_measurement(q as usize, 0.0, &mut meas_flips, &mut next_meas);
-                        if *flip > 0.0 {
-                            for &(shot, _) in &site_hits[site] {
-                                let row = next_meas - 1;
-                                let v = meas_flips.get(row, shot as usize);
-                                meas_flips.set(row, shot as usize, !v);
-                            }
-                            site += 1;
-                        }
-                        self.clear_frames(q as usize);
+                        self.after_measurement(inst, q as usize);
                     }
                 }
                 other => self.apply_instruction(other, &mut meas_flips, &mut next_meas),
@@ -659,17 +649,30 @@ pub fn sample_at_weight(
          ({} sites)",
         model.num_sites()
     );
+    sample_conditioned(circuit, model, &sampler, shots, seed, pool)
+}
+
+/// [`sample_at_weight`] with the stratum's subset sampler already built:
+/// the sampled evaluation of the surface-memory rare path.
+pub(crate) fn sample_conditioned(
+    circuit: &Circuit,
+    model: &FaultModel,
+    sampler: &ConditionalSampler,
+    shots: usize,
+    seed: u64,
+    pool: &WorkerPool,
+) -> FrameResult {
     let num_qubits = circuit.num_qubits() as usize;
     let mut meas_flips = BitTable::new(circuit.num_measurements(), shots);
     let parts = pool.run_shards(shots, SHARD_SHOTS, seed, |shard| {
         let mut rng = StdRng::seed_from_u64(shard_seed(shard.seed, 0));
         let mut site_hits: Vec<Vec<(u32, u8)>> = vec![Vec::new(); model.num_sites()];
-        let mut subset = Vec::with_capacity(weight);
+        let mut subset = Vec::new();
         for shot in 0..shard.len {
             sampler.sample_into(&mut || rng.next_u64(), &mut subset);
             for &site in &subset {
                 let v = model.sample_variant(site, &mut rng);
-                site_hits[site].push((shot as u32, v));
+                site_hits[site].push((shot as u32, v as u8));
             }
         }
         let mut fs = FrameSampler::new(num_qubits.max(1), shard.len, shard_seed(shard.seed, 1));
@@ -695,11 +698,23 @@ pub fn enumerate_at_weight(
     weight: usize,
     max_configs: u64,
 ) -> Option<(Vec<FaultConfig>, FrameResult)> {
-    let configs = model.enumerate(weight, max_configs)?;
+    let configs = enumerate_configs(model, weight, max_configs)?;
+    let frames = run_configs(circuit, model, &configs);
+    Some((configs, frames))
+}
+
+/// Runs the fault configurations `configs` of `model`'s sites in one
+/// deterministic batched frame pass, configuration `i` in shot `i`: the
+/// frame half of [`enumerate_at_weight`].
+pub(crate) fn run_configs(
+    circuit: &Circuit,
+    model: &FaultModel,
+    configs: &[FaultConfig],
+) -> FrameResult {
     let shots = configs.len();
     if shots == 0 {
         let meas_flips = BitTable::new(circuit.num_measurements(), 0);
-        return Some((configs, FrameResult { meas_flips }));
+        return FrameResult { meas_flips };
     }
     let mut site_hits: Vec<Vec<(u32, u8)>> = vec![Vec::new(); model.num_sites()];
     for (shot, config) in configs.iter().enumerate() {
@@ -709,8 +724,7 @@ pub fn enumerate_at_weight(
     }
     let num_qubits = circuit.num_qubits() as usize;
     let mut fs = FrameSampler::new(num_qubits.max(1), shots, 0);
-    let result = fs.run_with_faults(circuit, &site_hits);
-    Some((configs, result))
+    fs.run_with_faults(circuit, &site_hits)
 }
 
 #[cfg(test)]

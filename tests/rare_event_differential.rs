@@ -15,13 +15,16 @@
 //! explicit `(sigma, truncation_bound)` error budget — bit-identically
 //! across worker counts.
 
-use hetarch::exec::WorkerPool;
+use hetarch::exec::rare::{enumerate_configs, RareOutcome, StratifiedEstimator, StratumEval};
+use hetarch::exec::{shard_seed, WorkerPool};
 use hetarch::modules::faults::{
-    estimate, Estimate, Estimator, FaultDriver, RunCtx, ShotMetrics, ShotModel,
+    estimate, Estimate, Estimator, FaultDriver, RecordFaults, RunCtx, ShotMetrics, ShotModel,
 };
 use hetarch::modules::uec::ChainUecModule;
 use hetarch::prelude::*;
 use hetarch::stab::codes::SurfaceDecoder;
+use hetarch::stab::detector::assemble_detectors;
+use hetarch::stab::frame::{enumerate_at_weight, sample_at_weight, FaultModel};
 use hetarch::testkit::prelude::*;
 use proptest::prelude::*;
 
@@ -278,4 +281,161 @@ fn deep_subthreshold_d7_point_is_resolved_and_worker_invariant() {
         plain_rate, 0.0,
         "plain estimator should be blind at this budget"
     );
+}
+
+/// `logical_error_rate_rare_on` composed from the public building blocks
+/// the traced `rare_surface` benchmark pass times one by one: the fault
+/// model and its prior, `StratifiedEstimator::run`, `enumerate_at_weight`
+/// or `sample_at_weight` under `shard_seed(seed, w)`, detector assembly,
+/// and union-find decoding in 1024-shot shards.
+fn rare_from_parts(
+    memory: &SurfaceMemory,
+    config: RareConfig,
+    seed: u64,
+    pool: &WorkerPool,
+) -> RareOutcome {
+    let circuit = memory.circuit();
+    let decoder = UnionFindDecoder::new(&memory.matching_graph());
+    let model = FaultModel::from_circuit(&circuit);
+    let prior = model.prior();
+    StratifiedEstimator::new(&prior, config).run(|w| {
+        match enumerate_at_weight(&circuit, &model, w, config.enumerate_threshold) {
+            Some((configs, frames)) => {
+                let samples = assemble_detectors(&circuit, &frames.meas_flips, configs.len());
+                let mut failure_probability = 0.0;
+                decoder.decode_shots(
+                    &mut decoder.new_scratch(),
+                    &samples.detectors,
+                    &samples.observables,
+                    0,
+                    0,
+                    configs.len(),
+                    |shot, failed| {
+                        if failed {
+                            failure_probability += configs[shot].weight;
+                        }
+                    },
+                );
+                StratumEval::Enumerated {
+                    failure_probability,
+                    configs: configs.len() as u64,
+                }
+            }
+            None => {
+                let shots = config.shots_per_stratum;
+                let stratum_seed = shard_seed(seed, w as u64);
+                let frames = sample_at_weight(&circuit, &model, w, shots, stratum_seed, pool);
+                let samples = assemble_detectors(&circuit, &frames.meas_flips, shots);
+                let failures = pool
+                    .run_shards(shots, 1024, stratum_seed, |shard| {
+                        decoder.count_failures(
+                            &mut decoder.new_scratch(),
+                            &samples.detectors,
+                            &samples.observables,
+                            0,
+                            shard.start,
+                            shard.len,
+                        )
+                    })
+                    .into_iter()
+                    .sum();
+                StratumEval::Sampled { failures, shots }
+            }
+        }
+    })
+}
+
+/// The one stratified driver reproduces the surface rare estimate as the
+/// public parts compose it, on strata it enumerates and strata it samples
+/// across more than one decode shard, at 1 and 4 workers.
+#[test]
+fn surface_rare_estimate_matches_its_public_parts() {
+    let memory = SurfaceMemory::new(3, 2, SurfaceNoise::default());
+    let config = RareConfig {
+        max_strata: 4,
+        rel_tol: 0.0,
+        abs_tol: 1e-30,
+        shots_per_stratum: 1_500,
+        enumerate_threshold: 4_096,
+    };
+    for workers in [1, 4] {
+        let pool = WorkerPool::new(workers);
+        let outcome =
+            memory.logical_error_rate_rare_on(&pool, SurfaceDecoder::UnionFind, config, 61);
+        let strata = &outcome.report().strata;
+        assert!(strata[1].enumerated && !strata[2].enumerated, "{strata:?}");
+        assert_eq!(
+            outcome,
+            rare_from_parts(&memory, config, 61, &pool),
+            "{workers} workers"
+        );
+    }
+}
+
+/// Whether stratum 1 of `outcome` was enumerated.
+fn stratum_one_enumerated(outcome: &RareOutcome) -> bool {
+    outcome.report().strata[1].enumerated
+}
+
+fn boundary_config(threshold: u64) -> RareConfig {
+    RareConfig {
+        max_strata: 2,
+        rel_tol: 0.0,
+        abs_tol: 0.0,
+        shots_per_stratum: 64,
+        enumerate_threshold: threshold,
+    }
+}
+
+/// The enumerate-or-sample boundary is the same for both shot sources:
+/// with `N` weight-1 configurations, a threshold of `N` enumerates stratum
+/// 1 and `N − 1` samples it.
+#[test]
+fn enumerate_threshold_is_one_boundary_for_both_sources() {
+    let pool = WorkerPool::new(2);
+
+    let memory = SurfaceMemory::new(3, 2, SurfaceNoise::default());
+    let circuit = memory.circuit();
+    let model = FaultModel::from_circuit(&circuit);
+    let n = enumerate_at_weight(&circuit, &model, 1, u64::MAX)
+        .expect("no budget")
+        .0
+        .len() as u64;
+    for (threshold, enumerated) in [(n, true), (n - 1, false)] {
+        let outcome = memory.logical_error_rate_rare_on(
+            &pool,
+            SurfaceDecoder::UnionFind,
+            boundary_config(threshold),
+            3,
+        );
+        assert_eq!(
+            stratum_one_enumerated(&outcome),
+            enumerated,
+            "surface, N = {n}, threshold {threshold}"
+        );
+    }
+
+    let usc = UscCell::new(
+        catalog::coherence_limited_compute(0.5e-3),
+        catalog::coherence_limited_storage(5e-3),
+    )
+    .unwrap()
+    .characterize();
+    let uec = UecModule::new(steane(), usc, UecNoise::default());
+    let mut recorder = RecordFaults::new();
+    uec.run_shot(&mut recorder);
+    let sites = recorder.into_model();
+    let n = enumerate_configs(&sites, 1, u64::MAX)
+        .expect("no budget")
+        .len() as u64;
+    for (threshold, enumerated) in [(n, true), (n - 1, false)] {
+        let outcome = run(&uec, Estimator::Rare(boundary_config(threshold)), &pool, 3)
+            .into_rare()
+            .expect("rare outcome");
+        assert_eq!(
+            stratum_one_enumerated(&outcome),
+            enumerated,
+            "UEC Steane, N = {n}, threshold {threshold}"
+        );
+    }
 }
