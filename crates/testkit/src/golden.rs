@@ -76,6 +76,12 @@ impl Snapshot {
         self
     }
 
+    /// Appends `text` verbatim — for pinning a program's printed output.
+    pub fn text(&mut self, text: &str) -> &mut Self {
+        self.out.push_str(text);
+        self
+    }
+
     /// The rendered snapshot text.
     pub fn render(&self) -> &str {
         &self.out
