@@ -1,12 +1,15 @@
-//! Regenerates the §1/§2 simulation-burden claim: the hierarchical
-//! methodology (exact density-matrix simulation at the cell level,
-//! phenomenological composition at the module level, with characterization
-//! caching) reduces the simulation cost by 10^4 or more.
+//! The §1/§2 simulation-burden claim: the hierarchical methodology (exact
+//! density-matrix simulation at the cell level, phenomenological
+//! composition at the module level, with characterization caching) reduces
+//! the simulation cost by 10^4 or more.
 
 use hetarch::prelude::*;
-use hetarch_bench::header;
 
-fn main() {
+use crate::header;
+
+/// Prints the cost ledger and a cached sweep's cell statistics; panics if
+/// a reduction falls below 10^4 or a design point simulates twice.
+pub fn dse_cost() {
     header(
         "DSE cost ablation",
         "Hierarchical vs flat simulation cost for the three §4 applications",
@@ -51,7 +54,8 @@ fn main() {
 
     // The cache multiplies the saving across a sweep: characterize once,
     // reuse at every sweep point (and single-flight admission keeps that
-    // true for concurrent sweep workers).
+    // true for concurrent sweep workers). The loop stays serial so the
+    // `waits` column never depends on thread timing.
     println!();
     let lib = CellLibrary::new();
     let c = catalog::coherence_limited_compute(0.5e-3);
@@ -85,7 +89,8 @@ fn main() {
             k.inflight_waits
         );
     }
-    println!(
+    // Wall-clock seconds vary run to run, so they stay off stdout.
+    eprintln!(
         "simulation time: {:.1} ms run, {:.1} ms avoided by caching",
         stats.sim_seconds_run * 1e3,
         stats.sim_seconds_saved * 1e3

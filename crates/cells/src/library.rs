@@ -195,7 +195,19 @@ fn downcast<C: Cell>(entry: &ReadyEntry) -> Arc<C::Channel> {
         .expect("cache entry payload matches its key's cell kind")
 }
 
-const MAGIC: &[u8] = b"hetarch-cell-library-v1";
+const MAGIC: &[u8] = b"hetarch-cell-library-v2";
+
+/// Layout version of the entries that follow the magic; bumped whenever the
+/// entry or payload encoding changes.
+const SCHEMA_VERSION: u32 = 2;
+
+/// FNV-1a 64 over `bytes`: every step is a bijection of the running state,
+/// so any single-byte change of the input changes the hash.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
 
 /// A memoizing, thread-safe, persistable cache of cell characterizations.
 ///
@@ -371,6 +383,7 @@ impl CellLibrary {
         ready.sort_by(|x, y| x.0 .0.cmp(&y.0 .0));
         let mut s = serde::Serializer::new();
         s.write_bytes(MAGIC);
+        s.write_u32(SCHEMA_VERSION);
         s.write_u64(ready.len() as u64);
         for (key, entry) in &ready {
             s.write_u8(entry.kind.tag());
@@ -378,6 +391,9 @@ impl CellLibrary {
             s.write_f64(entry.sim_seconds);
             s.write_bytes(&encode_payload(entry));
         }
+        let mut bytes = s.into_bytes();
+        let checksum = fnv1a64(&bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
         let path = path.as_ref();
         // The temp file must live in the target's directory: rename is only
         // atomic within one filesystem, and std::env::temp_dir may be on
@@ -393,7 +409,7 @@ impl CellLibrary {
             std::process::id(),
             SAVES.fetch_add(1, Ordering::Relaxed)
         ));
-        std::fs::write(&tmp, s.into_bytes())
+        std::fs::write(&tmp, bytes)
             .and_then(|()| std::fs::rename(&tmp, path))
             .inspect_err(|_| {
                 std::fs::remove_file(&tmp).ok();
@@ -405,8 +421,10 @@ impl CellLibrary {
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors; a malformed or truncated file is
-    /// reported as [`io::ErrorKind::InvalidData`].
+    /// Propagates filesystem errors. A file that is malformed, truncated,
+    /// of another schema version, or whose trailing FNV-1a 64 checksum does
+    /// not match its content is reported as [`io::ErrorKind::InvalidData`]
+    /// — a corrupt cache fails closed instead of loading wrong channels.
     pub fn load(path: impl AsRef<Path>) -> io::Result<CellLibrary> {
         let bytes = std::fs::read(path)?;
         Self::from_saved_bytes(&bytes)
@@ -414,11 +432,18 @@ impl CellLibrary {
     }
 
     fn from_saved_bytes(bytes: &[u8]) -> Result<CellLibrary, serde::Error> {
-        let mut d = serde::Deserializer::new(bytes);
+        let (content, checksum) = bytes.split_at(bytes.len().saturating_sub(8));
+        let mut d = serde::Deserializer::new(content);
         // A bad header should say "not a cell-library file", not whatever
         // EOF the length-prefixed read happens to hit first.
         if d.read_bytes().ok().as_deref() != Some(MAGIC) {
             return Err(serde::Error::new("not a cell-library file"));
+        }
+        if d.read_u32()? != SCHEMA_VERSION {
+            return Err(serde::Error::new("unsupported cell-library schema version"));
+        }
+        if fnv1a64(content).to_le_bytes() != checksum {
+            return Err(serde::Error::new("cell-library checksum mismatch"));
         }
         let n = d.read_u64()?;
         let mut map = HashMap::new();
@@ -792,6 +817,42 @@ mod tests {
     fn load_rejects_garbage() {
         let path = temp_path("library-garbage");
         std::fs::write(&path, b"not a cache").unwrap();
+        let err = CellLibrary::load(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn load_rejects_every_flipped_byte_and_truncation() {
+        let lib = CellLibrary::new();
+        let c = fixed_frequency_qubit();
+        let s = multimode_resonator_3d();
+        lib.get::<RegisterCell>(&c, &s);
+        lib.get::<ParCheckCell>(&c, &c);
+        lib.get::<SeqOpCell>(&c, &s);
+        lib.get::<UscCell>(&c, &s);
+        let path = temp_path("library-corrupt");
+        lib.save(&path).expect("save cache");
+        let bytes = std::fs::read(&path).unwrap();
+        assert_eq!(CellLibrary::from_saved_bytes(&bytes).unwrap().len(), 4);
+        for i in 0..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[i] ^= 0x01;
+            assert!(
+                CellLibrary::from_saved_bytes(&flipped).is_err(),
+                "flipped byte {i} of {} loaded",
+                bytes.len()
+            );
+            assert!(
+                CellLibrary::from_saved_bytes(&bytes[..i]).is_err(),
+                "truncation to {i} bytes loaded"
+            );
+        }
+        // Through the file API a corrupt cache is InvalidData.
+        let mut corrupt = bytes;
+        let mid = corrupt.len() / 2;
+        corrupt[mid] ^= 0x01;
+        std::fs::write(&path, &corrupt).unwrap();
         let err = CellLibrary::load(&path).unwrap_err();
         std::fs::remove_file(&path).ok();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);

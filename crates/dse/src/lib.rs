@@ -2,9 +2,9 @@
 //!
 //! The heterogeneous design-space exploration framework (paper §2's third
 //! contribution): parameter-grid definitions, parallel sweep execution,
-//! Pareto-front extraction, the simulation-cost ledger that quantifies the
-//! hierarchical methodology's ~10⁴ burden reduction, and the per-application
-//! explorations of §4.
+//! Pareto-front extraction, and the simulation-cost ledger that quantifies
+//! the hierarchical methodology's ~10⁴ burden reduction. The paper's
+//! per-application sweeps are defined on [`sweep_on`] in `hetarch-bench`.
 //!
 //! # Example
 //!
@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod cost;
-pub mod explore;
 pub mod pareto;
 pub mod space;
 pub mod sweep;

@@ -5,23 +5,32 @@
 //! Run with: `cargo run --release --example design_space`
 
 use hetarch::prelude::*;
-use hetarch_dse::explore::explore_distill_storage;
 
 fn main() {
     let pool = WorkerPool::available();
     // --- 1. Which storage coherence is "enough" for distillation? -------
     let ts_values = [0.5e-3, 1e-3, 2.5e-3, 5e-3, 12.5e-3, 50e-3];
+    let space = DesignSpace::new(vec![Axis::new("ts", ts_values.to_vec())]);
     for gen_rate in [1e5, 1e6] {
-        let ex = explore_distill_storage(&pool, gen_rate, &ts_values, 5e-3, 0.9, 13);
+        let points = sweep_on(&pool, space.points(), |p| {
+            let config = DistillConfig::heterogeneous(p.get("ts"), gen_rate, 13);
+            DistillModule::new(config).run(5e-3).delivered_rate_hz
+        });
         println!("EP generation {} kHz:", gen_rate / 1e3);
-        for p in &ex.points {
+        for (p, rate_hz) in &points {
             println!(
                 "  Ts = {:>5.1} ms -> {:>8.1} kHz",
-                p.ts * 1e3,
-                p.rate_hz / 1e3
+                p.get("ts") * 1e3,
+                rate_hz / 1e3
             );
         }
-        match ex.sufficient_ts {
+        // The smallest Ts reaching 90% of the best delivered rate.
+        let best = points.iter().map(|(_, rate)| *rate).fold(0.0, f64::max);
+        let sufficient = points
+            .iter()
+            .find(|(_, rate)| best > 0.0 && *rate >= 0.9 * best)
+            .map(|(p, _)| p.get("ts"));
+        match sufficient {
             Some(ts) => println!("  -> Ts = {:.1} ms already reaches 90% of best\n", ts * 1e3),
             None => println!("  -> no setting delivered pairs\n"),
         }

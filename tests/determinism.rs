@@ -187,8 +187,8 @@ fn dse_sweep_is_worker_count_invariant() {
 
 #[test]
 fn nested_surface_exploration_is_worker_count_invariant() {
-    use hetarch::dse::explore::{explore_surface_coherence_with, SurfaceEstimator};
-    // The sweep and each point's surface Monte Carlo share one caller-given
+    use hetarch::stab::codes::SurfaceDecoder;
+    // The sweep and each point's rare-event estimate share one caller-given
     // pool, so every worker count runs the inner estimator nested inside
     // the outer sweep.
     let rare = RareConfig {
@@ -198,52 +198,43 @@ fn nested_surface_exploration_is_worker_count_invariant() {
         enumerate_threshold: 8,
         ..RareConfig::default()
     };
-    for estimator in [
-        SurfaceEstimator::Plain { shots: 1_300 },
-        SurfaceEstimator::Rare(rare),
-    ] {
-        let explore = |pool: &WorkerPool| {
-            explore_surface_coherence_with(pool, 3, 0.1e-3, &[1.0, 2.0], estimator, 47)
-        };
-        let baseline = explore(&WorkerPool::new(1));
-        assert_eq!(baseline.len(), 4);
-        for workers in WORKER_COUNTS {
-            assert_eq!(
-                explore(&WorkerPool::new(workers)),
-                baseline,
-                "{estimator:?} exploration differs at {workers} workers"
-            );
-        }
-    }
-}
-
-#[test]
-fn distill_capacity_exploration_is_worker_count_invariant() {
-    use hetarch::dse::explore::explore_distill_capacity;
-    let explore = |pool: &WorkerPool| explore_distill_capacity(pool, 1e6, 12.5e-3, 1e-3, 11);
+    let space = DesignSpace::new(vec![
+        Axis::new("alpha", vec![1.0, 2.0]),
+        Axis::new("data", vec![0.0, 1.0]),
+    ]);
+    let explore = |pool: &WorkerPool| {
+        sweep_on(pool, space.points(), |p| {
+            let scaled = 0.1e-3 * p.get("alpha");
+            let noise = if p.get("data") > 0.5 {
+                SurfaceNoise {
+                    t_data: scaled,
+                    ..SurfaceNoise::default()
+                }
+            } else {
+                SurfaceNoise {
+                    t_anc: scaled,
+                    ..SurfaceNoise::default()
+                }
+            };
+            let memory = SurfaceMemory::new(3, 3, noise);
+            let outcome =
+                memory.logical_error_rate_rare_on(pool, SurfaceDecoder::UnionFind, rare, 47);
+            let report = outcome.report();
+            (
+                report.per_round(memory.rounds),
+                report.sigma,
+                report.truncation_bound,
+                outcome.is_converged(),
+            )
+        })
+    };
     let baseline = explore(&WorkerPool::new(1));
-    assert_eq!(baseline.len(), 5);
+    assert_eq!(baseline.len(), 4);
     for workers in WORKER_COUNTS {
         assert_eq!(
             explore(&WorkerPool::new(workers)),
             baseline,
-            "capacity exploration differs at {workers} workers"
-        );
-    }
-}
-
-#[test]
-fn compute_choice_exploration_is_worker_count_invariant() {
-    use hetarch::dse::explore::explore_compute_choice;
-    let calib = CalibSnapshot::default();
-    let explore = |pool: &WorkerPool| explore_compute_choice(pool, 2e6, 12.5e-3, 1e-3, 5, &calib);
-    let baseline = explore(&WorkerPool::new(1));
-    assert_eq!(baseline.len(), 2);
-    for workers in WORKER_COUNTS {
-        assert_eq!(
-            explore(&WorkerPool::new(workers)),
-            baseline,
-            "compute-choice exploration differs at {workers} workers"
+            "rare exploration differs at {workers} workers"
         );
     }
 }
