@@ -28,7 +28,7 @@ pub enum Action {
     Idle,
 }
 
-/// Scheduler policy knobs (for the ablation bench).
+/// Scheduler policy knobs (for `figs ablations`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Policy {
     /// Enable priority 1 (re-distillation of staged pairs).

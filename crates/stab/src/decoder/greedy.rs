@@ -3,8 +3,8 @@
 //! A common accuracy baseline between union-find and full MWPM: compute
 //! shortest-path distances between defects (Dijkstra over the matching
 //! graph, boundary included), then greedily pair the closest defects. Used
-//! in the decoder ablation benches; union-find remains the production
-//! decoder (near-identical accuracy, much better scaling).
+//! in `figs ablations`; union-find remains the production decoder
+//! (near-identical accuracy, much better scaling).
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

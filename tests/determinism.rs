@@ -238,3 +238,19 @@ fn nested_surface_exploration_is_worker_count_invariant() {
         );
     }
 }
+
+/// `DistillModule::run_batch_on` threads its pair states and DEJMPS lookup
+/// table through the kernel apply path; every field of every report,
+/// floats included, must stay bit-identical across worker counts.
+#[test]
+fn distill_batch_reports_are_worker_count_invariant() {
+    let module = DistillModule::new(DistillConfig::heterogeneous(2.5e-3, 1e6, 7));
+    let baseline = module.run_batch_on(&WorkerPool::new(1), 500e-6, 6);
+    for workers in WORKER_COUNTS {
+        assert_eq!(
+            module.run_batch_on(&WorkerPool::new(workers), 500e-6, 6),
+            baseline,
+            "distillation reports differ at {workers} workers"
+        );
+    }
+}
