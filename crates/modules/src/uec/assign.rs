@@ -313,7 +313,7 @@ mod tests {
     use super::*;
     use hetarch_cells::UscCell;
     use hetarch_devices::catalog::{coherence_limited_compute, coherence_limited_storage};
-    use hetarch_stab::codes::{repetition_code, rotated_surface_code, steane};
+    use hetarch_stab::codes::{color_17, repetition_code, rotated_surface_code, steane};
     use proptest::prelude::*;
 
     fn usc_channel() -> UscChannel {
@@ -355,6 +355,33 @@ mod tests {
         let rr = Assignment::new(3, (0..16).map(|q| (q as u32) % 3).collect());
         let tuned = search_assignment(&code, 3, 10);
         assert!(tuned.cost(&code) <= rr.cost(&code));
+    }
+
+    /// On codes past the exhaustive bound the search stops only at a local
+    /// optimum: the result fits, and no single-qubit move to another
+    /// register that still fits lowers the cost.
+    #[test]
+    fn hill_climb_stops_at_a_local_optimum_on_color17_and_sc5() {
+        for code in [color_17(), rotated_surface_code(5)] {
+            let n = code.num_qubits();
+            let found = search_assignment(&code, 3, 10);
+            let map: Vec<u32> = (0..n).map(|q| found.register_of(q)).collect();
+            assert!(capacity_ok(&map, 3, 10), "{} overflows", code.name());
+            let cost = found.cost(&code);
+            for q in 0..n {
+                for r in (0..3).filter(|&r| r != map[q]) {
+                    let mut moved = map.clone();
+                    moved[q] = r;
+                    if capacity_ok(&moved, 3, 10) {
+                        assert!(
+                            Assignment::new(3, moved).cost(&code) >= cost,
+                            "{}: moving qubit {q} to register {r} lowers the cost",
+                            code.name()
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -129,6 +129,84 @@ proptest! {
     }
 }
 
+/// Fixed rotation angles for `random_state` on `n` qubits.
+fn fixed_angles(n: usize) -> Vec<f64> {
+    (0..3 * n).map(|i| 0.11 + 0.37 * i as f64).collect()
+}
+
+/// A composite single-qubit channel with 32 Kraus operators.
+fn composite_kraus1() -> Kraus1 {
+    IdleParams::new(300e-6, 150e-6)
+        .unwrap()
+        .channel(40e-6)
+        .unwrap()
+        .then(&Kraus1::depolarizing(0.2).unwrap())
+        .then(&Kraus1::amplitude_damping(0.3).unwrap())
+}
+
+/// The kernel path on every qubit of a six-qubit state, where the strides
+/// of the high qubits exceed every stride the three-qubit property reaches.
+#[test]
+fn kernel1_matches_reference_on_every_qubit_of_six() {
+    let ch = composite_kraus1();
+    for q in 0..6 {
+        let mut via_kernel = random_state(6, &fixed_angles(6), 0.05);
+        let mut via_reference = via_kernel.clone();
+        ch.apply(&mut via_kernel, q);
+        ch.apply_reference(&mut via_reference, q);
+        assert_states_close(&via_kernel, &via_reference);
+    }
+}
+
+/// The two-qubit kernel path on far-apart and reversed pairs of an
+/// eight-qubit state, for a product channel and two-qubit depolarizing.
+#[test]
+fn kernel2_matches_reference_on_far_pairs_of_eight() {
+    let a = Kraus1::amplitude_damping(0.3).unwrap();
+    let b = Kraus1::phase_flip(0.25).unwrap();
+    let product = Kraus2::new(
+        a.ops()
+            .iter()
+            .flat_map(|ka| b.ops().iter().map(move |kb| ka.kron(kb)))
+            .collect(),
+    )
+    .expect("kron of CPTP sets is CPTP");
+    let depol = Kraus2::depolarizing(0.3).unwrap();
+    let start = random_state(8, &fixed_angles(8), 0.05);
+    for ch in [&product, &depol] {
+        for (hi, lo) in [(0, 7), (7, 0), (3, 5), (6, 2)] {
+            let mut via_kernel = start.clone();
+            let mut via_reference = start.clone();
+            ch.apply(&mut via_kernel, hi, lo);
+            ch.apply_reference(&mut via_reference, hi, lo);
+            assert_states_close(&via_kernel, &via_reference);
+        }
+    }
+}
+
+/// The unitary gate path (`DensityMatrix::apply_1q`/`apply_2q`) agrees
+/// with the Kraus-sum reference of the same unitary on eight qubits.
+#[test]
+fn gates_match_reference_on_eight_qubits() {
+    let h = Kraus1::new(vec![Mat::hadamard()]).expect("unitary is CPTP");
+    let cnot = Kraus2::new(vec![Mat::cnot()]).expect("unitary is CPTP");
+    let start = random_state(8, &fixed_angles(8), 0.05);
+    for q in 0..8 {
+        let mut via_gate = start.clone();
+        let mut via_reference = start.clone();
+        gates::h(&mut via_gate, q);
+        h.apply_reference(&mut via_reference, q);
+        assert_states_close(&via_gate, &via_reference);
+    }
+    for (control, target) in [(0, 7), (7, 0), (4, 3), (2, 6)] {
+        let mut via_gate = start.clone();
+        let mut via_reference = start.clone();
+        gates::cnot(&mut via_gate, control, target);
+        cnot.apply_reference(&mut via_reference, control, target);
+        assert_states_close(&via_gate, &via_reference);
+    }
+}
+
 /// A trace-decreasing map (a measurement branch) round-trips through the
 /// kernel identically to the reference: the kernel contract does not
 /// assume CPTP completeness.
