@@ -65,23 +65,7 @@ impl Kraus1 {
     /// Returns [`QsimError::InvalidChannel`] if any operator is not 2×2 or the
     /// completeness relation `Σ K† K = I` fails.
     pub fn new(ops: Vec<Mat>) -> Result<Self, QsimError> {
-        if ops.is_empty() {
-            return Err(QsimError::InvalidChannel("no Kraus operators".into()));
-        }
-        let mut sum = Mat::zeros(2, 2);
-        for k in &ops {
-            if k.rows() != 2 || k.cols() != 2 {
-                return Err(QsimError::InvalidChannel(
-                    "kraus operator is not 2x2".into(),
-                ));
-            }
-            sum = &sum + &(&k.dagger() * k);
-        }
-        if !sum.approx_eq(&Mat::identity(2), 1e-9) {
-            return Err(QsimError::InvalidChannel(
-                "kraus operators do not satisfy the completeness relation".into(),
-            ));
-        }
+        check_kraus_set::<2>(&ops)?;
         Ok(Kraus1::from_ops(ops))
     }
 
@@ -239,23 +223,7 @@ impl Kraus2 {
     /// Returns [`QsimError::InvalidChannel`] if any operator is not 4×4 or the
     /// completeness relation fails.
     pub fn new(ops: Vec<Mat>) -> Result<Self, QsimError> {
-        if ops.is_empty() {
-            return Err(QsimError::InvalidChannel("no Kraus operators".into()));
-        }
-        let mut sum = Mat::zeros(4, 4);
-        for k in &ops {
-            if k.rows() != 4 || k.cols() != 4 {
-                return Err(QsimError::InvalidChannel(
-                    "kraus operator is not 4x4".into(),
-                ));
-            }
-            sum = &sum + &(&k.dagger() * k);
-        }
-        if !sum.approx_eq(&Mat::identity(4), 1e-9) {
-            return Err(QsimError::InvalidChannel(
-                "kraus operators do not satisfy the completeness relation".into(),
-            ));
-        }
+        check_kraus_set::<4>(&ops)?;
         Ok(Kraus2 {
             ops,
             kernel: OnceLock::new(),
@@ -340,6 +308,51 @@ impl Kraus2 {
         self.kernel
             .get_or_init(|| ChannelKernel2::compile(&self.ops))
     }
+}
+
+/// Checks that `ops` is a non-empty set of `D×D` operators with
+/// `Σ K† K = I` to within 1e-9 per entry. The sum runs on fixed-size
+/// arrays with the arithmetic of `&sum + &(&k.dagger() * k)` (each product
+/// entry sums from zero in ascending order, skipping exactly-zero factors
+/// of `K†`), so it accepts exactly the sets that `Mat` sum would, without
+/// allocating.
+fn check_kraus_set<const D: usize>(ops: &[Mat]) -> Result<(), QsimError> {
+    if ops.is_empty() {
+        return Err(QsimError::InvalidChannel("no Kraus operators".into()));
+    }
+    let mut sum = [[C64::ZERO; D]; D];
+    for k in ops {
+        if k.rows() != D || k.cols() != D {
+            return Err(QsimError::InvalidChannel(format!(
+                "kraus operator is not {D}x{D}"
+            )));
+        }
+        let m = k.as_slice();
+        for (r, sum_row) in sum.iter_mut().enumerate() {
+            for (c, entry) in sum_row.iter_mut().enumerate() {
+                let mut prod = C64::ZERO;
+                for j in 0..D {
+                    let v = m[j * D + r].conj();
+                    if v != C64::ZERO {
+                        prod += v * m[j * D + c];
+                    }
+                }
+                *entry += prod;
+            }
+        }
+    }
+    let complete = sum.iter().enumerate().all(|(r, row)| {
+        row.iter().enumerate().all(|(c, &v)| {
+            let want = if r == c { C64::ONE } else { C64::ZERO };
+            v.approx_eq(want, 1e-9)
+        })
+    });
+    if !complete {
+        return Err(QsimError::InvalidChannel(
+            "kraus operators do not satisfy the completeness relation".into(),
+        ));
+    }
+    Ok(())
 }
 
 fn accumulate(into: &mut DensityMatrix, term: &DensityMatrix) {
@@ -639,5 +652,30 @@ mod tests {
         // Two identity operators violate completeness (sum = 2I).
         let bad = Kraus1::new(vec![Mat::identity(2), Mat::identity(2)]);
         assert!(bad.is_err());
+        // A lone √0.9·I sums to 0.9·I.
+        let short = |d: usize| vec![Mat::identity(d).scaled(C64::real(0.9f64.sqrt()))];
+        assert!(Kraus1::new(short(2)).is_err());
+        assert!(Kraus2::new(short(4)).is_err());
+        // An off-diagonal defect is caught too.
+        let skew = Mat::from_reals(2, &[1.0, 1e-3, 0.0, 1.0]);
+        assert!(Kraus1::new(vec![skew]).is_err());
+        // Within the 1e-9 tolerance the set is accepted.
+        let near = |d: usize| vec![Mat::identity(d).scaled(C64::real((1.0f64 - 1e-11).sqrt()))];
+        assert!(Kraus1::new(near(2)).is_ok());
+        assert!(Kraus2::new(near(4)).is_ok());
+    }
+
+    #[test]
+    fn kraus_shapes_enforced() {
+        assert!(Kraus1::new(Vec::new()).is_err());
+        assert!(Kraus2::new(Vec::new()).is_err());
+        assert!(Kraus1::new(vec![Mat::identity(4)]).is_err());
+        assert!(Kraus2::new(vec![Mat::identity(2)]).is_err());
+        assert!(Kraus1::new(vec![Mat::zeros(2, 4)]).is_err());
+        // A wrong shape anywhere in the set rejects it.
+        let mixed = vec![Mat::identity(2).scaled(C64::real(0.5)), Mat::identity(4)];
+        assert!(Kraus1::new(mixed).is_err());
+        assert!(Kraus1::new(vec![Mat::pauli_x()]).is_ok());
+        assert!(Kraus2::new(vec![Mat::cnot()]).is_ok());
     }
 }

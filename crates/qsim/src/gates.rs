@@ -1,18 +1,23 @@
 //! Convenience gate application helpers.
 //!
-//! These wrap [`DensityMatrix::apply_1q`]/[`apply_2q`](DensityMatrix::apply_2q)
-//! with named functions so protocol code (DEJMPS, CAT generation, syndrome
-//! extraction) reads like a circuit listing.
+//! Named functions for the standard gates, so protocol code (DEJMPS, CAT
+//! generation, syndrome extraction) reads like a circuit listing. Each one
+//! conjugates by the gate's fixed-size entry table, so no call allocates;
+//! the result equals [`DensityMatrix::apply_1q`] /
+//! [`apply_2q`](DensityMatrix::apply_2q) with the matching [`Mat`]
+//! constructor.
+//!
+//! [`Mat`]: crate::matrix::Mat
 
-use crate::matrix::Mat;
+use crate::matrix;
 use crate::state::DensityMatrix;
 
 macro_rules! gate_1q {
-    ($(#[$doc:meta] $name:ident => $ctor:expr;)*) => {
+    ($(#[$doc:meta] $name:ident => $entries:expr;)*) => {
         $(
             #[$doc]
             pub fn $name(rho: &mut DensityMatrix, q: usize) {
-                rho.apply_1q(q, &$ctor);
+                rho.conjugate_1q(q, &$entries);
             }
         )*
     };
@@ -20,52 +25,53 @@ macro_rules! gate_1q {
 
 gate_1q! {
     /// Applies a Pauli X gate to qubit `q`.
-    x => Mat::pauli_x();
+    x => matrix::PAULI_X;
     /// Applies a Pauli Y gate to qubit `q`.
-    y => Mat::pauli_y();
+    y => matrix::PAULI_Y;
     /// Applies a Pauli Z gate to qubit `q`.
-    z => Mat::pauli_z();
+    z => matrix::PAULI_Z;
     /// Applies a Hadamard gate to qubit `q`.
-    h => Mat::hadamard();
+    h => matrix::HADAMARD;
     /// Applies an S (phase) gate to qubit `q`.
-    s => Mat::s_gate();
+    s => matrix::S_GATE;
     /// Applies a T gate to qubit `q`.
-    t => Mat::t_gate();
+    t => matrix::t_gate_entries();
 }
 
 /// Applies `RX(θ)` to qubit `q`.
 pub fn rx(rho: &mut DensityMatrix, q: usize, theta: f64) {
-    rho.apply_1q(q, &Mat::rx(theta));
+    rho.conjugate_1q(q, &matrix::rx_entries(theta));
 }
 
 /// Applies `RY(θ)` to qubit `q`.
 pub fn ry(rho: &mut DensityMatrix, q: usize, theta: f64) {
-    rho.apply_1q(q, &Mat::ry(theta));
+    rho.conjugate_1q(q, &matrix::ry_entries(theta));
 }
 
 /// Applies `RZ(θ)` to qubit `q`.
 pub fn rz(rho: &mut DensityMatrix, q: usize, theta: f64) {
-    rho.apply_1q(q, &Mat::rz(theta));
+    rho.conjugate_1q(q, &matrix::rz_entries(theta));
 }
 
 /// Applies a CNOT with `control` and `target`.
 pub fn cnot(rho: &mut DensityMatrix, control: usize, target: usize) {
-    rho.apply_2q(control, target, &Mat::cnot());
+    rho.conjugate_2q(control, target, &matrix::CNOT);
 }
 
 /// Applies a CZ between `a` and `b` (symmetric).
 pub fn cz(rho: &mut DensityMatrix, a: usize, b: usize) {
-    rho.apply_2q(a, b, &Mat::cz());
+    rho.conjugate_2q(a, b, &matrix::CZ);
 }
 
 /// Applies a SWAP between `a` and `b`.
 pub fn swap(rho: &mut DensityMatrix, a: usize, b: usize) {
-    rho.apply_2q(a, b, &Mat::swap());
+    rho.conjugate_2q(a, b, &matrix::SWAP);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Mat;
     use crate::measure::prob_one;
 
     const TOL: f64 = 1e-12;

@@ -42,6 +42,14 @@
 //! performs exactly the floating-point operations of the `C64` product in
 //! the same order, so results are bit-identical to the interleaved form.
 //!
+//! Compilation also records each kernel's form: whether every coefficient
+//! is real and, for one qubit, whether the map keeps the block's diagonal
+//! and off-diagonal pairs apart. The apply passes are instantiated per
+//! form and drop the terms that the form makes exactly zero, keeping every
+//! other term's place in each entry's sum, so an entry can differ from the
+//! dense contraction's only in the sign of a zero. Compilation itself skips
+//! products with an exactly-zero Kraus factor on the same grounds.
+//!
 //! Every channel application is one `apply` on one state: callers that
 //! push several states through a channel build the channel (and so compile
 //! its kernel) once and apply it per state.
@@ -87,10 +95,23 @@ pub struct ChannelKernel1 {
     s_re: [f64; 16],
     /// Imaginary parts of `s`.
     s_im: [f64; 16],
+    /// Every imaginary part is exactly zero.
+    real: bool,
+    /// Every entry `S[i, j]` with `i ^ j ∈ {1, 2}` is exactly zero: the map
+    /// sends the block's diagonal pair `(B00, B11)` and its off-diagonal
+    /// pair `(B01, B10)` to themselves. A Kraus set whose operators are each
+    /// diagonal or anti-diagonal compiles to this form (damping, dephasing,
+    /// Pauli and idle channels).
+    decoupled: bool,
 }
 
 impl ChannelKernel1 {
     /// Compiles the superoperator for the Kraus set `ops`.
+    ///
+    /// Products with an exactly-zero Kraus factor are skipped: each would
+    /// add `±0`, which changes at most the sign of a zero entry. The
+    /// surviving products are summed over `ops` in order, as in the plain
+    /// fold.
     ///
     /// # Panics
     ///
@@ -102,24 +123,19 @@ impl ChannelKernel1 {
         let mut s = [C64::ZERO; 16];
         for k in ops {
             assert_eq!((k.rows(), k.cols()), (2, 2), "expected 2x2 Kraus operators");
-            let m = k.as_slice();
-            for i in 0..2 {
-                for j in 0..2 {
-                    for p in 0..2 {
-                        for q in 0..2 {
-                            s[(i * 2 + j) * 4 + (p * 2 + q)] += m[i * 2 + p] * m[j * 2 + q].conj();
-                        }
-                    }
-                }
-            }
+            fold_nonzero(&mut s, k.as_slice(), 2);
         }
-        let mut s_re = [0.0f64; 16];
-        let mut s_im = [0.0f64; 16];
-        for (i, z) in s.iter().enumerate() {
-            s_re[i] = z.re;
-            s_im[i] = z.im;
+        let s_re = s.map(|z| z.re);
+        let s_im = s.map(|z| z.im);
+        let real = s_im.iter().all(|&v| v == 0.0);
+        let decoupled = (0..16).all(|e| !matches!((e / 4) ^ (e % 4), 1 | 2) || s[e] == C64::ZERO);
+        ChannelKernel1 {
+            s,
+            s_re,
+            s_im,
+            real,
+            decoupled,
         }
-        ChannelKernel1 { s, s_re, s_im }
     }
 
     /// Applies the channel to qubit `q` of `rho` in one pass.
@@ -138,6 +154,35 @@ impl ChannelKernel1 {
     pub(crate) fn split(&self) -> (&[f64; 16], &[f64; 16]) {
         (&self.s_re, &self.s_im)
     }
+
+    /// Whether every coefficient is real.
+    pub(crate) fn is_real(&self) -> bool {
+        self.real
+    }
+
+    /// Whether the map keeps the diagonal and off-diagonal pairs decoupled.
+    pub(crate) fn is_decoupled(&self) -> bool {
+        self.decoupled
+    }
+}
+
+/// Adds `K[i, p] · conj(K[j, q])` to `S[(i·d + j), (p·d + q)]` for the
+/// `d×d` Kraus operator `k`, skipping every product with an exactly-zero
+/// factor.
+fn fold_nonzero(s: &mut [C64], k: &[C64], d: usize) {
+    for (ip, &a) in k.iter().enumerate() {
+        if a == C64::ZERO {
+            continue;
+        }
+        let (i, p) = (ip / d, ip % d);
+        for (jq, &b) in k.iter().enumerate() {
+            if b == C64::ZERO {
+                continue;
+            }
+            let (j, q) = (jq / d, jq % d);
+            s[(i * d + j) * d * d + (p * d + q)] += a * b.conj();
+        }
+    }
 }
 
 /// Precompiled two-qubit channel superoperator (16×16, stored per-row
@@ -154,35 +199,30 @@ pub struct ChannelKernel2 {
     vals_re: [[f64; 16]; 16],
     /// Imaginary parts of the values matching `cols`.
     vals_im: [[f64; 16]; 16],
+    /// Every imaginary part is exactly zero.
+    real: bool,
 }
 
 impl ChannelKernel2 {
-    /// Compiles the superoperator for the Kraus set `ops`.
+    /// Compiles the superoperator for the Kraus set `ops`, skipping
+    /// products with an exactly-zero Kraus factor as
+    /// [`ChannelKernel1::compile`] does.
     ///
     /// # Panics
     ///
     /// Panics if any operator is not 4×4. Completeness is not required.
     pub fn compile(ops: &[Mat]) -> Self {
         OBS_COMPILES.inc();
-        let mut dense = [[C64::ZERO; 16]; 16];
+        let mut dense = [C64::ZERO; 256];
         for k in ops {
             assert_eq!((k.rows(), k.cols()), (4, 4), "expected 4x4 Kraus operators");
-            let m = k.as_slice();
-            for i in 0..4 {
-                for j in 0..4 {
-                    for p in 0..4 {
-                        for q in 0..4 {
-                            dense[i * 4 + j][p * 4 + q] += m[i * 4 + p] * m[j * 4 + q].conj();
-                        }
-                    }
-                }
-            }
+            fold_nonzero(&mut dense, k.as_slice(), 4);
         }
         let mut nnz = [0u8; 16];
         let mut cols = [[0u8; 16]; 16];
         let mut vals_re = [[0.0f64; 16]; 16];
         let mut vals_im = [[0.0f64; 16]; 16];
-        for (r, row) in dense.iter().enumerate() {
+        for (r, row) in dense.chunks_exact(16).enumerate() {
             for (c, &v) in row.iter().enumerate() {
                 // Only exactly-zero entries are pruned (skipping `acc += 0·b`
                 // cannot change any finite result), and the survivors keep
@@ -197,11 +237,13 @@ impl ChannelKernel2 {
                 }
             }
         }
+        let real = vals_im.iter().flatten().all(|&v| v == 0.0);
         ChannelKernel2 {
             nnz,
             cols,
             vals_re,
             vals_im,
+            real,
         }
     }
 
@@ -223,6 +265,11 @@ impl ChannelKernel2 {
         &[[f64; 16]; 16],
     ) {
         (&self.nnz, &self.cols, &self.vals_re, &self.vals_im)
+    }
+
+    /// Whether every coefficient is real.
+    pub(crate) fn is_real(&self) -> bool {
+        self.real
     }
 
     /// Total non-zero superoperator entries (≤ 256); Pauli channels compile
@@ -320,6 +367,96 @@ mod tests {
         kernel.apply(&mut rho, 3, 1);
         assert!(rho.trace().approx_eq(C64::ONE, 1e-12));
         rho.validate(1e-10).unwrap();
+    }
+
+    /// `S[(i·d + j), (p·d + q)] = Σ_k K_k[i, p]·conj(K_k[j, q])` over every
+    /// term, zero factors included.
+    fn dense_fold(ops: &[Mat], d: usize) -> Vec<C64> {
+        let mut s = vec![C64::ZERO; d.pow(4)];
+        for k in ops {
+            for i in 0..d {
+                for j in 0..d {
+                    for p in 0..d {
+                        for q in 0..d {
+                            s[(i * d + j) * d * d + p * d + q] += k[(i, p)] * k[(j, q)].conj();
+                        }
+                    }
+                }
+            }
+        }
+        s
+    }
+
+    #[test]
+    fn compile_matches_dense_fold() {
+        let idle = IdleParams::new(300e-6, 150e-6)
+            .unwrap()
+            .channel(40e-6)
+            .unwrap();
+        let depol = Kraus1::depolarizing(0.1).unwrap();
+        let flip = Kraus1::bit_flip(0.2).unwrap();
+        let ones = [
+            depol.clone(),
+            idle.clone(),
+            flip.clone(),
+            idle.then(&depol).then(&flip),
+            Kraus1::new(vec![Mat::hadamard()]).unwrap(),
+        ];
+        for ch in &ones {
+            let kernel = ChannelKernel1::compile(ch.ops());
+            // `==` counts +0 and −0 as equal, the only difference the
+            // skipped zero-factor products can make.
+            assert!(kernel.as_matrix().iter().eq(dense_fold(ch.ops(), 2).iter()));
+        }
+        let kron = |a: &Kraus1, b: &Kraus1| -> Vec<Mat> {
+            a.ops()
+                .iter()
+                .flat_map(|ka| b.ops().iter().map(move |kb| ka.kron(kb)))
+                .collect()
+        };
+        let twos = [
+            Kraus2::depolarizing(0.07).unwrap().ops().to_vec(),
+            kron(&idle, &flip),
+            kron(&idle.then(&depol), &idle),
+            vec![Mat::hadamard().kron(&Mat::hadamard())],
+        ];
+        for ops in &twos {
+            let fold = dense_fold(ops, 4);
+            let kernel = ChannelKernel2::compile(ops);
+            let (nnz, cols, vals_re, vals_im) = kernel.rows();
+            for r in 0..16 {
+                let row = &fold[r * 16..(r + 1) * 16];
+                let want: Vec<usize> = (0..16).filter(|&c| row[c] != C64::ZERO).collect();
+                let n = nnz[r] as usize;
+                let got: Vec<usize> = cols[r][..n].iter().map(|&c| c as usize).collect();
+                assert_eq!(got, want, "row {r} column list");
+                for (t, &c) in want.iter().enumerate() {
+                    assert!(C64::new(vals_re[r][t], vals_im[r][t]) == row[c]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn noise_kernels_take_the_real_decoupled_pass() {
+        let idle = IdleParams::new(300e-6, 150e-6)
+            .unwrap()
+            .channel(40e-6)
+            .unwrap();
+        for ch in [
+            idle,
+            Kraus1::depolarizing(0.1).unwrap(),
+            Kraus1::bit_flip(0.2).unwrap(),
+        ] {
+            assert!(ch.kernel().is_real() && ch.kernel().is_decoupled());
+        }
+        // S = diag(1, i) is decoupled but complex; H mixes the two pairs.
+        let s_gate = ChannelKernel1::compile(&[Mat::s_gate()]);
+        assert!(!s_gate.is_real() && s_gate.is_decoupled());
+        let h = ChannelKernel1::compile(&[Mat::hadamard()]);
+        assert!(h.is_real() && !h.is_decoupled());
+        assert!(Kraus2::depolarizing(0.07).unwrap().kernel().is_real());
+        assert!(!ChannelKernel2::compile(&[Mat::iswap()]).is_real());
     }
 
     #[test]

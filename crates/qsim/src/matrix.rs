@@ -178,70 +178,47 @@ impl Mat {
 
     /// Pauli X.
     pub fn pauli_x() -> Mat {
-        Mat::from_reals(2, &[0.0, 1.0, 1.0, 0.0])
+        Mat::from_rows(2, 2, PAULI_X.to_vec())
     }
 
     /// Pauli Y.
     pub fn pauli_y() -> Mat {
-        Mat::from_rows(2, 2, vec![C64::ZERO, -C64::I, C64::I, C64::ZERO])
+        Mat::from_rows(2, 2, PAULI_Y.to_vec())
     }
 
     /// Pauli Z.
     pub fn pauli_z() -> Mat {
-        Mat::from_reals(2, &[1.0, 0.0, 0.0, -1.0])
+        Mat::from_rows(2, 2, PAULI_Z.to_vec())
     }
 
     /// Hadamard.
     pub fn hadamard() -> Mat {
-        let s = std::f64::consts::FRAC_1_SQRT_2;
-        Mat::from_reals(2, &[s, s, s, -s])
+        Mat::from_rows(2, 2, HADAMARD.to_vec())
     }
 
     /// Phase gate S = diag(1, i).
     pub fn s_gate() -> Mat {
-        Mat::from_rows(2, 2, vec![C64::ONE, C64::ZERO, C64::ZERO, C64::I])
+        Mat::from_rows(2, 2, S_GATE.to_vec())
     }
 
     /// T gate = diag(1, e^{iπ/4}).
     pub fn t_gate() -> Mat {
-        Mat::from_rows(
-            2,
-            2,
-            vec![
-                C64::ONE,
-                C64::ZERO,
-                C64::ZERO,
-                C64::expi(std::f64::consts::FRAC_PI_4),
-            ],
-        )
+        Mat::from_rows(2, 2, t_gate_entries().to_vec())
     }
 
     /// Rotation about X: `RX(θ) = exp(-iθX/2)`.
     pub fn rx(theta: f64) -> Mat {
-        let c = C64::real((theta / 2.0).cos());
-        let s = C64::new(0.0, -(theta / 2.0).sin());
-        Mat::from_rows(2, 2, vec![c, s, s, c])
+        Mat::from_rows(2, 2, rx_entries(theta).to_vec())
     }
 
     /// Rotation about Y: `RY(θ) = exp(-iθY/2)`.
     pub fn ry(theta: f64) -> Mat {
-        let c = (theta / 2.0).cos();
-        let s = (theta / 2.0).sin();
-        Mat::from_reals(2, &[c, -s, s, c])
+        Mat::from_rows(2, 2, ry_entries(theta).to_vec())
     }
 
     /// Rotation about Z: `RZ(θ) = exp(-iθZ/2)`.
     pub fn rz(theta: f64) -> Mat {
-        Mat::from_rows(
-            2,
-            2,
-            vec![
-                C64::expi(-theta / 2.0),
-                C64::ZERO,
-                C64::ZERO,
-                C64::expi(theta / 2.0),
-            ],
-        )
+        Mat::from_rows(2, 2, rz_entries(theta).to_vec())
     }
 
     // --- standard two-qubit matrices ---------------------------------------
@@ -253,41 +230,17 @@ impl Mat {
 
     /// CNOT with the first (high) index as control.
     pub fn cnot() -> Mat {
-        Mat::from_reals(
-            4,
-            &[
-                1.0, 0.0, 0.0, 0.0, //
-                0.0, 1.0, 0.0, 0.0, //
-                0.0, 0.0, 0.0, 1.0, //
-                0.0, 0.0, 1.0, 0.0,
-            ],
-        )
+        Mat::from_rows(4, 4, CNOT.to_vec())
     }
 
     /// Controlled-Z.
     pub fn cz() -> Mat {
-        Mat::from_reals(
-            4,
-            &[
-                1.0, 0.0, 0.0, 0.0, //
-                0.0, 1.0, 0.0, 0.0, //
-                0.0, 0.0, 1.0, 0.0, //
-                0.0, 0.0, 0.0, -1.0,
-            ],
-        )
+        Mat::from_rows(4, 4, CZ.to_vec())
     }
 
     /// SWAP.
     pub fn swap() -> Mat {
-        Mat::from_reals(
-            4,
-            &[
-                1.0, 0.0, 0.0, 0.0, //
-                0.0, 0.0, 1.0, 0.0, //
-                0.0, 1.0, 0.0, 0.0, //
-                0.0, 0.0, 0.0, 1.0,
-            ],
-        )
+        Mat::from_rows(4, 4, SWAP.to_vec())
     }
 
     /// iSWAP.
@@ -316,6 +269,85 @@ impl Mat {
         )
     }
 }
+
+// Row-major entries of the standard gates, shared by the `Mat`
+// constructors above and the allocation-free helpers in `crate::gates`.
+
+/// Real entries as complex ones (`C64::real`, so every imaginary part is
+/// `+0.0`).
+const fn reals<const N: usize>(x: [f64; N]) -> [C64; N] {
+    let mut out = [C64::ZERO; N];
+    let mut i = 0;
+    while i < N {
+        out[i] = C64::real(x[i]);
+        i += 1;
+    }
+    out
+}
+
+pub(crate) const PAULI_X: [C64; 4] = reals([0.0, 1.0, 1.0, 0.0]);
+// `-C64::I` is `(-0.0, -1.0)`; the table keeps that sign of zero.
+pub(crate) const PAULI_Y: [C64; 4] = [C64::ZERO, C64::new(-0.0, -1.0), C64::I, C64::ZERO];
+pub(crate) const PAULI_Z: [C64; 4] = reals([1.0, 0.0, 0.0, -1.0]);
+pub(crate) const HADAMARD: [C64; 4] = {
+    let s = std::f64::consts::FRAC_1_SQRT_2;
+    reals([s, s, s, -s])
+};
+pub(crate) const S_GATE: [C64; 4] = [C64::ONE, C64::ZERO, C64::ZERO, C64::I];
+
+pub(crate) fn t_gate_entries() -> [C64; 4] {
+    [
+        C64::ONE,
+        C64::ZERO,
+        C64::ZERO,
+        C64::expi(std::f64::consts::FRAC_PI_4),
+    ]
+}
+
+pub(crate) fn rx_entries(theta: f64) -> [C64; 4] {
+    let c = C64::real((theta / 2.0).cos());
+    let s = C64::new(0.0, -(theta / 2.0).sin());
+    [c, s, s, c]
+}
+
+pub(crate) fn ry_entries(theta: f64) -> [C64; 4] {
+    let c = (theta / 2.0).cos();
+    let s = (theta / 2.0).sin();
+    [C64::real(c), C64::real(-s), C64::real(s), C64::real(c)]
+}
+
+pub(crate) fn rz_entries(theta: f64) -> [C64; 4] {
+    [
+        C64::expi(-theta / 2.0),
+        C64::ZERO,
+        C64::ZERO,
+        C64::expi(theta / 2.0),
+    ]
+}
+
+#[rustfmt::skip]
+pub(crate) const CNOT: [C64; 16] = reals([
+    1.0, 0.0, 0.0, 0.0,
+    0.0, 1.0, 0.0, 0.0,
+    0.0, 0.0, 0.0, 1.0,
+    0.0, 0.0, 1.0, 0.0,
+]);
+
+#[rustfmt::skip]
+pub(crate) const CZ: [C64; 16] = reals([
+    1.0, 0.0, 0.0, 0.0,
+    0.0, 1.0, 0.0, 0.0,
+    0.0, 0.0, 1.0, 0.0,
+    0.0, 0.0, 0.0, -1.0,
+]);
+
+#[rustfmt::skip]
+pub(crate) const SWAP: [C64; 16] = reals([
+    1.0, 0.0, 0.0, 0.0,
+    0.0, 0.0, 1.0, 0.0,
+    0.0, 1.0, 0.0, 0.0,
+    0.0, 0.0, 0.0, 1.0,
+]);
 
 impl std::ops::Index<(usize, usize)> for Mat {
     type Output = C64;

@@ -197,16 +197,32 @@ impl DensityMatrix {
     /// Applies ρ → M ρ M† for an arbitrary 2×2 matrix `m` on qubit `q`.
     ///
     /// This is the shared kernel behind unitary gates and Kraus operators.
+    /// A monomial `m` (one entry per row and column, each exactly ±1 or
+    /// ±i: X, Y, Z, S) is applied as an index move. That gives every entry
+    /// the dense sweep's value up to the sign of a zero, because each
+    /// skipped term has an exactly-zero factor and a unit-phase product is
+    /// exact. Any other `m` takes the dense left/right sweep.
     ///
     /// # Panics
     ///
     /// Panics if `q >= n` or `m` is not 2×2.
     pub fn apply_conjugation_1q(&mut self, q: usize, m: &Mat) {
-        assert!(q < self.n, "qubit {q} out of range for {} qubits", self.n);
         assert_eq!((m.rows(), m.cols()), (2, 2), "expected a 2x2 matrix");
+        let mut u = [C64::ZERO; 4];
+        u.copy_from_slice(m.as_slice());
+        self.conjugate_1q(q, &u);
+    }
+
+    /// [`apply_conjugation_1q`](Self::apply_conjugation_1q) on a row-major
+    /// entry table, the allocation-free form behind [`crate::gates`].
+    pub(crate) fn conjugate_1q(&mut self, q: usize, u: &[C64; 4]) {
+        assert!(q < self.n, "qubit {q} out of range for {} qubits", self.n);
         let mask = 1usize << q;
+        if let Some(m) = Monomial::<2>::detect(u) {
+            self.conjugate_monomial(&[0, mask], &m);
+            return;
+        }
         let dim = self.dim;
-        let u = [m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]];
         // Left multiply: rows.
         for i in 0..dim {
             if i & mask != 0 {
@@ -240,19 +256,32 @@ impl DensityMatrix {
 
     /// Applies ρ → M ρ M† for an arbitrary 4×4 matrix on qubits
     /// `(q_hi, q_lo)`, where the matrix basis index is `(bit_hi << 1) | bit_lo`.
+    /// Monomial matrices (CNOT, CZ, SWAP, iSWAP, Pauli products) take the
+    /// index-move path, as in
+    /// [`apply_conjugation_1q`](Self::apply_conjugation_1q).
     ///
     /// # Panics
     ///
     /// Panics if the qubits coincide or are out of range, or `m` is not 4×4.
     pub fn apply_conjugation_2q(&mut self, q_hi: usize, q_lo: usize, m: &Mat) {
-        assert!(q_hi < self.n && q_lo < self.n, "qubit out of range");
-        assert_ne!(q_hi, q_lo, "two-qubit gate requires distinct qubits");
         assert_eq!((m.rows(), m.cols()), (4, 4), "expected a 4x4 matrix");
-        let mh = 1usize << q_hi;
-        let ml = 1usize << q_lo;
-        let dim = self.dim;
         let mut u = [C64::ZERO; 16];
         u.copy_from_slice(m.as_slice());
+        self.conjugate_2q(q_hi, q_lo, &u);
+    }
+
+    /// [`apply_conjugation_2q`](Self::apply_conjugation_2q) on a row-major
+    /// entry table, the allocation-free form behind [`crate::gates`].
+    pub(crate) fn conjugate_2q(&mut self, q_hi: usize, q_lo: usize, u: &[C64; 16]) {
+        assert!(q_hi < self.n && q_lo < self.n, "qubit out of range");
+        assert_ne!(q_hi, q_lo, "two-qubit gate requires distinct qubits");
+        let mh = 1usize << q_hi;
+        let ml = 1usize << q_lo;
+        if let Some(m) = Monomial::<4>::detect(u) {
+            self.conjugate_monomial(&[0, ml, mh, mh | ml], &m);
+            return;
+        }
+        let dim = self.dim;
         // Left multiply.
         let mut tmp = [C64::ZERO; 4];
         for base in 0..dim {
@@ -301,16 +330,52 @@ impl DensityMatrix {
         }
     }
 
+    /// Conjugates by the monomial `m` acting on the local basis states at
+    /// index offsets `offsets` (`offsets[k]` sets the bits of local state
+    /// `k`): every D×D block of ρ is rewritten as
+    /// `B'[r][c] = i^(phase[r] − phase[c]) · B[src[r]][src[c]]`.
+    fn conjugate_monomial<const D: usize>(&mut self, offsets: &[usize; D], m: &Monomial<D>) {
+        let span = offsets.iter().fold(0, |acc, &o| acc | o);
+        let dim = self.dim;
+        let mut turn = [[0u8; D]; D];
+        for (r, row) in turn.iter_mut().enumerate() {
+            for (c, t) in row.iter_mut().enumerate() {
+                *t = m.phase[r].wrapping_sub(m.phase[c]) & 3;
+            }
+        }
+        let mut block = [[C64::ZERO; D]; D];
+        for base_r in (0..dim).filter(|b| b & span == 0) {
+            let rows = offsets.map(|o| (base_r | o) * dim);
+            for base_c in (0..dim).filter(|b| b & span == 0) {
+                for (row, &at) in block.iter_mut().zip(&rows) {
+                    for (v, &o) in row.iter_mut().zip(offsets) {
+                        *v = self.data[at + (base_c | o)];
+                    }
+                }
+                for (r, &at) in rows.iter().enumerate() {
+                    for (c, &o) in offsets.iter().enumerate() {
+                        self.data[at + (base_c | o)] =
+                            turn_by(block[m.src[r]][m.src[c]], turn[r][c]);
+                    }
+                }
+            }
+        }
+    }
+
     /// Applies a precompiled single-qubit channel superoperator (4×4,
     /// row-major over `vec(B)[i*2 + j] = B[i, j]`) to qubit `q` in one
     /// allocation-free pass: every 2×2 block of ρ addressed by the qubit's
     /// bit in the row and column index is replaced by `S · vec(B)`.
     ///
-    /// The contraction runs on the kernel's real/imag-split coefficient
-    /// slices with the four output accumulators in the inner loop, so LLVM
-    /// turns it into straight-line vector FMAs. The accumulation order per
-    /// output entry (ascending `j`) matches the interleaved complex product
-    /// exactly, so results are bit-identical to the pre-split path.
+    /// The pass walks each row pair `(r, r | mask)` in contiguous column
+    /// runs: the columns with the qubit's bit clear come in runs of
+    /// `mask = 2^q`, each followed by its partner run. The contraction is
+    /// specialised on the kernel's form (see [`ChannelKernel1`]): a real
+    /// kernel skips the terms with an imaginary factor, and a decoupled
+    /// kernel skips the eight entries that are zero by its form. Each
+    /// skipped term has an exactly-zero factor and each output keeps its
+    /// ascending-`j` sum order, so every entry equals the dense
+    /// contraction's up to the sign of a zero.
     ///
     /// This is the hot path behind [`crate::kernel::ChannelKernel1`].
     ///
@@ -319,45 +384,58 @@ impl DensityMatrix {
     /// Panics if `q >= n`.
     pub(crate) fn apply_superop_1q(&mut self, q: usize, kernel: &ChannelKernel1) {
         assert!(q < self.n, "qubit {q} out of range for {} qubits", self.n);
+        match (kernel.is_real(), kernel.is_decoupled()) {
+            (true, true) => self.superop_1q_pass::<true, true>(q, kernel),
+            (true, false) => self.superop_1q_pass::<true, false>(q, kernel),
+            (false, true) => self.superop_1q_pass::<false, true>(q, kernel),
+            (false, false) => self.superop_1q_pass::<false, false>(q, kernel),
+        }
+    }
+
+    fn superop_1q_pass<const REAL: bool, const DECOUPLED: bool>(
+        &mut self,
+        q: usize,
+        kernel: &ChannelKernel1,
+    ) {
         let (s_re, s_im) = kernel.split();
         let mask = 1usize << q;
-        let low = mask - 1;
         let dim = self.dim;
-        let half = dim / 2;
-        for br in 0..half {
-            // br enumerates row indices with the qubit's bit deleted;
-            // re-insert a zero bit at position q.
-            let r0 = ((br & !low) << 1) | (br & low);
-            let row0 = r0 * dim;
-            let row1 = (r0 | mask) * dim;
-            for bc in 0..half {
-                let c0 = ((bc & !low) << 1) | (bc & low);
-                let c1 = c0 | mask;
-                let idx = [row0 + c0, row0 + c1, row1 + c0, row1 + c1];
-                let mut b_re = [0.0f64; 4];
-                let mut b_im = [0.0f64; 4];
-                for (j, &ix) in idx.iter().enumerate() {
-                    let z = self.data[ix];
-                    b_re[j] = z.re;
-                    b_im[j] = z.im;
-                }
-                let mut o_re = [0.0f64; 4];
-                let mut o_im = [0.0f64; 4];
-                for j in 0..4 {
-                    let br_ = b_re[j];
-                    let bi_ = b_im[j];
-                    for i in 0..4 {
-                        let sr = s_re[i * 4 + j];
-                        let si = s_im[i * 4 + j];
-                        o_re[i] += sr * br_ - si * bi_;
-                        o_im[i] += sr * bi_ + si * br_;
+        for r0 in (0..dim).filter(|r| r & mask == 0) {
+            let (head, tail) = self.data.split_at_mut((r0 | mask) * dim);
+            let row0 = &mut head[r0 * dim..(r0 + 1) * dim];
+            let row1 = &mut tail[..dim];
+            for (run0, run1) in row0
+                .chunks_exact_mut(2 * mask)
+                .zip(row1.chunks_exact_mut(2 * mask))
+            {
+                let (b00, b01) = run0.split_at_mut(mask);
+                let (b10, b11) = run1.split_at_mut(mask);
+                for (((e00, e01), e10), e11) in b00.iter_mut().zip(b01).zip(b10).zip(b11) {
+                    let b = [*e00, *e01, *e10, *e11];
+                    let mut o_re = [0.0f64; 4];
+                    let mut o_im = [0.0f64; 4];
+                    for (j, bj) in b.iter().enumerate() {
+                        for i in 0..4 {
+                            // Decoupled kernels are zero wherever `i ^ j` is 1
+                            // or 2 (diagonal pair vs off-diagonal pair).
+                            if DECOUPLED && matches!(i ^ j, 1 | 2) {
+                                continue;
+                            }
+                            let sr = s_re[i * 4 + j];
+                            if REAL {
+                                o_re[i] += sr * bj.re;
+                                o_im[i] += sr * bj.im;
+                            } else {
+                                let si = s_im[i * 4 + j];
+                                o_re[i] += sr * bj.re - si * bj.im;
+                                o_im[i] += sr * bj.im + si * bj.re;
+                            }
+                        }
                     }
-                }
-                for (i, &ix) in idx.iter().enumerate() {
-                    self.data[ix] = C64 {
-                        re: o_re[i],
-                        im: o_im[i],
-                    };
+                    *e00 = C64::new(o_re[0], o_im[0]);
+                    *e01 = C64::new(o_re[1], o_im[1]);
+                    *e10 = C64::new(o_re[2], o_im[2]);
+                    *e11 = C64::new(o_re[3], o_im[3]);
                 }
             }
         }
@@ -371,63 +449,61 @@ impl DensityMatrix {
     /// (bit-identical to the interleaved complex sum; see the module docs
     /// of [`crate::kernel`]).
     ///
+    /// Four column blocks of one row block are contracted together, so
+    /// each coefficient is loaded once per four blocks and the inner loop
+    /// runs over independent lanes. A real kernel skips its imaginary
+    /// terms (exactly-zero factors). Neither changes any entry's sum
+    /// order, so every entry equals the one-block contraction's up to the
+    /// sign of a zero.
+    ///
     /// # Panics
     ///
     /// Panics if the qubits coincide or are out of range.
     pub(crate) fn apply_superop_2q(&mut self, q_hi: usize, q_lo: usize, kernel: &ChannelKernel2) {
         assert!(q_hi < self.n && q_lo < self.n, "qubit out of range");
         assert_ne!(q_hi, q_lo, "two-qubit channel requires distinct qubits");
-        let (nnz, cols, v_re, v_im) = kernel.rows();
-        let mh = 1usize << q_hi;
-        let ml = 1usize << q_lo;
+        if kernel.is_real() {
+            self.superop_2q_pass::<true>(q_hi, q_lo, kernel);
+        } else {
+            self.superop_2q_pass::<false>(q_hi, q_lo, kernel);
+        }
+    }
+
+    fn superop_2q_pass<const REAL: bool>(
+        &mut self,
+        q_hi: usize,
+        q_lo: usize,
+        kernel: &ChannelKernel2,
+    ) {
+        let (mh, ml) = (1usize << q_hi, 1usize << q_lo);
+        let offsets = [0, ml, mh, mh | ml];
+        let (a, b) = (q_hi.min(q_lo), q_hi.max(q_lo));
         let dim = self.dim;
-        for base_r in 0..dim {
-            if base_r & (mh | ml) != 0 {
-                continue;
-            }
-            let rows = [
-                base_r * dim,
-                (base_r | ml) * dim,
-                (base_r | mh) * dim,
-                (base_r | mh | ml) * dim,
-            ];
-            for base_c in 0..dim {
-                if base_c & (mh | ml) != 0 {
-                    continue;
+        // Block `k`'s base index: `k` with zero bits inserted at both qubits.
+        let base = |k: usize| insert_zero_bit(insert_zero_bit(k, a), b);
+        let blocks = dim / 4;
+        for kr in 0..blocks {
+            let rows = offsets.map(|o| (base(kr) | o) * dim);
+            if blocks >= LANES {
+                for kc in (0..blocks).step_by(LANES) {
+                    let cols: [usize; LANES] = std::array::from_fn(|l| base(kc + l));
+                    contract_blocks_2q::<REAL, LANES>(
+                        &mut self.data,
+                        &rows,
+                        &offsets,
+                        &cols,
+                        kernel,
+                    );
                 }
-                let blk = [base_c, base_c | ml, base_c | mh, base_c | mh | ml];
-                let mut b_re = [0.0f64; 16];
-                let mut b_im = [0.0f64; 16];
-                for (i, &row) in rows.iter().enumerate() {
-                    for (j, &col) in blk.iter().enumerate() {
-                        let z = self.data[row + col];
-                        b_re[i * 4 + j] = z.re;
-                        b_im[i * 4 + j] = z.im;
-                    }
-                }
-                let mut o_re = [0.0f64; 16];
-                let mut o_im = [0.0f64; 16];
-                for r in 0..16 {
-                    let k = nnz[r] as usize;
-                    let mut ar = 0.0f64;
-                    let mut ai = 0.0f64;
-                    for t in 0..k {
-                        let c = cols[r][t] as usize;
-                        let wr = v_re[r][t];
-                        let wi = v_im[r][t];
-                        ar += wr * b_re[c] - wi * b_im[c];
-                        ai += wr * b_im[c] + wi * b_re[c];
-                    }
-                    o_re[r] = ar;
-                    o_im[r] = ai;
-                }
-                for (i, &row) in rows.iter().enumerate() {
-                    for (j, &col) in blk.iter().enumerate() {
-                        self.data[row + col] = C64 {
-                            re: o_re[i * 4 + j],
-                            im: o_im[i * 4 + j],
-                        };
-                    }
+            } else {
+                for kc in 0..blocks {
+                    contract_blocks_2q::<REAL, 1>(
+                        &mut self.data,
+                        &rows,
+                        &offsets,
+                        &[base(kc)],
+                        kernel,
+                    );
                 }
             }
         }
@@ -596,6 +672,128 @@ impl DensityMatrix {
     /// Converts into a [`Mat`] (for diagnostics and tests).
     pub fn to_mat(&self) -> Mat {
         Mat::from_rows(self.dim, self.dim, self.data.clone())
+    }
+}
+
+/// A matrix with exactly one non-zero entry per row and column, each
+/// exactly ±1 or ±i: row `r` holds `i^phase[r]` in column `src[r]`.
+///
+/// Conjugating by it moves entries: on each local block,
+/// `(M B M†)[r][c] = i^(phase[r] − phase[c]) · B[src[r]][src[c]]`. The dense
+/// sweep computes the same value: each of its other terms has an
+/// exactly-zero factor, so adding it can change at most the sign of a zero
+/// sum, and multiplying by ±1 or ±i only swaps parts and flips signs,
+/// which is exact. So every entry equals the dense sweep's up to the sign
+/// of a zero, which cannot change any later non-zero value.
+struct Monomial<const D: usize> {
+    src: [usize; D],
+    phase: [u8; D],
+}
+
+impl<const D: usize> Monomial<D> {
+    /// `i^k` for `k = 0..4`.
+    const UNITS: [C64; 4] = [C64::ONE, C64::I, C64::new(-1.0, 0.0), C64::new(0.0, -1.0)];
+
+    /// The monomial form of the row-major `D×D` matrix `u`, if it has one.
+    fn detect(u: &[C64]) -> Option<Self> {
+        debug_assert_eq!(u.len(), D * D);
+        let mut src = [0usize; D];
+        let mut phase = [0u8; D];
+        let mut used = [false; D];
+        for (r, row) in u.chunks_exact(D).enumerate() {
+            let mut found = None;
+            for (c, &v) in row.iter().enumerate() {
+                if v == C64::ZERO {
+                    continue;
+                }
+                if found.is_some() || used[c] {
+                    return None;
+                }
+                let k = Self::UNITS.iter().position(|&z| z == v)?;
+                found = Some((c, k as u8));
+            }
+            let (c, k) = found?;
+            used[c] = true;
+            src[r] = c;
+            phase[r] = k;
+        }
+        Some(Monomial { src, phase })
+    }
+}
+
+/// `i^k · z` for `k ∈ 0..4`: a swap of parts and sign flips, exact.
+#[inline]
+fn turn_by(z: C64, k: u8) -> C64 {
+    match k {
+        0 => z,
+        1 => C64::new(-z.im, z.re),
+        2 => C64::new(-z.re, -z.im),
+        _ => C64::new(z.im, -z.re),
+    }
+}
+
+/// `k` with a zero bit inserted at position `bit`.
+#[inline]
+fn insert_zero_bit(k: usize, bit: usize) -> usize {
+    let low = (1usize << bit) - 1;
+    ((k & !low) << 1) | (k & low)
+}
+
+/// Column blocks the two-qubit superoperator pass contracts per coefficient
+/// load.
+const LANES: usize = 4;
+
+/// Contracts the `L` 4×4 blocks at row offsets `rows` and column bases
+/// `cols` against `kernel`'s compressed rows. Each output entry sums its
+/// row's terms in ascending-column order from `0.0`, the order of the
+/// one-block contraction; `REAL` drops the terms with an imaginary factor,
+/// which are exactly zero for a real kernel.
+fn contract_blocks_2q<const REAL: bool, const L: usize>(
+    data: &mut [C64],
+    rows: &[usize; 4],
+    offsets: &[usize; 4],
+    cols: &[usize; L],
+    kernel: &ChannelKernel2,
+) {
+    let (nnz, kc, v_re, v_im) = kernel.rows();
+    let mut b_re = [[0.0f64; L]; 16];
+    let mut b_im = [[0.0f64; L]; 16];
+    for (i, &row) in rows.iter().enumerate() {
+        for (j, &o) in offsets.iter().enumerate() {
+            for (l, &base) in cols.iter().enumerate() {
+                let z = data[row + (base | o)];
+                b_re[i * 4 + j][l] = z.re;
+                b_im[i * 4 + j][l] = z.im;
+            }
+        }
+    }
+    let mut o_re = [[0.0f64; L]; 16];
+    let mut o_im = [[0.0f64; L]; 16];
+    for r in 0..16 {
+        let (ar, ai) = (&mut o_re[r], &mut o_im[r]);
+        for t in 0..nnz[r] as usize {
+            let c = kc[r][t] as usize;
+            let wr = v_re[r][t];
+            if REAL {
+                for l in 0..L {
+                    ar[l] += wr * b_re[c][l];
+                    ai[l] += wr * b_im[c][l];
+                }
+            } else {
+                let wi = v_im[r][t];
+                for l in 0..L {
+                    ar[l] += wr * b_re[c][l] - wi * b_im[c][l];
+                    ai[l] += wr * b_im[c][l] + wi * b_re[c][l];
+                }
+            }
+        }
+    }
+    for (i, &row) in rows.iter().enumerate() {
+        for (j, &o) in offsets.iter().enumerate() {
+            for (l, &base) in cols.iter().enumerate() {
+                data[row + (base | o)] = C64::new(o_re[i * 4 + j][l], o_im[i * 4 + j][l]);
+            }
+        }
     }
 }
 

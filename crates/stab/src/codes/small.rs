@@ -39,11 +39,12 @@ pub fn steane() -> StabilizerCode {
 /// (square-octagon) lattice.
 ///
 /// The face set was derived geometrically from a triangular cut of the
-/// square-octagon tiling with one boundary per color (the derivation harness
-/// lives in `tests/color_search.rs`), yielding the standard structure of
-/// seven weight-4 checks plus one weight-8 octagon check. Being a color
-/// code, it is self-dual CSS: each face carries both an X-type and a Z-type
-/// generator.
+/// square-octagon tiling with one boundary per color (found by a search
+/// harness, `crates/stab/tests/color_search.rs`, last present at commit
+/// `4241198`; the unit tests below pin the result), yielding the standard
+/// structure of seven weight-4 checks plus one weight-8 octagon check.
+/// Being a color code, it is self-dual CSS: each face carries both an
+/// X-type and a Z-type generator.
 ///
 /// # Examples
 ///

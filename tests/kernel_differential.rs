@@ -1,12 +1,22 @@
-//! Differential property suite for the precompiled superoperator kernels:
-//! `Kraus1::apply` / `Kraus2::apply` (the `ChannelKernel` fast path) must
-//! match the Kraus-sum reference implementation (`apply_reference`) to
-//! float precision on random channels and random states. The cross-model
-//! contract is closed by [`DiffOracle`]: its exact path applies channels
-//! through the kernels, so the sampler and composed-error models check the
-//! kernel output against independent physics.
+//! Differential property suite for the density-matrix kernels.
+//!
+//! - `Kraus1::apply` / `Kraus2::apply` (the `ChannelKernel` fast path) must
+//!   match the Kraus-sum reference implementation (`apply_reference`) to
+//!   float precision on random channels and random states.
+//! - The kernels skip terms with an exactly-zero factor, which can change
+//!   at most the sign of a zero. So `ChannelKernel*::compile` must equal a
+//!   plain dense fold of the Kraus set exactly, and every apply must equal
+//!   the dense contraction of that fold exactly (`==`, so `+0 == -0`).
+//! - Unitary gates must equal the dense `Mat` product `U·ρ·U†`: exactly for
+//!   monomial gates (one `±1`/`±i` entry per row and column), which are
+//!   applied as index moves, and to 1e-12 for dense ones.
+//!
+//! The cross-model contract is closed by [`DiffOracle`]: its exact path
+//! applies channels through the kernels, so the sampler and composed-error
+//! models check the kernel output against independent physics.
 
 use hetarch::qsim::channels::{IdleParams, Kraus1, Kraus2};
+use hetarch::qsim::complex::C64;
 use hetarch::qsim::kernel::{ChannelKernel1, ChannelKernel2};
 use hetarch::qsim::matrix::Mat;
 use hetarch::qsim::state::DensityMatrix;
@@ -25,6 +35,109 @@ fn assert_states_close(kernel: &DensityMatrix, reference: &DensityMatrix) {
             (*a - *b).abs()
         );
     }
+}
+
+/// Entrywise `==` (so `+0 == -0`) between a state and an expected matrix.
+fn assert_states_equal(got: &DensityMatrix, want: &[C64]) {
+    assert_eq!(got.as_slice().len(), want.len());
+    for (i, (a, b)) in got.as_slice().iter().zip(want).enumerate() {
+        assert!(a == b, "entry {i}: got {a}, expected {b}");
+    }
+}
+
+/// The `2^n × 2^n` operator of `u` acting on `qubits` (most significant
+/// local bit first, so `[hi, lo]` for a two-qubit gate) and as the identity
+/// on every other qubit.
+fn embed(u: &Mat, qubits: &[usize], n: usize) -> Mat {
+    let dim = 1usize << n;
+    let support = qubits.iter().fold(0, |m, &q| m | 1 << q);
+    let local = |b: usize| qubits.iter().fold(0, |acc, &q| (acc << 1) | (b >> q & 1));
+    let mut full = Mat::zeros(dim, dim);
+    for r in 0..dim {
+        for c in 0..dim {
+            if r & !support == c & !support {
+                full[(r, c)] = u[(local(r), local(c))];
+            }
+        }
+    }
+    full
+}
+
+/// `U·ρ·U†` by dense `Mat` products. It is evaluated as `(U·(U·ρ)†)†`,
+/// which has the same terms in the same order and conjugates each exactly,
+/// so it is the same value; but both products have the sparse `U` on the
+/// left, where `Mat`'s product skips zeros, which keeps n = 8 cheap.
+fn dense_conjugation(u_full: &Mat, rho: &DensityMatrix) -> Mat {
+    let left = u_full * &rho.to_mat();
+    (u_full * &left.dagger()).dagger()
+}
+
+/// The superoperator `S[(i·d + j), (p·d + q)] = Σ_k K_k[i, p]·conj(K_k[j, q])`
+/// of a `d×d` Kraus set, folded over every term with no skipping.
+fn dense_fold(ops: &[Mat]) -> Vec<C64> {
+    let d = ops[0].rows();
+    let mut s = vec![C64::ZERO; d.pow(4)];
+    for k in ops {
+        for i in 0..d {
+            for j in 0..d {
+                for p in 0..d {
+                    for q in 0..d {
+                        s[(i * d + j) * d * d + p * d + q] += k[(i, p)] * k[(j, q)].conj();
+                    }
+                }
+            }
+        }
+    }
+    s
+}
+
+/// `ρ` with every local block `B` (local basis state `k` at index offset
+/// `offsets[k]`) replaced by `S·vec(B)`. Each entry sums all `d²` terms in
+/// ascending order from zero on split real/imaginary parts: the dense
+/// contraction that the kernels' zero-skipping passes must reproduce.
+fn dense_contraction(s: &[C64], offsets: &[usize], rho: &DensityMatrix) -> Vec<C64> {
+    let d = offsets.len();
+    let dd = d * d;
+    let span = offsets.iter().fold(0, |m, &o| m | o);
+    let dim = rho.dim();
+    let src = rho.as_slice();
+    let mut out = src.to_vec();
+    for br in (0..dim).filter(|b| b & span == 0) {
+        for bc in (0..dim).filter(|b| b & span == 0) {
+            let idx: Vec<usize> = (0..dd)
+                .map(|e| (br | offsets[e / d]) * dim + (bc | offsets[e % d]))
+                .collect();
+            for i in 0..dd {
+                let (mut re, mut im) = (0.0f64, 0.0f64);
+                for j in 0..dd {
+                    let (w, b) = (s[i * dd + j], src[idx[j]]);
+                    re += w.re * b.re - w.im * b.im;
+                    im += w.re * b.im + w.im * b.re;
+                }
+                out[idx[i]] = C64::new(re, im);
+            }
+        }
+    }
+    out
+}
+
+/// A random monomial `d×d` matrix: a random permutation with a random
+/// phase from {1, i, −1, −i} on each row.
+fn monomial_strategy(d: usize) -> impl Strategy<Value = Mat> {
+    let factorial = |k: usize| (1..=k).product::<usize>();
+    (0..factorial(d), proptest::collection::vec(0usize..4, d)).prop_map(move |(code, phases)| {
+        // Decode the permutation from its Lehmer code.
+        let mut pool: Vec<usize> = (0..d).collect();
+        let mut rest = code;
+        let units = [C64::ONE, C64::I, -C64::ONE, -C64::I];
+        let mut m = Mat::zeros(d, d);
+        for (r, &k) in phases.iter().enumerate() {
+            let f = factorial(d - 1 - r);
+            m[(r, pool.remove(rest / f))] = units[k];
+            rest %= f;
+        }
+        m
+    })
 }
 
 /// A random mixed state on `n` qubits: random local rotations, an
@@ -127,6 +240,82 @@ proptest! {
         let ch2 = Kraus2::depolarizing(p).unwrap();
         prop_assert_eq!(ch2.kernel().clone(), ChannelKernel2::compile(ch2.ops()));
     }
+
+    /// The zero-skipping compile equals the plain dense fold entry for
+    /// entry, and the two-qubit kernel keeps exactly the fold's non-zero
+    /// entries.
+    fn kernel_compile_matches_dense_fold(
+        ch1 in kraus1_strategy(),
+        ch2 in kraus2_strategy(),
+    ) {
+        let fold1 = dense_fold(ch1.ops());
+        let kernel1 = ChannelKernel1::compile(ch1.ops());
+        for (e, (a, b)) in kernel1.as_matrix().iter().zip(&fold1).enumerate() {
+            prop_assert!(a == b, "S1 entry {}: compiled {} vs fold {}", e, a, b);
+        }
+        let fold2 = dense_fold(ch2.ops());
+        let nonzero = fold2.iter().filter(|&&v| v != C64::ZERO).count();
+        prop_assert_eq!(ChannelKernel2::compile(ch2.ops()).nnz(), nonzero);
+    }
+
+    /// Every channel apply equals the dense contraction of the folded
+    /// superoperator exactly, on every qubit and ordered pair of two- to
+    /// five-qubit states: all run lengths of the one-qubit pass, and both
+    /// the one-block and the four-block two-qubit pass.
+    fn kernel_apply_matches_dense_contraction(
+        ch1 in kraus1_strategy(),
+        ch2 in kraus2_strategy(),
+        n in 2usize..=5,
+        angles in proptest::collection::vec(0.0..std::f64::consts::TAU, 15),
+        noise in 0.0..0.2f64,
+    ) {
+        let start = random_state(n, &angles, noise);
+        let (fold1, fold2) = (dense_fold(ch1.ops()), dense_fold(ch2.ops()));
+        for q in 0..n {
+            let mut rho = start.clone();
+            ch1.apply(&mut rho, q);
+            assert_states_equal(&rho, &dense_contraction(&fold1, &[0, 1 << q], &start));
+        }
+        for hi in 0..n {
+            for lo in (0..n).filter(|&lo| lo != hi) {
+                let mut rho = start.clone();
+                ch2.apply(&mut rho, hi, lo);
+                let offsets = [0, 1 << lo, 1 << hi, (1 << hi) | (1 << lo)];
+                assert_states_equal(&rho, &dense_contraction(&fold2, &offsets, &start));
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Random monomial gates (a random permutation times phases from
+    /// {±1, ±i}) equal the dense product `U·ρ·U†` exactly on every qubit
+    /// and every ordered pair of three- to eight-qubit states.
+    fn monomial_gates_match_dense_product(
+        u1 in monomial_strategy(2),
+        u2 in monomial_strategy(4),
+        n in 3usize..=8,
+        angles in proptest::collection::vec(0.0..std::f64::consts::TAU, 24),
+        noise in 0.0..0.2f64,
+    ) {
+        let start = random_state(n, &angles, noise);
+        for q in 0..n {
+            let mut rho = start.clone();
+            rho.apply_conjugation_1q(q, &u1);
+            let want = dense_conjugation(&embed(&u1, &[q], n), &start);
+            assert_states_equal(&rho, want.as_slice());
+        }
+        for hi in 0..n {
+            for lo in (0..n).filter(|&lo| lo != hi) {
+                let mut rho = start.clone();
+                rho.apply_conjugation_2q(hi, lo, &u2);
+                let want = dense_conjugation(&embed(&u2, &[hi, lo], n), &start);
+                assert_states_equal(&rho, want.as_slice());
+            }
+        }
+    }
 }
 
 /// Fixed rotation angles for `random_state` on `n` qubits.
@@ -184,26 +373,58 @@ fn kernel2_matches_reference_on_far_pairs_of_eight() {
     }
 }
 
-/// The unitary gate path (`DensityMatrix::apply_1q`/`apply_2q`) agrees
-/// with the Kraus-sum reference of the same unitary on eight qubits.
+/// The named gates agree with the dense product `U·ρ·U†` on eight qubits:
+/// exactly for the monomial ones (X, Y, Z, S, CNOT, CZ, SWAP), and to
+/// 1e-12 for H and H⊗H, which take the dense sweep.
 #[test]
 fn gates_match_reference_on_eight_qubits() {
-    let h = Kraus1::new(vec![Mat::hadamard()]).expect("unitary is CPTP");
-    let cnot = Kraus2::new(vec![Mat::cnot()]).expect("unitary is CPTP");
-    let start = random_state(8, &fixed_angles(8), 0.05);
-    for q in 0..8 {
-        let mut via_gate = start.clone();
-        let mut via_reference = start.clone();
-        gates::h(&mut via_gate, q);
-        h.apply_reference(&mut via_reference, q);
-        assert_states_close(&via_gate, &via_reference);
+    let n = 8;
+    let start = random_state(n, &fixed_angles(n), 0.05);
+    type Gate1 = fn(&mut DensityMatrix, usize);
+    type Gate2 = fn(&mut DensityMatrix, usize, usize);
+    let monomial_1q: [(Gate1, Mat); 4] = [
+        (gates::x, Mat::pauli_x()),
+        (gates::y, Mat::pauli_y()),
+        (gates::z, Mat::pauli_z()),
+        (gates::s, Mat::s_gate()),
+    ];
+    let monomial_2q: [(Gate2, Mat); 3] = [
+        (gates::cnot, Mat::cnot()),
+        (gates::cz, Mat::cz()),
+        (gates::swap, Mat::swap()),
+    ];
+    for q in 0..n {
+        for (gate, u) in &monomial_1q {
+            let mut rho = start.clone();
+            gate(&mut rho, q);
+            assert_states_equal(
+                &rho,
+                dense_conjugation(&embed(u, &[q], n), &start).as_slice(),
+            );
+        }
+        let mut rho = start.clone();
+        gates::h(&mut rho, q);
+        let want = dense_conjugation(&embed(&Mat::hadamard(), &[q], n), &start);
+        assert_states_close(
+            &rho,
+            &DensityMatrix::from_matrix(&want).expect("valid state"),
+        );
     }
-    for (control, target) in [(0, 7), (7, 0), (4, 3), (2, 6)] {
-        let mut via_gate = start.clone();
-        let mut via_reference = start.clone();
-        gates::cnot(&mut via_gate, control, target);
-        cnot.apply_reference(&mut via_reference, control, target);
-        assert_states_close(&via_gate, &via_reference);
+    let hh = Mat::hadamard().kron(&Mat::hadamard());
+    for (hi, lo) in [(0, 7), (7, 0), (4, 3), (2, 6)] {
+        for (gate, u) in &monomial_2q {
+            let mut rho = start.clone();
+            gate(&mut rho, hi, lo);
+            let want = dense_conjugation(&embed(u, &[hi, lo], n), &start);
+            assert_states_equal(&rho, want.as_slice());
+        }
+        let mut rho = start.clone();
+        rho.apply_conjugation_2q(hi, lo, &hh);
+        let want = dense_conjugation(&embed(&hh, &[hi, lo], n), &start);
+        assert_states_close(
+            &rho,
+            &DensityMatrix::from_matrix(&want).expect("valid state"),
+        );
     }
 }
 
