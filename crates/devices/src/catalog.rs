@@ -261,11 +261,16 @@ pub fn coherence_limited_storage(ts: f64) -> DeviceSpec {
     d
 }
 
-/// The homogeneous baseline's "memory": a compute qubit pressed into storage
-/// service. Same coherence as the compute device (`T_S = T_C`), SWAP is the
-/// ordinary coherence-limited two-qubit gate, and capacity is one qubit per
-/// device (modeled as a pseudo-storage spec so the same Register pipeline
-/// characterizes both systems).
+/// The homogeneous baseline's "memory": compute qubits pressed into storage
+/// service, modeled as a pseudo-storage spec so the same Register pipeline
+/// characterizes both systems. In simulation it differs from
+/// [`coherence_limited_storage`] only in coherence (`T_S = T_C`): it holds
+/// `capacity` qubits per device, which the Register accesses one at a time
+/// like storage modes, and it keeps the lossless 100 ns SWAP rather than a
+/// SWAP built from two-qubit gates. It is therefore the heterogeneous
+/// storage at a lower `T_S`. A baseline with one transmon per stored qubit
+/// and gate-built moves is not modelled; ROADMAP.md tracks it under
+/// "Baselines that are the paper's baselines".
 pub fn homogeneous_pseudo_storage(tc: f64, capacity: u32) -> DeviceSpec {
     let mut d = coherence_limited_storage(tc);
     d.kind = DeviceKind::Custom;

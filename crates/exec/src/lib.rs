@@ -41,8 +41,7 @@ pub mod rare;
 use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use hetarch_obs as obs;
 
@@ -55,6 +54,7 @@ static PANICS_OBSERVED: obs::Counter = obs::Counter::new("exec.panics_observed")
 static QUEUE_WAIT_NS: obs::Histogram = obs::Histogram::new("exec.queue_wait_ns");
 static COMPUTE_NS: obs::Histogram = obs::Histogram::new("exec.compute_ns");
 static JOBS_PER_WORKER: obs::Histogram = obs::Histogram::new("exec.jobs_per_worker");
+static THREADS_PER_MAP: obs::Histogram = obs::Histogram::new("exec.threads_per_map");
 static CANCELLATIONS: obs::Counter = obs::Counter::new("exec.cancellations");
 
 /// A cooperative cancellation token shared between a job's requester and the
@@ -154,37 +154,53 @@ pub fn shards(total: usize, shard_size: usize, seed: u64) -> Vec<Shard> {
 }
 
 thread_local! {
-    /// Set on the threads a [`WorkerPool::map_indexed`] call spawns, and
-    /// only there: a map called from a job body runs inline on its worker.
+    /// Set on a thread while it computes items of a parallel
+    /// [`WorkerPool::map_indexed`] call, as a helper the call spawned or as
+    /// the caller itself: a map called from a job body runs inline there.
     static ON_WORKER: Cell<bool> = const { Cell::new(false) };
 }
 
-/// A scoped worker pool.
+/// A scoped worker pool with one thread budget shared by all its clones.
 ///
-/// The pool stores only its worker count; each [`WorkerPool::map_indexed`]
-/// call spawns scoped threads that pull work-stealing indices from a shared
-/// counter, so borrows of caller state need no `'static` bound and a
-/// panicking job cannot poison anything — the panic propagates out of the
-/// call and the pool remains fully usable.
+/// The pool holds its worker count and a shared count of the threads
+/// currently computing its maps. Each [`WorkerPool::map_indexed`] call
+/// computes items on the calling thread, which always counts as one thread,
+/// and spawns scoped helpers only for the pool's idle workers; all of them
+/// pull indices from one shared counter, so borrows of caller state need no
+/// `'static` bound. A helper leaves between items once the pool runs more
+/// threads than it has workers, so concurrent maps share `workers` threads
+/// instead of each taking `workers` of their own. A panicking job cannot
+/// poison anything: its thread's share of the budget is given back on
+/// unwind, the panic propagates out of the call and the pool remains fully
+/// usable.
 ///
 /// A map called from inside a job — a sharded run nested in a sweep over
-/// the same pool — runs inline on the worker executing that job, so a
+/// the same pool — runs inline on the thread executing that job, so a
 /// nested call never holds more than the outer call's threads. Results are
 /// the same either way; only the parallelism of the inner call is given up.
 #[derive(Clone, Debug)]
 pub struct WorkerPool {
     workers: usize,
+    /// Threads computing items of this pool's parallel maps, callers
+    /// included. Updated with `Relaxed` read-modify-writes: it publishes no
+    /// data, it only decides how many threads compute.
+    active: Arc<AtomicUsize>,
 }
 
 impl WorkerPool {
-    /// A pool with exactly `workers` threads (1 = fully serial execution).
+    /// A pool of `workers` threads (1 = fully serial execution): its maps
+    /// compute on at most `workers` threads at once, or on one thread per
+    /// concurrent caller if there are more callers than workers.
     ///
     /// # Panics
     ///
     /// Panics if `workers == 0`.
     pub fn new(workers: usize) -> Self {
         assert!(workers >= 1, "need at least one worker");
-        WorkerPool { workers }
+        WorkerPool {
+            workers,
+            active: Arc::new(AtomicUsize::new(0)),
+        }
     }
 
     /// A pool sized to the machine's available parallelism (1 if it cannot
@@ -194,15 +210,15 @@ impl WorkerPool {
         WorkerPool::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
     }
 
-    /// Number of worker threads.
+    /// Number of threads the pool's maps compute on at once.
     pub fn workers(&self) -> usize {
         self.workers
     }
 
     /// Evaluates `f(i)` for every `i in 0..n` and returns the results in
-    /// index order, regardless of which worker computed which index. Called
+    /// index order, regardless of which thread computed which index. Called
     /// from a job of another map, it evaluates serially on that job's
-    /// worker.
+    /// thread.
     ///
     /// # Panics
     ///
@@ -268,65 +284,56 @@ impl WorkerPool {
             }
             return Ok(out);
         }
-        let threads = self.workers.min(n);
-        let next = &AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, R)>();
-        let f = &f;
-        let call_start = obs::enabled().then(std::time::Instant::now);
-        let mut slots: Vec<Option<R>> = (0..n).map(|_| None).collect();
-        let mut filled = 0usize;
+        let job = MapJob {
+            n,
+            next: AtomicUsize::new(0),
+            slots: Mutex::new((0..n).map(|_| None).collect()),
+            token,
+            f: &f,
+            call_start: obs::enabled().then(std::time::Instant::now),
+        };
+        let workers = self.workers;
+        // The caller claims its thread first, so the helpers fill only the
+        // workers that no other map of this pool is using.
+        let caller = Claim::caller(&self.active);
         std::thread::scope(|s| {
-            for _ in 0..threads {
-                let tx = tx.clone();
-                s.spawn(move || {
-                    ON_WORKER.with(|on| on.set(true));
-                    let mut mine = 0u64;
-                    loop {
-                        // Cancellation checkpoint: stop pulling new work;
-                        // items already claimed by other workers finish.
-                        if cancelled() {
-                            break;
-                        }
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        if let Some(start) = call_start {
-                            QUEUE_WAIT_NS.record(elapsed_ns(start));
-                        }
-                        let value = observe_job(|| f(i));
-                        mine += 1;
-                        // The receiver outlives the workers; a failed send
-                        // means the scope is unwinding anyway.
-                        let _ = tx.send((i, value));
-                    }
-                    if obs::enabled() {
-                        JOBS_PER_WORKER.record(mine);
-                    }
-                });
+            let job = &job;
+            let helpers: Vec<_> = (1..workers.min(n))
+                .map_while(|_| Claim::helper(&self.active, workers))
+                .map(|mut claim| {
+                    s.spawn(move || {
+                        let _on = OnWorker::enter();
+                        job.drain(|| !claim.release_if_over(workers))
+                    })
+                })
+                .collect();
+            let mine = {
+                let _on = OnWorker::enter();
+                job.drain(|| true)
+            };
+            drop(caller);
+            let mut threads = u64::from(mine > 0);
+            for helper in helpers {
+                match helper.join() {
+                    Ok(items) => threads += u64::from(items > 0),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
             }
-            drop(tx);
-            // Drain on the caller thread *while* the workers run: each
-            // result moves into its pre-allocated slot as soon as it is
-            // produced, instead of buffering the whole result set in the
-            // channel (~2x peak memory) until the scope joins. The iterator
-            // ends when every worker has dropped its sender; if a worker
-            // panicked, the scope re-raises that panic right after.
-            for (i, value) in rx.iter() {
-                slots[i] = Some(value);
-                filled += 1;
-            }
+            THREADS_PER_MAP.record(threads);
         });
-        if filled < n {
-            // Only a fired token can leave indices unevaluated (a panic
-            // would have propagated out of the scope above).
-            CANCELLATIONS.inc();
-            return Err(Cancelled);
+        let slots = job
+            .slots
+            .into_inner()
+            .expect("storing a result never panics");
+        match slots.into_iter().collect() {
+            Some(out) => Ok(out),
+            None => {
+                // Only a fired token can leave indices unevaluated (a panic
+                // would have propagated out of the scope above).
+                CANCELLATIONS.inc();
+                Err(Cancelled)
+            }
         }
-        Ok(slots
-            .into_iter()
-            .map(|s| s.expect("all indices evaluated"))
-            .collect())
     }
 
     /// Runs `f` once per shard of `total` trials (shards of at most
@@ -364,6 +371,107 @@ impl WorkerPool {
         let plan = shards(total, shard_size, seed);
         SHARDS_EXECUTED.add(plan.len() as u64);
         self.try_map_indexed(plan.len(), token, |i| f(&plan[i]))
+    }
+}
+
+/// The shared state of one parallel map: every thread computing it pulls
+/// indices from `next` and stores each result in its slot.
+struct MapJob<'a, R, F> {
+    n: usize,
+    next: AtomicUsize,
+    slots: Mutex<Vec<Option<R>>>,
+    token: Option<&'a CancelToken>,
+    f: &'a F,
+    call_start: Option<std::time::Instant>,
+}
+
+impl<R, F: Fn(usize) -> R> MapJob<'_, R, F> {
+    /// Computes items until the range is exhausted, the token fires or
+    /// `stay` (asked before each item) returns false; returns the number of
+    /// items this thread computed.
+    fn drain(&self, mut stay: impl FnMut() -> bool) -> u64 {
+        let mut mine = 0u64;
+        // Cancellation checkpoint: stop pulling new work; items already
+        // claimed by other threads finish.
+        while stay() && !self.token.is_some_and(CancelToken::is_cancelled) {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.n {
+                break;
+            }
+            if let Some(start) = self.call_start {
+                QUEUE_WAIT_NS.record(elapsed_ns(start));
+            }
+            let value = observe_job(|| (self.f)(i));
+            self.slots.lock().expect("storing a result never panics")[i] = Some(value);
+            mine += 1;
+        }
+        JOBS_PER_WORKER.record(mine);
+        mine
+    }
+}
+
+/// One computing thread's share of a pool's budget, given back when
+/// dropped, unwinding included.
+struct Claim<'a> {
+    active: &'a AtomicUsize,
+    held: bool,
+}
+
+impl<'a> Claim<'a> {
+    /// The caller's claim, always granted: every map makes progress on its
+    /// own caller however busy the pool is.
+    fn caller(active: &'a AtomicUsize) -> Self {
+        active.fetch_add(1, Ordering::Relaxed);
+        Claim { active, held: true }
+    }
+
+    /// A helper's claim, granted only while fewer than `workers` threads
+    /// compute.
+    fn helper(active: &'a AtomicUsize, workers: usize) -> Option<Self> {
+        active
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |a| {
+                (a < workers).then_some(a + 1)
+            })
+            .ok()
+            .map(|_| Claim { active, held: true })
+    }
+
+    /// Gives the claim back if more than `workers` threads compute, so a
+    /// later caller takes this thread's core; returns whether it did.
+    fn release_if_over(&mut self, workers: usize) -> bool {
+        if self.held {
+            self.held = self
+                .active
+                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |a| {
+                    (a > workers).then(|| a - 1)
+                })
+                .is_err();
+        }
+        !self.held
+    }
+}
+
+impl Drop for Claim<'_> {
+    fn drop(&mut self) {
+        if self.held {
+            self.active.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Marks the current thread as computing a map's items; dropping it
+/// restores the previous mark, unwinding included.
+struct OnWorker(bool);
+
+impl OnWorker {
+    fn enter() -> Self {
+        OnWorker(ON_WORKER.with(|on| on.replace(true)))
+    }
+}
+
+impl Drop for OnWorker {
+    fn drop(&mut self) {
+        ON_WORKER.with(|on| on.set(self.0));
     }
 }
 
@@ -478,7 +586,8 @@ mod tests {
             })
         }));
         assert!(boom.is_err(), "panic must propagate");
-        // The pool is stateless across calls: the next run is unaffected.
+        // The failed call gave its threads' budget back: the next run is
+        // unaffected.
         let out = pool.map_indexed(16, |i| i);
         assert_eq!(out, (0..16).collect::<Vec<_>>());
     }
@@ -609,6 +718,159 @@ mod tests {
         // The marker lives on the spawned workers only: the caller's next
         // map still fans out.
         assert!(!ON_WORKER.with(Cell::get));
+    }
+
+    /// Runs a lone 16-item map whose first items wait until two of them
+    /// run at once, and returns the threads that computed it.
+    fn threads_of_lone_map(pool: &WorkerPool) -> std::collections::HashSet<std::thread::ThreadId> {
+        let ids = std::sync::Mutex::new(std::collections::HashSet::new());
+        let started = AtomicUsize::new(0);
+        pool.map_indexed(16, |_| {
+            ids.lock().unwrap().insert(std::thread::current().id());
+            started.fetch_add(1, Ordering::SeqCst);
+            // Bounded so that a pool running one thread fails the caller's
+            // assertion instead of hanging.
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while started.load(Ordering::SeqCst) < 2 && std::time::Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+        });
+        ids.into_inner().unwrap()
+    }
+
+    #[test]
+    fn lone_map_runs_on_the_caller_and_one_helper() {
+        let pool = WorkerPool::new(2);
+        let ids = threads_of_lone_map(&pool);
+        assert_eq!(ids.len(), 2, "a lone map keeps the pool's parallelism");
+        assert!(
+            ids.contains(&std::thread::current().id()),
+            "the caller computes"
+        );
+        assert_eq!(pool.active.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn caller_fans_out_again_after_a_map() {
+        let pool = WorkerPool::new(2);
+        assert_eq!(pool.map_indexed(8, |i| i + 1), (1..9).collect::<Vec<_>>());
+        // The caller marked itself while it computed items and restored the
+        // mark afterwards, so its next map is not run inline.
+        assert!(!ON_WORKER.with(Cell::get));
+        assert_eq!(threads_of_lone_map(&pool).len(), 2);
+    }
+
+    #[test]
+    fn panic_on_the_caller_releases_its_claim() {
+        let pool = WorkerPool::new(2);
+        let caller = std::thread::current().id();
+        let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            pool.map_indexed(16, |i| {
+                if std::thread::current().id() == caller {
+                    panic!("caller item failure");
+                }
+                i
+            })
+        }));
+        let payload = boom.expect_err("the caller's panic must propagate");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"caller item failure"));
+        assert_eq!(pool.active.load(Ordering::SeqCst), 0, "claim leaked");
+        assert!(!ON_WORKER.with(Cell::get), "mark leaked");
+        assert_eq!(threads_of_lone_map(&pool).len(), 2);
+    }
+
+    #[test]
+    fn token_fired_on_the_caller_cancels_the_map() {
+        let pool = WorkerPool::new(2);
+        let token = CancelToken::new();
+        let caller = std::thread::current().id();
+        let ran = AtomicUsize::new(0);
+        let out = pool.try_map_indexed(64, &token, |i| {
+            ran.fetch_add(1, Ordering::SeqCst);
+            if std::thread::current().id() == caller {
+                token.cancel();
+            }
+            // The helper holds its item until then, so it cannot run the
+            // whole range before the caller computes an item.
+            while !token.is_cancelled() {
+                std::thread::yield_now();
+            }
+            i
+        });
+        assert_eq!(out, Err(Cancelled));
+        // The caller stops after its first item, the helper after the one
+        // it held when the token fired.
+        assert!(ran.load(Ordering::SeqCst) <= 2);
+        assert_eq!(pool.active.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn concurrent_maps_share_the_workers() {
+        // Map A fans out to its caller and one helper. Map B's caller then
+        // claims a third thread, and all three hold their first item until
+        // B computes. Once those three items finish, A's helper must have
+        // left, so every later item runs with at most one other.
+        let pool = WorkerPool::new(2);
+        let open = AtomicBool::new(false);
+        let in_flight = AtomicUsize::new(0);
+        let first_items = AtomicUsize::new(0);
+        let first_done = AtomicUsize::new(0);
+        let later_max = AtomicUsize::new(0);
+        let later_items = AtomicUsize::new(0);
+        let item = |i: usize| {
+            if !open.load(Ordering::SeqCst) {
+                in_flight.fetch_add(1, Ordering::SeqCst);
+                while !open.load(Ordering::SeqCst) {
+                    std::thread::yield_now();
+                }
+                in_flight.fetch_sub(1, Ordering::SeqCst);
+                first_done.fetch_add(1, Ordering::SeqCst);
+                return i;
+            }
+            while first_done.load(Ordering::SeqCst) < first_items.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            later_max.fetch_max(now, Ordering::SeqCst);
+            later_items.fetch_add(1, Ordering::SeqCst);
+            for _ in 0..50 {
+                std::thread::yield_now();
+            }
+            in_flight.fetch_sub(1, Ordering::SeqCst);
+            i
+        };
+        // Bounded waits, and the gate opens before any assertion, so a
+        // broken budget fails the test instead of hanging it.
+        let reached = |k: usize| {
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while in_flight.load(Ordering::SeqCst) < k {
+                if std::time::Instant::now() > deadline {
+                    return false;
+                }
+                std::thread::yield_now();
+            }
+            true
+        };
+        let (fanned_out, joined, active) = std::thread::scope(|s| {
+            let a = s.spawn(|| pool.map_indexed(64, item));
+            let fanned_out = reached(2);
+            let b = s.spawn(|| pool.map_indexed(64, item));
+            let joined = reached(3);
+            let active = pool.active.load(Ordering::SeqCst);
+            first_items.store(in_flight.load(Ordering::SeqCst), Ordering::SeqCst);
+            open.store(true, Ordering::SeqCst);
+            for map in [a, b] {
+                assert_eq!(map.join().unwrap(), (0..64).collect::<Vec<_>>());
+            }
+            (fanned_out, joined, active)
+        });
+        assert!(fanned_out && joined, "the first items never ran at once");
+        assert_eq!(first_items.load(Ordering::SeqCst), 3);
+        assert_eq!(active, 3, "A's two threads and B's caller");
+        assert_eq!(later_items.load(Ordering::SeqCst), 128 - 3);
+        let max = later_max.load(Ordering::SeqCst);
+        assert!(max <= 2, "{max} items of two maps ran at once on 2 workers");
+        assert_eq!(pool.active.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -102,9 +102,13 @@ impl DistillConfig {
         Self::paper(coherence_limited_storage(ts), rate_hz, seed)
     }
 
-    /// The homogeneous sea-of-qubits baseline: pairs are stored on compute
-    /// qubits (`T_S = T_C = 0.5 ms`) and moved with ordinary two-qubit
-    /// gates.
+    /// The homogeneous sea-of-qubits baseline: pairs are stored at compute
+    /// coherence (`T_S = T_C = 0.5 ms`) on a 3-qubit
+    /// [`homogeneous_pseudo_storage`], which keeps the heterogeneous
+    /// Register's single-port access and lossless 100 ns SWAP. It equals
+    /// `heterogeneous(0.5e-3, …)` bit for bit. Per-pair access and
+    /// gate-built moves are not modelled; ROADMAP.md tracks them under
+    /// "Baselines that are the paper's baselines".
     pub fn homogeneous(rate_hz: f64, seed: u64) -> Self {
         Self::paper(homogeneous_pseudo_storage(PAPER_TC, 3), rate_hz, seed)
     }

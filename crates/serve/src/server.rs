@@ -70,7 +70,10 @@ const POLL_INTERVAL: Duration = Duration::from_millis(50);
 pub struct ServerConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Worker threads in the shared [`WorkerPool`].
+    /// Worker threads in the shared [`WorkerPool`]: how many threads
+    /// compute at once across all of this server's queries (a query's
+    /// executor always computes its own, so more concurrent queries than
+    /// workers run one thread each).
     pub workers: usize,
     /// Executor threads draining the job queue.
     pub executors: usize,

@@ -237,7 +237,8 @@ fn panicking_shard_does_not_poison_the_pool() {
         boom.is_err(),
         "the shard panic must propagate to the caller"
     );
-    // The pool is stateless: the same pool value keeps working afterwards.
+    // The panic gave the pool's thread budget back: the same pool value
+    // keeps working afterwards.
     let total: usize = pool
         .run_shards(10_000, 256, 0, |shard| shard.len)
         .iter()
@@ -413,7 +414,8 @@ fn panicking_shard_inside_a_stratum_does_not_poison_the_pool() {
         rare_outcome(&Detonator, &pool, config, 9)
     }));
     assert!(boom.is_err(), "the stratum panic must reach the caller");
-    // The pool is stateless: the same pool keeps working afterwards.
+    // The panic gave the pool's thread budget back: the same pool keeps
+    // working afterwards.
     let total: usize = pool
         .run_shards(10_000, 256, 0, |shard| shard.len)
         .iter()

@@ -6,7 +6,9 @@
 
 #![cfg(feature = "obs")]
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::time::{Duration, Instant};
 
 use hetarch::obs;
 use hetarch::prelude::*;
@@ -118,6 +120,31 @@ fn counters_track_submitted_work() {
     let json = report.to_json();
     assert!(json.starts_with("{\"counters\":{"));
     assert!(json.contains("\"modules.uec.shots\":1500"));
+}
+
+/// The engine's thread histograms count the caller: a lone map on two
+/// workers is computed by the caller and one helper, and every item lands
+/// in some thread's `exec.jobs_per_worker` sample.
+#[test]
+fn thread_histograms_count_the_participating_caller() {
+    let _guard = serialized();
+    obs::force_enabled(true);
+    obs::reset();
+    let started = AtomicUsize::new(0);
+    WorkerPool::new(2).map_indexed(16, |_| {
+        // The first items wait until both threads hold one, so both
+        // threads compute at least one item.
+        started.fetch_add(1, Ordering::SeqCst);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while started.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+            std::thread::yield_now();
+        }
+    });
+    let report = obs::report();
+    let threads = &report.histograms["exec.threads_per_map"];
+    assert_eq!((threads.count, threads.sum), (1, 2));
+    let jobs = &report.histograms["exec.jobs_per_worker"];
+    assert_eq!((jobs.count, jobs.sum), (2, 16));
 }
 
 /// With the runtime gate off nothing is recorded, and results are

@@ -9,6 +9,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
 
 use hetarch::devices::json::Json;
+use hetarch::serve::query::MAX_SHOTS;
 use hetarch::serve::{Client, Server, ServerConfig};
 
 /// Serializes tests: the obs registry (asserted under `--features obs`) is
@@ -73,28 +74,31 @@ fn disconnect_mid_request_cancels_the_sweep() {
     .expect("bind");
     let addr = server.local_addr();
 
-    // 400k shots of d=3 UEC would run for minutes in a debug build —
-    // a bounded wall-clock on the *next* query only holds if cancellation
-    // actually stops the shard loop.
+    // Eight design points of a million shots each run for seconds even in
+    // a release build, so the sweep is still running when the disconnect
+    // is seen; a bounded wall-clock on the *next* query only holds if
+    // cancellation actually stops the shard loop.
     let sweep = Json::obj([
         ("query", Json::Str("sweep_uec".to_string())),
-        ("distances", Json::Arr(vec![Json::Int(3)])),
-        ("ts_values", Json::Arr(vec![Json::Num(5e-3)])),
-        ("shots", Json::Int(400_000)),
+        ("distances", Json::Arr(vec![Json::Int(3), Json::Int(5)])),
+        (
+            "ts_values",
+            Json::Arr([0.5e-3, 1e-3, 2e-3, 5e-3].map(Json::Num).into()),
+        ),
+        ("shots", Json::Int(i64::from(MAX_SHOTS))),
         ("seed", Json::Int(5)),
     ]);
     let mut doomed = Client::connect(addr).expect("connect");
     doomed
         .send_raw_frame(sweep.render().as_bytes())
         .expect("send sweep");
-    // Let the execution start, then vanish without reading the reply.
+    // Vanish without reading the reply as soon as the execution starts.
     wait_for(
         &server,
         "sweep execution to start",
         Duration::from_secs(10),
         || server.stats().executions.load(Relaxed) == 1,
     );
-    std::thread::sleep(Duration::from_millis(200));
     drop(doomed);
 
     wait_for(
@@ -105,7 +109,7 @@ fn disconnect_mid_request_cancels_the_sweep() {
     );
 
     // The executor must come free promptly — the current shard finishes,
-    // the rest of the 400k shots are abandoned.
+    // the rest of the sweep is abandoned.
     let mut next = Client::connect(addr).expect("connect");
     next.set_read_timeout(Some(Duration::from_secs(60)))
         .expect("timeout");

@@ -159,6 +159,68 @@ fn identical_concurrent_queries_coalesce_to_one_execution() {
     server.shutdown();
 }
 
+/// Two concurrent cold sweeps share the server's worker budget: each
+/// computes on whatever threads the budget gives it, and each reply is still
+/// byte-equal to the serial direct evaluation.
+#[test]
+fn concurrent_cold_sweeps_match_serial_evaluation() {
+    let _guard = serialized();
+    obs_fresh();
+    let server = start(ServerConfig::default());
+    let addr = server.local_addr();
+    // 4096 shots per point are eight 512-shot shards, so both sweeps run
+    // parallel maps on the pool at the same time.
+    let sweeps: Vec<(Json, Query)> = [71u64, 72]
+        .into_iter()
+        .map(|seed| {
+            let request = Json::obj([
+                ("query", Json::Str("sweep_uec".to_string())),
+                ("distances", Json::Arr(vec![Json::Int(3)])),
+                (
+                    "ts_values",
+                    Json::Arr(vec![Json::Num(0.5e-3), Json::Num(5e-3)]),
+                ),
+                ("shots", Json::Int(4096)),
+                ("seed", Json::Int(seed as i64)),
+            ]);
+            let query = Query::SweepUec {
+                distances: vec![3],
+                ts_values: vec![0.5e-3, 5e-3],
+                shots: 4096,
+                seed,
+            };
+            (request, query)
+        })
+        .collect();
+    let barrier = Barrier::new(sweeps.len());
+    let replies: Vec<Vec<u8>> = std::thread::scope(|s| {
+        let handles: Vec<_> = sweeps
+            .iter()
+            .map(|(request, _)| {
+                let barrier = &barrier;
+                s.spawn(move || {
+                    let mut client = Client::connect(addr).expect("connect");
+                    barrier.wait();
+                    client
+                        .request_raw(request.render().as_bytes())
+                        .expect("sweep reply")
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    let pool = WorkerPool::new(1);
+    for ((_, query), reply) in sweeps.iter().zip(&replies) {
+        let direct =
+            evaluate(query, &CellLibrary::new(), &pool, &CancelToken::new()).expect("direct eval");
+        assert_eq!(reply, &server::ok_response(direct).render().into_bytes());
+    }
+    use std::sync::atomic::Ordering::Relaxed;
+    assert_eq!(server.stats().executions.load(Relaxed), 2);
+    server.shutdown();
+}
+
 /// A repeated query after completion is a cache hit: same bytes, no
 /// re-execution, visible in the `stats` query.
 #[test]
