@@ -15,6 +15,12 @@
 //! stabilizer, observable masks from the logical-Z support), so the same
 //! construction serves the repetition code, the rotated surface code, and
 //! any other CSS code.
+//!
+//! [`decode_reference`] is the original per-shot union-find decoder, the
+//! bit-identity oracle for every production decode path (DESIGN.md §5k).
+//! It is built from the [`MatchingGraph`] alone, with its own adjacency
+//! and its own copy of the weight-to-length rule, so a change to the
+//! production decoder's arrays cannot silently change the oracle.
 
 use hetarch_stab::codes::StabilizerCode;
 use hetarch_stab::decoder::{
@@ -164,7 +170,7 @@ pub fn decode_all(
     let uf_prediction = uf.decode(&node_syndrome);
     assert_eq!(
         uf_prediction,
-        uf.decode_reference(&node_syndrome),
+        decode_reference(&setup.graph, &node_syndrome),
         "scratch union-find diverged from the reference decoder"
     );
     let unionfind_failed = uf_prediction & 1 != actual;
@@ -177,34 +183,35 @@ pub fn decode_all(
 }
 
 /// Decodes every shot of a packed detector/observable table three ways —
-/// per-shot [`UnionFindDecoder::decode_reference`], the dense scratch path
-/// through ONE reused arena, and the sparse batch path — asserting the
-/// three agree bit for bit, then returns the batch failure count.
+/// per-shot [`decode_reference`], the dense scratch path through ONE
+/// reused arena, and the sparse batch path of a [`UnionFindDecoder`] built
+/// for `graph` — asserting the three agree bit for bit, then returns the
+/// batch failure count.
 ///
 /// This is the testkit face of the DESIGN.md §5k bit-identity contract.
 pub fn assert_decode_paths_agree(
-    uf: &UnionFindDecoder,
+    graph: &MatchingGraph,
     detectors: &hetarch_stab::bits::BitTable,
     observables: &hetarch_stab::bits::BitTable,
 ) -> u64 {
+    let reference_decoder = ReferenceDecoder::new(graph);
+    let uf = UnionFindDecoder::new(graph);
     let shots = detectors.shots();
     let n = detectors.rows();
     let mut scratch = uf.new_scratch();
     let mut syndrome = vec![false; n];
-    let mut reference_failures = 0u64;
+    let mut reference_failed = Vec::with_capacity(shots);
     for shot in 0..shots {
         for (d, s) in syndrome.iter_mut().enumerate() {
             *s = detectors.get(d, shot);
         }
-        let reference = uf.decode_reference(&syndrome);
+        let prediction = reference_decoder.decode(&syndrome);
         assert_eq!(
             uf.decode_with(&mut scratch, &syndrome),
-            reference,
+            prediction,
             "scratch path diverged at shot {shot}"
         );
-        if (reference & 1 == 1) != observables.get(0, shot) {
-            reference_failures += 1;
-        }
+        reference_failed.push((prediction & 1 == 1) != observables.get(0, shot));
     }
     let mut batch_failures = 0u64;
     uf.decode_shots(
@@ -215,13 +222,8 @@ pub fn assert_decode_paths_agree(
         0,
         shots,
         |shot, failed| {
-            for (d, s) in syndrome.iter_mut().enumerate() {
-                *s = detectors.get(d, shot);
-            }
-            let reference = uf.decode_reference(&syndrome) & 1 == 1;
             assert_eq!(
-                failed,
-                reference != observables.get(0, shot),
+                failed, reference_failed[shot],
                 "batch path diverged at shot {shot}"
             );
             if failed {
@@ -234,8 +236,283 @@ pub fn assert_decode_paths_agree(
         uf.count_failures(&mut scratch, detectors, observables, 0, 0, shots),
         "count_failures disagrees with decode_shots"
     );
-    assert_eq!(batch_failures, reference_failures);
+    assert_eq!(
+        batch_failures,
+        reference_failed.iter().filter(|&&failed| failed).count() as u64
+    );
     batch_failures
+}
+
+/// Decodes `syndrome` (one bool per node of `graph`) with the original
+/// per-shot union-find decoder and returns the predicted observable mask.
+///
+/// Slow by design: it builds its adjacency and dense decode state fresh
+/// per call. On a graph where an odd cluster cannot reach a boundary its
+/// growth never ends; test graphs keep every component boundary-reachable.
+///
+/// # Panics
+///
+/// Panics if `syndrome.len()` differs from the graph's node count.
+pub fn decode_reference(graph: &MatchingGraph, syndrome: &[bool]) -> u64 {
+    ReferenceDecoder::new(graph).decode(syndrome)
+}
+
+/// One edge of the reference decoder.
+#[derive(Clone, Copy, Debug)]
+struct RefEdge {
+    u: u32,
+    v: Option<u32>,
+    /// Integer growth length.
+    len: u32,
+    obs: u64,
+}
+
+/// The reference decoder's static view of a graph.
+struct ReferenceDecoder {
+    /// Incident edge indices per node, ascending.
+    adjacency: Vec<Vec<u32>>,
+    edges: Vec<RefEdge>,
+}
+
+impl ReferenceDecoder {
+    fn new(graph: &MatchingGraph) -> Self {
+        // Weights quantize to integer growth lengths: four steps per unit
+        // of the smallest weight (floored at 1e-3), clamped to 1..=2^14.
+        let min_w = graph
+            .edges()
+            .iter()
+            .map(|e| e.weight())
+            .fold(f64::INFINITY, f64::min)
+            .max(1e-3);
+        let edges: Vec<RefEdge> = graph
+            .edges()
+            .iter()
+            .map(|e| RefEdge {
+                u: e.u,
+                v: e.v,
+                len: ((e.weight() / min_w * 4.0).round() as u32).clamp(1, 1 << 14),
+                obs: e.obs_mask,
+            })
+            .collect();
+        let mut adjacency = vec![Vec::new(); graph.num_nodes()];
+        for (i, e) in edges.iter().enumerate() {
+            adjacency[e.u as usize].push(i as u32);
+            if let Some(v) = e.v {
+                adjacency[v as usize].push(i as u32);
+            }
+        }
+        ReferenceDecoder { adjacency, edges }
+    }
+
+    fn decode(&self, syndrome: &[bool]) -> u64 {
+        let n = self.adjacency.len();
+        assert_eq!(syndrome.len(), n, "syndrome length mismatch");
+        if syndrome.iter().all(|&s| !s) {
+            return 0;
+        }
+        let mut state = DecodeState::new(n, self.edges.len());
+        for (v, &s) in syndrome.iter().enumerate() {
+            if s {
+                state.parity[v] = 1;
+                // Every defect node starts with its incident edges.
+                state.frontier[v] = self.adjacency[v].clone();
+            }
+        }
+        self.grow(&mut state);
+        self.peel(&state, syndrome)
+    }
+
+    /// Growth: O(n) active-root scan per pass, `Vec` frontiers holding one
+    /// entry per (node, edge) incidence, concatenated on union.
+    fn grow(&self, state: &mut DecodeState) {
+        let n = self.adjacency.len();
+        loop {
+            let active: Vec<usize> = (0..n)
+                .filter(|&v| {
+                    state.find(v) == v && state.parity[v] % 2 == 1 && !state.has_boundary[v]
+                })
+                .collect();
+            if active.is_empty() {
+                return;
+            }
+            let mut newly_grown: Vec<u32> = Vec::new();
+            for root in active {
+                // Re-fetch root (it may have been merged earlier this pass).
+                let root = state.find(root);
+                if state.parity[root].is_multiple_of(2) || state.has_boundary[root] {
+                    continue;
+                }
+                let edges = std::mem::take(&mut state.frontier[root]);
+                let mut keep = Vec::with_capacity(edges.len());
+                for &ei in &edges {
+                    if state.grown[ei as usize] {
+                        continue;
+                    }
+                    state.support[ei as usize] += 1;
+                    if state.support[ei as usize] >= self.edges[ei as usize].len {
+                        state.grown[ei as usize] = true;
+                        newly_grown.push(ei);
+                    } else {
+                        keep.push(ei);
+                    }
+                }
+                let root_now = state.find(root);
+                state.frontier[root_now].extend(keep);
+            }
+            for ei in newly_grown {
+                let RefEdge { u, v, .. } = self.edges[ei as usize];
+                let u = u as usize;
+                let ru = state.find(u);
+                let Some(v) = v else {
+                    state.has_boundary[ru] = true;
+                    continue;
+                };
+                let rv = state.find(v as usize);
+                // Expand the frontier of whichever side is new.
+                for node in [u, v as usize] {
+                    let r = state.find(node);
+                    if !state.visited[node] {
+                        state.visited[node] = true;
+                        let extra: Vec<u32> = self.adjacency[node]
+                            .iter()
+                            .copied()
+                            .filter(|&x| !state.grown[x as usize])
+                            .collect();
+                        state.frontier[r].extend(extra);
+                    }
+                }
+                if ru != rv {
+                    state.union(ru, rv);
+                }
+            }
+        }
+    }
+
+    /// Peeling with dense visited/marked/parent vectors: a BFS forest of
+    /// grown edges seeded from grown boundary edges (ascending edge index),
+    /// then from unvisited defects (ascending), discharged in reverse BFS
+    /// order.
+    fn peel(&self, state: &DecodeState, syndrome: &[bool]) -> u64 {
+        let n = self.adjacency.len();
+        let mut marked: Vec<bool> = syndrome.to_vec();
+        let mut visited = vec![false; n];
+        // parent[v] = (parent node or usize::MAX for boundary, edge).
+        let mut parent: Vec<Option<(usize, u32)>> = vec![None; n];
+        let mut order: Vec<usize> = Vec::new();
+        let mut queue = std::collections::VecDeque::new();
+        for (ei, edge) in self.edges.iter().enumerate() {
+            if state.grown[ei] && edge.v.is_none() {
+                let u = edge.u as usize;
+                if !visited[u] {
+                    visited[u] = true;
+                    parent[u] = Some((usize::MAX, ei as u32));
+                    queue.push_back(u);
+                }
+            }
+        }
+        loop {
+            while let Some(u) = queue.pop_front() {
+                order.push(u);
+                for &ei in &self.adjacency[u] {
+                    let edge = self.edges[ei as usize];
+                    let Some(v) = edge.v else { continue };
+                    if !state.grown[ei as usize] {
+                        continue;
+                    }
+                    let other = if edge.u as usize == u {
+                        v as usize
+                    } else {
+                        edge.u as usize
+                    };
+                    if !visited[other] {
+                        visited[other] = true;
+                        parent[other] = Some((u, ei));
+                        queue.push_back(other);
+                    }
+                }
+            }
+            if let Some(seed) = (0..n).find(|&v| !visited[v] && marked[v]) {
+                visited[seed] = true;
+                queue.push_back(seed);
+            } else {
+                break;
+            }
+        }
+        let mut obs_mask = 0u64;
+        for &u in order.iter().rev() {
+            if !marked[u] {
+                continue;
+            }
+            let Some((p, ei)) = parent[u] else {
+                // A marked arbitrary root: parity leak (cannot happen on
+                // valid even-parity clusters); leave undecoded.
+                continue;
+            };
+            obs_mask ^= self.edges[ei as usize].obs;
+            marked[u] = false;
+            if p != usize::MAX {
+                marked[p] = !marked[p];
+            }
+        }
+        obs_mask
+    }
+}
+
+/// Dense per-shot state of the reference decoder (allocated per call).
+struct DecodeState {
+    parent: Vec<u32>,
+    parity: Vec<u32>,
+    has_boundary: Vec<bool>,
+    visited: Vec<bool>,
+    frontier: Vec<Vec<u32>>,
+    support: Vec<u32>,
+    grown: Vec<bool>,
+}
+
+impl DecodeState {
+    fn new(n: usize, m: usize) -> Self {
+        DecodeState {
+            parent: (0..n as u32).collect(),
+            parity: vec![0; n],
+            has_boundary: vec![false; n],
+            visited: vec![false; n],
+            frontier: vec![Vec::new(); n],
+            support: vec![0; m],
+            grown: vec![false; m],
+        }
+    }
+
+    fn find(&mut self, v: usize) -> usize {
+        let mut root = v;
+        while self.parent[root] as usize != root {
+            root = self.parent[root] as usize;
+        }
+        let mut cur = v;
+        while self.parent[cur] as usize != cur {
+            let next = self.parent[cur] as usize;
+            self.parent[cur] = root as u32;
+            cur = next;
+        }
+        root
+    }
+
+    fn union(&mut self, a: usize, b: usize) {
+        let (ra, rb) = (self.find(a), self.find(b));
+        if ra == rb {
+            return;
+        }
+        // Merge smaller frontier into larger.
+        let (big, small) = if self.frontier[ra].len() >= self.frontier[rb].len() {
+            (ra, rb)
+        } else {
+            (rb, ra)
+        };
+        self.parent[small] = big as u32;
+        let moved = std::mem::take(&mut self.frontier[small]);
+        self.frontier[big].extend(moved);
+        self.parity[big] += self.parity[small];
+        self.has_boundary[big] |= self.has_boundary[small];
+    }
 }
 
 #[cfg(test)]

@@ -27,7 +27,9 @@
 //! * [`golden`] — byte-stable golden-snapshot files with a
 //!   `GOLDEN_UPDATE=1` regeneration workflow.
 //! * [`decoder`] — a decoder differential harness checking the
-//!   approximate matching decoders against the exhaustive lookup decoder.
+//!   approximate matching decoders against the exhaustive lookup decoder,
+//!   and the per-shot union-find oracle every production decode path must
+//!   match bit for bit.
 //!
 //! # Example
 //!

@@ -2,13 +2,14 @@
 //!
 //! The scratch (`decode_with`), sparse (`decode_defects`), and batch
 //! (`decode_shots` / `count_failures`) paths must be **bitwise-equal** to
-//! the pristine per-shot [`UnionFindDecoder::decode_reference`] on every
-//! syndrome — that is the DESIGN.md §5k contract. This suite drives the
-//! comparison with proptest-generated matching graphs (random topology,
-//! weights, and observable masks) under random and adversarial syndromes,
+//! the pristine per-shot oracle [`decode_reference`] on every syndrome —
+//! that is the DESIGN.md §5k contract. This suite drives the comparison
+//! with proptest-generated matching graphs (random topology, weights, and
+//! observable masks) under random and adversarial syndromes, and on hub
+//! graphs whose centre has more incidences than one 64-bit mask word;
 //! checks that a scratch arena stays healthy across thousands of
-//! interleaved decodes, runs the same comparison on real surface-memory
-//! graphs (plain and weight-conditioned syndromes), and pins worker-count
+//! interleaved decodes; runs the same comparison on real surface-memory
+//! graphs (plain and weight-conditioned syndromes); and pins worker-count
 //! invariance of the surface shard loops that consume the batch path.
 
 use hetarch::exec::WorkerPool;
@@ -17,7 +18,7 @@ use hetarch::stab::codes::{SurfaceDecoder, SurfaceMemory, SurfaceNoise};
 use hetarch::stab::decoder::{MatchingGraph, UnionFindDecoder};
 use hetarch::stab::detector::{assemble_detectors, sample_detectors};
 use hetarch::stab::frame::{sample_at_weight, FaultModel};
-use hetarch::testkit::decoder::assert_decode_paths_agree;
+use hetarch::testkit::decoder::{assert_decode_paths_agree, decode_reference};
 use hetarch_exec::rare::RareConfig;
 use proptest::prelude::*;
 
@@ -122,7 +123,7 @@ proptest! {
         let battery = syndrome_battery(n, seed);
         let mut scratch = uf.new_scratch();
         for syn in &battery {
-            let reference = uf.decode_reference(syn);
+            let reference = decode_reference(&graph, syn);
             prop_assert_eq!(uf.decode_with(&mut scratch, syn), reference);
             let defects: Vec<u32> = syn
                 .iter()
@@ -132,7 +133,7 @@ proptest! {
             prop_assert_eq!(uf.decode_defects(&mut scratch, &defects), reference);
         }
         let (detectors, observables) = pack(&battery, n, seed ^ 0x9e3779b97f4a7c15);
-        assert_decode_paths_agree(&uf, &detectors, &observables);
+        assert_decode_paths_agree(&graph, &detectors, &observables);
     }
 
     /// Scratch reuse leaves no residue: a syndrome decodes to the same
@@ -145,7 +146,7 @@ proptest! {
         let uf = UnionFindDecoder::new(&graph);
         let n = uf.num_nodes();
         let probe: Vec<bool> = (0..n).map(|i| i % 2 == 0).collect();
-        let expected = uf.decode_reference(&probe);
+        let expected = decode_reference(&graph, &probe);
         let mut scratch = uf.new_scratch();
         prop_assert_eq!(uf.decode_with(&mut scratch, &probe), expected);
         let mut state = seed | 1;
@@ -161,13 +162,60 @@ proptest! {
     }
 }
 
+/// A hub graph: node 0 joins each of `spokes` spoke nodes by three
+/// parallel edges with observable masks 0, 1 and 2, and carries two
+/// parallel boundary edges; every third spoke has a boundary edge of its
+/// own and consecutive spokes are chained. Edge probabilities come from an
+/// LCG on `seed`, so growth lengths differ edge to edge.
+fn hub_graph(spokes: u32, seed: u64) -> MatchingGraph {
+    let mut state = seed | 1;
+    let mut p = || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        0.01 + 0.3 * ((state >> 40) as f64 / (1u64 << 24) as f64)
+    };
+    let mut g = MatchingGraph::new(spokes as usize + 1);
+    g.add_edge(0, None, p(), 0);
+    g.add_edge(0, None, p(), 1);
+    for s in 1..=spokes {
+        for obs in 0..3 {
+            g.add_edge(0, Some(s), p(), obs);
+        }
+        if s % 3 == 0 {
+            g.add_edge(s, None, p(), 2);
+        }
+        if s > 1 {
+            g.add_edge(s - 1, Some(s), p(), 0);
+        }
+    }
+    g
+}
+
+/// Every decode path agrees with `decode_reference` on hub graphs whose
+/// centre has 137 incidences (three mask words), under the adversarial
+/// corners and LCG syndromes of the proptest battery.
+#[test]
+fn hub_graphs_match_reference() {
+    for seed in [3u64, 17, 2024] {
+        let graph = hub_graph(45, seed);
+        let hub_degree = graph.adjacency()[0].len();
+        assert!(hub_degree >= 100, "hub degree {hub_degree}");
+        let n = graph.num_nodes();
+        let battery = syndrome_battery(n, seed);
+        let (detectors, observables) = pack(&battery, n, seed ^ 0x9e3779b97f4a7c15);
+        assert_decode_paths_agree(&graph, &detectors, &observables);
+    }
+}
+
 /// Every decode path agrees with `decode_reference` on sampled syndromes
 /// of real surface-memory graphs at the Fig. 7 noise point (ancilla
-/// coherence 0.1 ms, data/ancilla coherence ratios 1 and 5).
+/// coherence 0.1 ms, data/ancilla coherence ratios 1 and 5): 1024 shots at
+/// d = 3 and 5, 256 at d = 7 and 9.
 #[test]
 fn surface_memory_graphs_match_reference() {
     let pool = WorkerPool::new(1);
-    for d in [3, 5] {
+    for (d, shots) in [(3, 1024), (5, 1024), (7, 256), (9, 256)] {
         for ratio in [1.0, 5.0] {
             let noise = SurfaceNoise {
                 t_data: ratio * 0.1e-3,
@@ -175,9 +223,10 @@ fn surface_memory_graphs_match_reference() {
                 ..SurfaceNoise::default()
             };
             let mem = SurfaceMemory::new(d, d, noise);
-            let uf = UnionFindDecoder::new(&mem.matching_graph());
-            let samples = sample_detectors(&pool, &mem.circuit(), 1024, 7 + d as u64);
-            let failures = assert_decode_paths_agree(&uf, &samples.detectors, &samples.observables);
+            let graph = mem.matching_graph();
+            let samples = sample_detectors(&pool, &mem.circuit(), shots, 7 + d as u64);
+            let failures =
+                assert_decode_paths_agree(&graph, &samples.detectors, &samples.observables);
             assert!(
                 failures > 0,
                 "d={d} ratio={ratio}: no logical failures sampled"
@@ -204,12 +253,12 @@ fn conditioned_strata_match_reference() {
     let mem = SurfaceMemory::new(5, 5, noise);
     let circuit = mem.circuit();
     let model = FaultModel::from_circuit(&circuit);
-    let uf = UnionFindDecoder::new(&mem.matching_graph());
+    let graph = mem.matching_graph();
     for w in 2..=4 {
         let shots = 512;
         let frames = sample_at_weight(&circuit, &model, w, shots, 90 + w as u64, &pool);
         let samples = assemble_detectors(&circuit, &frames.meas_flips, shots);
-        assert_decode_paths_agree(&uf, &samples.detectors, &samples.observables);
+        assert_decode_paths_agree(&graph, &samples.detectors, &samples.observables);
     }
 }
 
