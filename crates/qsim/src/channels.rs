@@ -27,9 +27,9 @@ use crate::state::DensityMatrix;
 /// [`apply`](Kraus1::apply) runs through a precompiled superoperator kernel
 /// (see [`crate::kernel`]), compiled lazily on first use and cached for the
 /// lifetime of the channel — so constructing a channel once and applying it
-/// many times is the intended usage pattern. The original Kraus-sum loop is
-/// kept as [`apply_reference`](Kraus1::apply_reference), the oracle the
-/// differential tests compare the kernel against.
+/// many times is the intended usage pattern. The literal Kraus sum, the
+/// oracle the differential tests compare the kernel against, lives in
+/// `hetarch-testkit`.
 ///
 /// # Examples
 ///
@@ -154,32 +154,6 @@ impl Kraus1 {
         crate::conformance::debug_validate_state(rho, "Kraus1::apply");
     }
 
-    /// Applies the channel by the literal Kraus sum `Σ_k K_k ρ K_k†`
-    /// (one density-matrix clone and conjugation sweep per operator).
-    ///
-    /// This is the reference oracle the kernel path is differentially
-    /// tested against; production code should use [`apply`](Kraus1::apply).
-    pub fn apply_reference(&self, rho: &mut DensityMatrix, q: usize) {
-        if self.ops.len() == 1 {
-            rho.apply_conjugation_1q(q, &self.ops[0]);
-        } else {
-            let original = rho.clone();
-            let mut first = true;
-            for k in &self.ops {
-                if first {
-                    rho.apply_conjugation_1q(q, k);
-                    first = false;
-                } else {
-                    let mut term = original.clone();
-                    term.apply_conjugation_1q(q, k);
-                    accumulate(rho, &term);
-                }
-            }
-        }
-        #[cfg(feature = "validate")]
-        crate::conformance::debug_validate_state(rho, "Kraus1::apply_reference");
-    }
-
     /// The compiled superoperator kernel (compiled on first call, cached).
     pub fn kernel(&self) -> &ChannelKernel1 {
         self.kernel
@@ -201,8 +175,7 @@ impl Kraus1 {
 /// A two-qubit channel described by 4×4 Kraus operators.
 ///
 /// Like [`Kraus1`], application runs through a lazily compiled, cached
-/// superoperator kernel; [`apply_reference`](Kraus2::apply_reference) keeps
-/// the Kraus-sum loop as the differential-testing oracle.
+/// superoperator kernel.
 #[derive(Clone, Debug)]
 pub struct Kraus2 {
     ops: Vec<Mat>,
@@ -277,32 +250,6 @@ impl Kraus2 {
         crate::conformance::debug_validate_state(rho, "Kraus2::apply");
     }
 
-    /// Applies the channel by the literal Kraus sum `Σ_k K_k ρ K_k†`
-    /// (one density-matrix clone and conjugation sweep per operator).
-    ///
-    /// This is the reference oracle the kernel path is differentially
-    /// tested against; production code should use [`apply`](Kraus2::apply).
-    pub fn apply_reference(&self, rho: &mut DensityMatrix, q_hi: usize, q_lo: usize) {
-        if self.ops.len() == 1 {
-            rho.apply_conjugation_2q(q_hi, q_lo, &self.ops[0]);
-        } else {
-            let original = rho.clone();
-            let mut first = true;
-            for k in &self.ops {
-                if first {
-                    rho.apply_conjugation_2q(q_hi, q_lo, k);
-                    first = false;
-                } else {
-                    let mut term = original.clone();
-                    term.apply_conjugation_2q(q_hi, q_lo, k);
-                    accumulate(rho, &term);
-                }
-            }
-        }
-        #[cfg(feature = "validate")]
-        crate::conformance::debug_validate_state(rho, "Kraus2::apply_reference");
-    }
-
     /// The compiled superoperator kernel (compiled on first call, cached).
     pub fn kernel(&self) -> &ChannelKernel2 {
         self.kernel
@@ -353,13 +300,6 @@ fn check_kraus_set<const D: usize>(ops: &[Mat]) -> Result<(), QsimError> {
         ));
     }
     Ok(())
-}
-
-fn accumulate(into: &mut DensityMatrix, term: &DensityMatrix) {
-    debug_assert_eq!(into.dim(), term.dim());
-    for (a, b) in into.as_mut_slice().iter_mut().zip(term.as_slice()) {
-        *a += *b;
-    }
 }
 
 fn check_prob(name: &str, p: f64) -> Result<(), QsimError> {

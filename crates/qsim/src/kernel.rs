@@ -25,8 +25,9 @@
 //! [`Kraus1`](crate::channels::Kraus1) and
 //! [`Kraus2`](crate::channels::Kraus2) compile their kernel lazily behind a
 //! `OnceLock` on first `apply`, so every consumer of the channel API gets
-//! the fast path without code changes; the original Kraus-sum loop survives
-//! as `apply_reference`, the oracle the differential tests compare against.
+//! the fast path without code changes; the literal Kraus-sum loop, the
+//! oracle the differential tests compare against, lives in
+//! `hetarch-testkit`.
 //!
 //! Pauli-structured channels (depolarizing, Pauli twirls) produce
 //! superoperators where 3/4 of the entries are exactly zero, so
@@ -43,12 +44,15 @@
 //! the same order, so results are bit-identical to the interleaved form.
 //!
 //! Compilation also records each kernel's form: whether every coefficient
-//! is real and, for one qubit, whether the map keeps the block's diagonal
-//! and off-diagonal pairs apart. The apply passes are instantiated per
-//! form and drop the terms that the form makes exactly zero, keeping every
-//! other term's place in each entry's sum, so an entry can differ from the
-//! dense contraction's only in the sign of a zero. Compilation itself skips
-//! products with an exactly-zero Kraus factor on the same grounds.
+//! is real; for one qubit, whether the map keeps the block's diagonal and
+//! off-diagonal pairs apart (*decoupled*); for two qubits, whether it keeps
+//! a diagonal block diagonal. The apply passes are instantiated per form
+//! and drop the terms that the form makes exactly zero, keeping every other
+//! term's place in each entry's sum, so an entry can differ from the dense
+//! contraction's only in the sign of a zero. On a state known to be
+//! diagonal (see [`crate::state`]) the decoupled and diagonal-keeping forms
+//! touch only the diagonal. Compilation itself skips products with an
+//! exactly-zero Kraus factor on the same grounds.
 //!
 //! Every channel application is one `apply` on one state: callers that
 //! push several states through a channel build the channel (and so compile
@@ -73,19 +77,28 @@ static OBS_APPLIES: obs::Counter = obs::Counter::new("qsim.kernel.applies");
 ///
 /// ```
 /// use hetarch_qsim::channels::Kraus1;
+/// use hetarch_qsim::complex::C64;
 /// use hetarch_qsim::kernel::ChannelKernel1;
+/// use hetarch_qsim::matrix::Mat;
 /// use hetarch_qsim::state::DensityMatrix;
 ///
 /// let depol = Kraus1::depolarizing(0.1).unwrap();
 /// let kernel = ChannelKernel1::compile(depol.ops());
-/// let mut via_kernel = DensityMatrix::zero_state(2);
-/// let mut via_kraus = via_kernel.clone();
+/// let mut rho = DensityMatrix::zero_state(2);
+/// rho.apply_1q(0, &Mat::hadamard());
+/// let mut via_kernel = rho.clone();
 /// kernel.apply(&mut via_kernel, 0);
-/// depol.apply_reference(&mut via_kraus, 0);
-/// for r in 0..4 {
-///     for c in 0..4 {
-///         assert!(via_kernel.entry(r, c).approx_eq(via_kraus.entry(r, c), 1e-12));
+/// // The Kraus sum Σ_k K_k ρ K_k†, one conjugated copy per operator.
+/// let mut via_kraus = vec![C64::ZERO; 16];
+/// for k in depol.ops() {
+///     let mut term = rho.clone();
+///     term.apply_conjugation_1q(0, k);
+///     for (acc, v) in via_kraus.iter_mut().zip(term.as_slice()) {
+///         *acc += *v;
 ///     }
+/// }
+/// for (a, b) in via_kernel.as_slice().iter().zip(&via_kraus) {
+///     assert!(a.approx_eq(*b, 1e-12));
 /// }
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -201,6 +214,16 @@ pub struct ChannelKernel2 {
     vals_im: [[f64; 16]; 16],
     /// Every imaginary part is exactly zero.
     real: bool,
+    /// No coefficient maps a diagonal block entry `B[p, p]` to an
+    /// off-diagonal one `B[i, j]`, `i ≠ j`: the map sends a diagonal block
+    /// to a diagonal block. Depolarizing, Pauli and product-of-decoupled
+    /// channels compile to this form.
+    keeps_diagonal: bool,
+    /// Real parts of the diagonal-to-diagonal coefficients
+    /// `S[(i·4 + i), (p·4 + p)]`, indexed `[i][p]`.
+    diag_re: [[f64; 4]; 4],
+    /// Imaginary parts of the diagonal-to-diagonal coefficients.
+    diag_im: [[f64; 4]; 4],
 }
 
 impl ChannelKernel2 {
@@ -238,12 +261,22 @@ impl ChannelKernel2 {
             }
         }
         let real = vals_im.iter().flatten().all(|&v| v == 0.0);
+        let at = |i: usize, j: usize, p: usize, q: usize| dense[(i * 4 + j) * 16 + p * 4 + q];
+        let keeps_diagonal = (0..64).all(|e| {
+            let (i, j, p) = (e / 16, e / 4 % 4, e % 4);
+            i == j || at(i, j, p, p) == C64::ZERO
+        });
+        let diag_re = std::array::from_fn(|i| std::array::from_fn(|p| at(i, i, p, p).re));
+        let diag_im = std::array::from_fn(|i| std::array::from_fn(|p| at(i, i, p, p).im));
         ChannelKernel2 {
             nnz,
             cols,
             vals_re,
             vals_im,
             real,
+            keeps_diagonal,
+            diag_re,
+            diag_im,
         }
     }
 
@@ -272,6 +305,18 @@ impl ChannelKernel2 {
         self.real
     }
 
+    /// Whether the map sends diagonal blocks to diagonal blocks.
+    pub(crate) fn keeps_diagonal(&self) -> bool {
+        self.keeps_diagonal
+    }
+
+    /// Real/imag-split diagonal-to-diagonal coefficients
+    /// `S[(i·4 + i), (p·4 + p)]`, indexed `[i][p]`, for the diagonal-state
+    /// pass.
+    pub(crate) fn diagonal_block(&self) -> (&[[f64; 4]; 4], &[[f64; 4]; 4]) {
+        (&self.diag_re, &self.diag_im)
+    }
+
     /// Total non-zero superoperator entries (≤ 256); Pauli channels compile
     /// to ≤ 64 (28 for uniform depolarizing, whose equal Pauli weights
     /// cancel exactly).
@@ -286,6 +331,26 @@ mod tests {
     use crate::channels::{IdleParams, Kraus1, Kraus2};
 
     const TOL: f64 = 1e-13;
+
+    /// The literal Kraus sum `Σ_k K_k ρ K_k†` over a one-qubit (`qubits =
+    /// [q]`) or two-qubit (`[hi, lo]`) Kraus set, one conjugated copy per
+    /// operator; `hetarch-testkit` holds the public form of this oracle.
+    fn kraus_sum(ops: &[Mat], rho: &mut DensityMatrix, qubits: &[usize]) {
+        let original = rho.clone();
+        let mut sum = vec![C64::ZERO; original.as_slice().len()];
+        for k in ops {
+            let mut term = original.clone();
+            match *qubits {
+                [q] => term.apply_conjugation_1q(q, k),
+                [hi, lo] => term.apply_conjugation_2q(hi, lo, k),
+                _ => unreachable!("one or two qubits"),
+            }
+            for (acc, v) in sum.iter_mut().zip(term.as_slice()) {
+                *acc += *v;
+            }
+        }
+        rho.as_mut_slice().copy_from_slice(&sum);
+    }
 
     fn assert_states_close(a: &DensityMatrix, b: &DensityMatrix, tol: f64) {
         assert_eq!(a.dim(), b.dim());
@@ -325,7 +390,7 @@ mod tests {
             let mut a = entangled_state(3);
             let mut b = a.clone();
             kernel.apply(&mut a, q);
-            ch.apply_reference(&mut b, q);
+            kraus_sum(ch.ops(), &mut b, &[q]);
             assert_states_close(&a, &b, TOL);
         }
     }
@@ -338,7 +403,7 @@ mod tests {
             let mut a = entangled_state(3);
             let mut b = a.clone();
             kernel.apply(&mut a, hi, lo);
-            ch.apply_reference(&mut b, hi, lo);
+            kraus_sum(ch.ops(), &mut b, &[hi, lo]);
             assert_states_close(&a, &b, TOL);
         }
     }
@@ -457,6 +522,26 @@ mod tests {
         assert!(h.is_real() && !h.is_decoupled());
         assert!(Kraus2::depolarizing(0.07).unwrap().kernel().is_real());
         assert!(!ChannelKernel2::compile(&[Mat::iswap()]).is_real());
+        // Pauli channels, products of decoupled channels and monomial
+        // unitaries keep a diagonal block diagonal; H ⊗ I does not.
+        let idle = IdleParams::new(300e-6, 150e-6)
+            .unwrap()
+            .channel(40e-6)
+            .unwrap();
+        let product: Vec<Mat> = idle
+            .ops()
+            .iter()
+            .flat_map(|a| idle.ops().iter().map(move |b| a.kron(b)))
+            .collect();
+        for ops in [
+            Kraus2::depolarizing(0.07).unwrap().ops().to_vec(),
+            product,
+            vec![Mat::iswap()],
+        ] {
+            assert!(ChannelKernel2::compile(&ops).keeps_diagonal());
+        }
+        let h_i = Mat::hadamard().kron(&Mat::identity(2));
+        assert!(!ChannelKernel2::compile(&[h_i]).keeps_diagonal());
     }
 
     #[test]

@@ -33,12 +33,26 @@ pub fn prob_one(rho: &DensityMatrix, q: usize) -> f64 {
 ///
 /// The caller decides whether to renormalize (post-selection) or to keep the
 /// subnormalized branch (trajectory averaging).
+///
+/// A diagonal state (see [`crate::state`]) only has its dropped diagonal
+/// entries zeroed and stays diagonal; `p` sums the kept ones in the same
+/// ascending order.
 pub fn project_z(rho: &mut DensityMatrix, q: usize, outcome: bool) -> f64 {
     assert!(q < rho.num_qubits(), "qubit {q} out of range");
     let mask = 1usize << q;
     let want = if outcome { mask } else { 0 };
     let dim = rho.dim();
     let mut p = 0.0;
+    if rho.is_diagonal() {
+        for b in 0..dim {
+            if b & mask == want {
+                p += rho.diagonal_prob(b);
+            } else {
+                *rho.diagonal_entry_mut(b) = C64::ZERO;
+            }
+        }
+        return p;
+    }
     for r in 0..dim {
         let keep_r = r & mask == want;
         if keep_r {

@@ -7,6 +7,34 @@
 //! done once per cell.
 //!
 //! Qubit `0` is the least-significant bit of a basis index.
+//!
+//! # Diagonal states
+//!
+//! A state also carries a private structural flag meaning "every
+//! off-diagonal entry is exactly zero". It is set only where that is known
+//! by construction ([`DensityMatrix::zero_state`],
+//! [`DensityMatrix::maximally_mixed`]), never by inspecting entries. While
+//! it is set, the operations that map a diagonal ρ to a diagonal ρ touch
+//! only the `2^n` diagonal entries:
+//!
+//! - monomial gates (X, CNOT, SWAP, …) permute the diagonal, whose phase
+//!   factors are all `i^0`;
+//! - one-qubit channel kernels of the *decoupled* form update each
+//!   diagonal pair `(B00, B11)`;
+//! - two-qubit channel kernels that *keep the diagonal* (no coefficient
+//!   from a diagonal to an off-diagonal block entry: depolarizing, Pauli
+//!   and product-of-decoupled channels) update the four diagonal entries of
+//!   each diagonal 4×4 block;
+//! - [`measure::project_z`](crate::measure::project_z) keeps the flag, and
+//!   so does [`DensityMatrix::renormalize`] unless `1/p` overflows.
+//!
+//! Every other write clears it: [`DensityMatrix::entry_mut`],
+//! [`DensityMatrix::as_mut_slice`], a dense conjugation, a kernel of any
+//! other form. Each fast path sums an output's surviving terms in the dense
+//! pass's order, and every dropped term has an exactly-zero factor, so each
+//! entry equals the dense result up to the sign of a zero (the argument of
+//! the monomial and zero-skipping passes below). Debug builds check on
+//! entry to each fast path that the off-diagonal entries are zero.
 
 use std::fmt;
 
@@ -30,11 +58,22 @@ use crate::matrix::Mat;
 /// assert!((rho.diagonal_prob(0b00) - 0.5).abs() < 1e-12);
 /// assert!((rho.diagonal_prob(0b11) - 0.5).abs() < 1e-12);
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(Clone)]
 pub struct DensityMatrix {
     n: usize,
     dim: usize,
     data: Vec<C64>,
+    /// Every off-diagonal entry is exactly zero (see the module docs).
+    /// Only set where that is known by construction.
+    diagonal: bool,
+}
+
+/// Equality of the entries; the diagonal flag is a cache of their
+/// structure, not part of the state.
+impl PartialEq for DensityMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n && self.dim == other.dim && self.data == other.data
+    }
 }
 
 impl DensityMatrix {
@@ -52,7 +91,12 @@ impl DensityMatrix {
         let dim = 1usize << n;
         let mut data = vec![C64::ZERO; dim * dim];
         data[0] = C64::ONE;
-        DensityMatrix { n, dim, data }
+        DensityMatrix {
+            n,
+            dim,
+            data,
+            diagonal: true,
+        }
     }
 
     /// Creates ρ = |ψ⟩⟨ψ| from an (unnormalized) state vector.
@@ -79,7 +123,12 @@ impl DensityMatrix {
                 data[r * dim + c] = psi[r] * psi[c].conj() / norm_sqr;
             }
         }
-        Ok(DensityMatrix { n, dim, data })
+        Ok(DensityMatrix {
+            n,
+            dim,
+            data,
+            diagonal: false,
+        })
     }
 
     /// Creates a density matrix from an explicit `2^n × 2^n` matrix.
@@ -100,12 +149,14 @@ impl DensityMatrix {
             n: m.rows().trailing_zeros() as usize,
             dim: m.rows(),
             data: m.as_slice().to_vec(),
+            diagonal: false,
         };
         dm.validate(1e-9)?;
         Ok(dm)
     }
 
-    /// Creates the maximally mixed state `I / 2^n`.
+    /// Creates the maximally mixed state `I / 2^n` (a diagonal state, so
+    /// classical-input circuits on it take the diagonal passes).
     pub fn maximally_mixed(n: usize) -> Self {
         let mut dm = DensityMatrix::zero_state(n);
         let dim = dm.dim;
@@ -138,7 +189,37 @@ impl DensityMatrix {
     /// use gates and channels.
     #[inline]
     pub fn entry_mut(&mut self, r: usize, c: usize) -> &mut C64 {
+        self.diagonal = false;
         &mut self.data[r * self.dim + c]
+    }
+
+    /// Whether the state is known to have no off-diagonal entries. Every
+    /// diagonal fast path asks this on entry, and debug builds check the
+    /// claim there, so a write that forgets to clear the flag fails loudly.
+    #[inline]
+    pub(crate) fn is_diagonal(&self) -> bool {
+        debug_assert!(
+            !self.diagonal || self.off_diagonal_is_zero(),
+            "diagonal flag set on a state with coherences"
+        );
+        self.diagonal
+    }
+
+    /// Mutable diagonal entry ρ[b, b]. A write there cannot create a
+    /// coherence, so the diagonal flag survives it.
+    #[inline]
+    pub(crate) fn diagonal_entry_mut(&mut self, b: usize) -> &mut C64 {
+        &mut self.data[b * (self.dim + 1)]
+    }
+
+    /// Whether every off-diagonal entry is exactly zero: the invariant
+    /// behind the diagonal flag.
+    fn off_diagonal_is_zero(&self) -> bool {
+        let dim = self.dim;
+        self.data
+            .iter()
+            .enumerate()
+            .all(|(i, z)| i / dim == i % dim || *z == C64::ZERO)
     }
 
     /// Probability of measuring the computational basis state `b` (the
@@ -222,6 +303,7 @@ impl DensityMatrix {
             self.conjugate_monomial(&[0, mask], &m);
             return;
         }
+        self.diagonal = false;
         let dim = self.dim;
         // Left multiply: rows.
         for i in 0..dim {
@@ -281,6 +363,7 @@ impl DensityMatrix {
             self.conjugate_monomial(&[0, ml, mh, mh | ml], &m);
             return;
         }
+        self.diagonal = false;
         let dim = self.dim;
         // Left multiply.
         let mut tmp = [C64::ZERO; 4];
@@ -334,9 +417,23 @@ impl DensityMatrix {
     /// index offsets `offsets` (`offsets[k]` sets the bits of local state
     /// `k`): every D×D block of ρ is rewritten as
     /// `B'[r][c] = i^(phase[r] − phase[c]) · B[src[r]][src[c]]`.
+    ///
+    /// On a diagonal state only the diagonal blocks' diagonal entries can
+    /// be non-zero, and each moves with phase `i^0`: the pass permutes
+    /// them and leaves every (zero) off-diagonal entry in place.
     fn conjugate_monomial<const D: usize>(&mut self, offsets: &[usize; D], m: &Monomial<D>) {
         let span = offsets.iter().fold(0, |acc, &o| acc | o);
         let dim = self.dim;
+        if self.is_diagonal() {
+            for base in (0..dim).filter(|b| b & span == 0) {
+                let at = offsets.map(|o| (base | o) * (dim + 1));
+                let old = at.map(|i| self.data[i]);
+                for (&i, &src) in at.iter().zip(&m.src) {
+                    self.data[i] = old[src];
+                }
+            }
+            return;
+        }
         let mut turn = [[0u8; D]; D];
         for (r, row) in turn.iter_mut().enumerate() {
             for (c, t) in row.iter_mut().enumerate() {
@@ -377,6 +474,12 @@ impl DensityMatrix {
     /// ascending-`j` sum order, so every entry equals the dense
     /// contraction's up to the sign of a zero.
     ///
+    /// On a diagonal state a decoupled kernel maps every off-diagonal
+    /// entry to a sum of terms with a zero factor, so only the diagonal
+    /// pairs `(B00, B11)` of the diagonal blocks are contracted, with the
+    /// same arithmetic, and the state stays diagonal. Any other kernel
+    /// clears the diagonal flag.
+    ///
     /// This is the hot path behind [`crate::kernel::ChannelKernel1`].
     ///
     /// # Panics
@@ -384,11 +487,35 @@ impl DensityMatrix {
     /// Panics if `q >= n`.
     pub(crate) fn apply_superop_1q(&mut self, q: usize, kernel: &ChannelKernel1) {
         assert!(q < self.n, "qubit {q} out of range for {} qubits", self.n);
+        if self.is_diagonal() && kernel.is_decoupled() {
+            if kernel.is_real() {
+                self.superop_1q_diagonal::<true>(q, kernel);
+            } else {
+                self.superop_1q_diagonal::<false>(q, kernel);
+            }
+            return;
+        }
+        self.diagonal = false;
         match (kernel.is_real(), kernel.is_decoupled()) {
             (true, true) => self.superop_1q_pass::<true, true>(q, kernel),
             (true, false) => self.superop_1q_pass::<true, false>(q, kernel),
             (false, true) => self.superop_1q_pass::<false, true>(q, kernel),
             (false, false) => self.superop_1q_pass::<false, false>(q, kernel),
+        }
+    }
+
+    /// The decoupled one-qubit pass restricted to the diagonal pairs
+    /// `(ρ[r0, r0], ρ[r1, r1])`, `r1 = r0 | 2^q`.
+    fn superop_1q_diagonal<const REAL: bool>(&mut self, q: usize, kernel: &ChannelKernel1) {
+        let (s_re, s_im) = kernel.split();
+        let mask = 1usize << q;
+        let step = self.dim + 1;
+        for r0 in (0..self.dim).filter(|r| r & mask == 0) {
+            let (i0, i1) = (r0 * step, (r0 | mask) * step);
+            let b = [self.data[i0], C64::ZERO, C64::ZERO, self.data[i1]];
+            let o = contract_block_1q::<REAL, true>(s_re, s_im, &b);
+            self.data[i0] = o[0];
+            self.data[i1] = o[3];
         }
     }
 
@@ -412,30 +539,7 @@ impl DensityMatrix {
                 let (b10, b11) = run1.split_at_mut(mask);
                 for (((e00, e01), e10), e11) in b00.iter_mut().zip(b01).zip(b10).zip(b11) {
                     let b = [*e00, *e01, *e10, *e11];
-                    let mut o_re = [0.0f64; 4];
-                    let mut o_im = [0.0f64; 4];
-                    for (j, bj) in b.iter().enumerate() {
-                        for i in 0..4 {
-                            // Decoupled kernels are zero wherever `i ^ j` is 1
-                            // or 2 (diagonal pair vs off-diagonal pair).
-                            if DECOUPLED && matches!(i ^ j, 1 | 2) {
-                                continue;
-                            }
-                            let sr = s_re[i * 4 + j];
-                            if REAL {
-                                o_re[i] += sr * bj.re;
-                                o_im[i] += sr * bj.im;
-                            } else {
-                                let si = s_im[i * 4 + j];
-                                o_re[i] += sr * bj.re - si * bj.im;
-                                o_im[i] += sr * bj.im + si * bj.re;
-                            }
-                        }
-                    }
-                    *e00 = C64::new(o_re[0], o_im[0]);
-                    *e01 = C64::new(o_re[1], o_im[1]);
-                    *e10 = C64::new(o_re[2], o_im[2]);
-                    *e11 = C64::new(o_re[3], o_im[3]);
+                    [*e00, *e01, *e10, *e11] = contract_block_1q::<REAL, DECOUPLED>(s_re, s_im, &b);
                 }
             }
         }
@@ -456,12 +560,29 @@ impl DensityMatrix {
     /// order, so every entry equals the one-block contraction's up to the
     /// sign of a zero.
     ///
+    /// On a diagonal state a kernel that keeps diagonal blocks diagonal
+    /// only has to fill the four diagonal entries of each diagonal block:
+    /// every other output sums terms with a zero factor. Each of those four
+    /// sums the row's coefficients on the diagonal columns in ascending
+    /// column order, which is the dense row's order with its zero-input
+    /// terms left out (a zero coefficient adds only a signed zero), and
+    /// the state stays diagonal. Any other kernel clears the diagonal flag.
+    ///
     /// # Panics
     ///
     /// Panics if the qubits coincide or are out of range.
     pub(crate) fn apply_superop_2q(&mut self, q_hi: usize, q_lo: usize, kernel: &ChannelKernel2) {
         assert!(q_hi < self.n && q_lo < self.n, "qubit out of range");
         assert_ne!(q_hi, q_lo, "two-qubit channel requires distinct qubits");
+        if self.is_diagonal() && kernel.keeps_diagonal() {
+            if kernel.is_real() {
+                self.superop_2q_diagonal::<true>(q_hi, q_lo, kernel);
+            } else {
+                self.superop_2q_diagonal::<false>(q_hi, q_lo, kernel);
+            }
+            return;
+        }
+        self.diagonal = false;
         if kernel.is_real() {
             self.superop_2q_pass::<true>(q_hi, q_lo, kernel);
         } else {
@@ -505,6 +626,37 @@ impl DensityMatrix {
                         kernel,
                     );
                 }
+            }
+        }
+    }
+
+    /// The diagonal-keeping two-qubit pass restricted to the diagonal
+    /// entries `ρ[b, b]` of each diagonal 4×4 block.
+    fn superop_2q_diagonal<const REAL: bool>(
+        &mut self,
+        q_hi: usize,
+        q_lo: usize,
+        kernel: &ChannelKernel2,
+    ) {
+        let (mh, ml) = (1usize << q_hi, 1usize << q_lo);
+        let offsets = [0, ml, mh, mh | ml];
+        let (w_re, w_im) = kernel.diagonal_block();
+        let step = self.dim + 1;
+        for base in (0..self.dim).filter(|b| b & (mh | ml) == 0) {
+            let at = offsets.map(|o| (base | o) * step);
+            let b = at.map(|i| self.data[i]);
+            for ((&to, wr_row), wi_row) in at.iter().zip(w_re).zip(w_im) {
+                let (mut re, mut im) = (0.0f64, 0.0f64);
+                for ((bp, &wr), &wi) in b.iter().zip(wr_row).zip(wi_row) {
+                    if REAL {
+                        re += wr * bp.re;
+                        im += wr * bp.im;
+                    } else {
+                        re += wr * bp.re - wi * bp.im;
+                        im += wr * bp.im + wi * bp.re;
+                    }
+                }
+                self.data[to] = C64::new(re, im);
             }
         }
     }
@@ -557,7 +709,12 @@ impl DensityMatrix {
                 }
             }
         }
-        DensityMatrix { n, dim, data }
+        DensityMatrix {
+            n,
+            dim,
+            data,
+            diagonal: false,
+        }
     }
 
     /// Traces out all qubits not in `keep`; kept qubit `keep[j]` becomes
@@ -603,6 +760,7 @@ impl DensityMatrix {
             n: kn,
             dim: kdim,
             data,
+            diagonal: false,
         }
     }
 
@@ -633,7 +791,9 @@ impl DensityMatrix {
         acc * prefactor
     }
 
-    /// Rescales ρ by `1/p` (used after post-selection).
+    /// Rescales ρ by `1/p` (used after post-selection). A diagonal state
+    /// stays diagonal unless `1/p` overflows, which turns its zeros into
+    /// NaN.
     pub fn renormalize(&mut self, p: f64) {
         assert!(
             p > 0.0,
@@ -643,6 +803,7 @@ impl DensityMatrix {
         for v in &mut self.data {
             *v = v.scale(inv);
         }
+        self.diagonal &= inv.is_finite();
     }
 
     /// Borrows the row-major backing data.
@@ -666,6 +827,7 @@ impl DensityMatrix {
     /// handed back to code that assumes one — [`validate`](Self::validate)
     /// checks those invariants.
     pub fn as_mut_slice(&mut self) -> &mut [C64] {
+        self.diagonal = false;
         &mut self.data
     }
 
@@ -730,6 +892,39 @@ fn turn_by(z: C64, k: u8) -> C64 {
         2 => C64::new(-z.re, -z.im),
         _ => C64::new(z.im, -z.re),
     }
+}
+
+/// `S · vec(B)` for one 2×2 block `b = vec(B)`: each output sums its
+/// terms in ascending-`j` order from `0.0` on split real/imaginary parts.
+/// `REAL` drops the terms with an imaginary factor and `DECOUPLED` the
+/// coefficients with `i ^ j ∈ {1, 2}`, each exactly zero in that form.
+#[inline(always)]
+fn contract_block_1q<const REAL: bool, const DECOUPLED: bool>(
+    s_re: &[f64; 16],
+    s_im: &[f64; 16],
+    b: &[C64; 4],
+) -> [C64; 4] {
+    let mut o_re = [0.0f64; 4];
+    let mut o_im = [0.0f64; 4];
+    for (j, bj) in b.iter().enumerate() {
+        for i in 0..4 {
+            // Decoupled kernels are zero wherever `i ^ j` is 1 or 2
+            // (diagonal pair vs off-diagonal pair).
+            if DECOUPLED && matches!(i ^ j, 1 | 2) {
+                continue;
+            }
+            let sr = s_re[i * 4 + j];
+            if REAL {
+                o_re[i] += sr * bj.re;
+                o_im[i] += sr * bj.im;
+            } else {
+                let si = s_im[i * 4 + j];
+                o_re[i] += sr * bj.re - si * bj.im;
+                o_im[i] += sr * bj.im + si * bj.re;
+            }
+        }
+    }
+    std::array::from_fn(|i| C64::new(o_re[i], o_im[i]))
 }
 
 /// `k` with a zero bit inserted at position `bit`.
@@ -946,6 +1141,92 @@ mod tests {
     fn two_qubit_gate_same_qubit_panics() {
         let mut rho = DensityMatrix::zero_state(2);
         rho.apply_2q(1, 1, &Mat::cnot());
+    }
+
+    #[test]
+    fn diagonal_flag_is_set_only_by_construction() {
+        assert!(DensityMatrix::zero_state(3).is_diagonal());
+        assert!(DensityMatrix::maximally_mixed(3).is_diagonal());
+        // Diagonal by value, but not known to be by construction.
+        let one = [C64::ZERO, C64::ONE];
+        assert!(!DensityMatrix::from_pure(&one).unwrap().is_diagonal());
+        let mat = DensityMatrix::maximally_mixed(1).to_mat();
+        assert!(!DensityMatrix::from_matrix(&mat).unwrap().is_diagonal());
+        let a = DensityMatrix::zero_state(1);
+        assert!(!a.tensor(&a).is_diagonal());
+        assert!(!a.tensor(&a).partial_trace(&[0]).is_diagonal());
+    }
+
+    #[test]
+    fn diagonal_flag_survives_classical_operations() {
+        use crate::channels::{IdleParams, Kraus1, Kraus2};
+        use crate::gates;
+        use crate::measure::project_z;
+
+        let idle = IdleParams::new(300e-6, 150e-6)
+            .unwrap()
+            .channel(40e-6)
+            .unwrap();
+        let mut rho = DensityMatrix::zero_state(4);
+        gates::x(&mut rho, 0);
+        gates::cnot(&mut rho, 0, 3);
+        gates::swap(&mut rho, 3, 1);
+        gates::z(&mut rho, 1);
+        gates::s(&mut rho, 2);
+        rho.apply_2q(2, 0, &Mat::iswap());
+        idle.apply(&mut rho, 1);
+        Kraus1::depolarizing(0.2).unwrap().apply(&mut rho, 2);
+        Kraus2::depolarizing(0.1).unwrap().apply(&mut rho, 1, 3);
+        let p = project_z(&mut rho, 1, true);
+        rho.renormalize(p);
+        assert!(rho.is_diagonal());
+        rho.validate(TOL).unwrap();
+    }
+
+    #[test]
+    fn diagonal_flag_is_cleared_by_every_other_write() {
+        use crate::channels::Kraus2;
+        use crate::gates;
+        use crate::kernel::{ChannelKernel1, ChannelKernel2};
+
+        type Op = fn(&mut DensityMatrix);
+        let clearing: [(&str, Op); 9] = [
+            ("entry_mut", |r| *r.entry_mut(0, 0) = C64::ONE),
+            ("as_mut_slice", |r| r.as_mut_slice()[0] = C64::ONE),
+            ("hadamard", |r| gates::h(r, 0)),
+            // T is diagonal but not monomial: it takes the dense sweep.
+            ("t gate", |r| gates::t(r, 1)),
+            ("dense 2q", |r| {
+                r.apply_2q(0, 1, &Mat::hadamard().kron(&Mat::hadamard()))
+            }),
+            ("coupled 1q kernel", |r| {
+                ChannelKernel1::compile(&[Mat::hadamard()]).apply(r, 0)
+            }),
+            ("coherent 2q kernel", |r| {
+                ChannelKernel2::compile(&[Mat::hadamard().kron(&Mat::identity(2))]).apply(r, 1, 0)
+            }),
+            ("2q kernel after dense", |r| {
+                gates::h(r, 1);
+                Kraus2::depolarizing(0.1).unwrap().apply(r, 1, 0);
+            }),
+            ("overflowing renormalize", |r| r.renormalize(1e-310)),
+        ];
+        for (name, op) in clearing {
+            let mut rho = DensityMatrix::zero_state(2);
+            op(&mut rho);
+            assert!(!rho.is_diagonal(), "{name} kept the diagonal flag");
+        }
+    }
+
+    #[test]
+    fn equality_ignores_the_diagonal_flag() {
+        let flagged = DensityMatrix::maximally_mixed(2);
+        let mut plain = flagged.clone();
+        let _ = plain.as_mut_slice();
+        assert!(flagged.is_diagonal() && !plain.is_diagonal());
+        assert!(flagged == plain);
+        *plain.entry_mut(0, 1) = C64::real(1e-3);
+        assert!(flagged != plain);
     }
 
     #[test]

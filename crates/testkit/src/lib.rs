@@ -12,7 +12,8 @@
 //!
 //! * [`conformance`] — CPTP / trace-preservation / Hermiticity validators
 //!   for Kraus channels and density-matrix invariant checks (unit trace,
-//!   PSD via Gershgorin + Cholesky). Depending on this crate also enables
+//!   PSD via Gershgorin + Cholesky), and the literal Kraus-sum oracle the
+//!   channel kernels are tested against. Depending on this crate also enables
 //!   `hetarch-qsim`'s `validate` feature, auditing every channel
 //!   application in debug builds.
 //! * [`stats`] — statistical assertions under the **sigma contract**:
@@ -65,7 +66,9 @@ pub mod prelude {
     pub use crate::arbitrary::{
         noisy_circuit, noisy_op, Arbitrary, NoiseConfig, NoisyCircuit, NoisyOp,
     };
-    pub use crate::conformance::{assert_cptp1, assert_cptp2, assert_valid_density};
+    pub use crate::conformance::{
+        apply_kraus_sum_1q, apply_kraus_sum_2q, assert_cptp1, assert_cptp2, assert_valid_density,
+    };
     pub use crate::decoder::{decode_all, CodeCapacity, DecodeOutcome};
     pub use crate::golden::{assert_golden, Snapshot};
     pub use crate::oracle::{DiffOracle, OracleComparison, OracleFailure};

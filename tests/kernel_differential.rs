@@ -1,7 +1,7 @@
 //! Differential property suite for the density-matrix kernels.
 //!
 //! - `Kraus1::apply` / `Kraus2::apply` (the `ChannelKernel` fast path) must
-//!   match the Kraus-sum reference implementation (`apply_reference`) to
+//!   match the testkit's Kraus-sum oracle (`apply_kraus_sum_1q/2q`) to
 //!   float precision on random channels and random states.
 //! - The kernels skip terms with an exactly-zero factor, which can change
 //!   at most the sign of a zero. So `ChannelKernel*::compile` must equal a
@@ -214,7 +214,7 @@ proptest! {
         let mut via_kernel = random_state(3, &angles, noise);
         let mut via_reference = via_kernel.clone();
         ch.apply(&mut via_kernel, q);
-        ch.apply_reference(&mut via_reference, q);
+        apply_kraus_sum_1q(&ch, &mut via_reference, q);
         assert_states_close(&via_kernel, &via_reference);
     }
 
@@ -227,7 +227,7 @@ proptest! {
         let mut via_kernel = random_state(4, &angles, noise);
         let mut via_reference = via_kernel.clone();
         ch.apply(&mut via_kernel, pair.0, pair.1);
-        ch.apply_reference(&mut via_reference, pair.0, pair.1);
+        apply_kraus_sum_2q(&ch, &mut via_reference, pair.0, pair.1);
         assert_states_close(&via_kernel, &via_reference);
     }
 
@@ -318,6 +318,196 @@ proptest! {
     }
 }
 
+/// One step of a circuit on a state that starts diagonal. Qubit indices
+/// are raw draws, reduced modulo the state's qubit count when applied.
+#[derive(Clone, Debug)]
+enum Step {
+    /// A monomial gate: X, CNOT, SWAP and any other permutation with
+    /// phases from {±1, ±i}.
+    Monomial1(Mat, usize),
+    Monomial2(Mat, usize, usize),
+    /// A decoupled one-qubit channel.
+    Channel1(Kraus1, usize),
+    /// A two-qubit channel that keeps the diagonal: depolarizing, a Pauli
+    /// channel, or a product of decoupled channels.
+    Channel2(Kraus2, usize, usize),
+    /// A Z measurement (`project_z` and `renormalize`) with a fixed uniform
+    /// draw.
+    Measure(usize, f64),
+    /// Steps that create coherences and hand the state to the dense path.
+    Unitary1(Mat, usize),
+    Unitary2(Mat, usize, usize),
+    Coupled1(Kraus1, usize),
+    Coupled2(Kraus2, usize, usize),
+}
+
+/// A two-qubit Pauli channel `Σ p_ab · (P_a ⊗ P_b)·ρ·(P_a ⊗ P_b)†` with
+/// random weights.
+fn pauli2_strategy() -> impl Strategy<Value = Kraus2> {
+    proptest::collection::vec(0.0..1.0f64, 16).prop_map(|w| {
+        let total: f64 = w.iter().sum::<f64>().max(1e-9);
+        let paulis = [
+            Mat::identity(2),
+            Mat::pauli_x(),
+            Mat::pauli_y(),
+            Mat::pauli_z(),
+        ];
+        let ops = (0..16)
+            .map(|e| {
+                paulis[e / 4]
+                    .kron(&paulis[e % 4])
+                    .scaled(C64::real((w[e] / total).sqrt()))
+            })
+            .collect();
+        Kraus2::new(ops).expect("Pauli weights sum to one")
+    })
+}
+
+/// Steps that map a diagonal state to a diagonal state.
+fn diagonal_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (monomial_strategy(2), 0usize..8).prop_map(|(u, q)| Step::Monomial1(u, q)),
+        (monomial_strategy(4), 0usize..8, 0usize..8).prop_map(|(u, a, b)| Step::Monomial2(u, a, b)),
+        (kraus1_strategy(), 0usize..8).prop_map(|(ch, q)| Step::Channel1(ch, q)),
+        (
+            prop_oneof![kraus2_strategy(), pauli2_strategy()],
+            0usize..8,
+            0usize..8
+        )
+            .prop_map(|(ch, a, b)| Step::Channel2(ch, a, b)),
+        (0usize..8, 0.0..1.0f64).prop_map(|(q, u)| Step::Measure(q, u)),
+    ]
+}
+
+/// Steps that leave the diagonal: H, a rotation, H⊗I, or a channel whose
+/// kernel is not decoupled or does not keep the diagonal.
+fn coherent_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        (0usize..8).prop_map(|q| Step::Unitary1(Mat::hadamard(), q)),
+        (0.1..3.0f64, 0usize..8).prop_map(|(t, q)| Step::Unitary1(Mat::ry(t), q)),
+        (0usize..8, 0usize..8)
+            .prop_map(|(a, b)| { Step::Unitary2(Mat::hadamard().kron(&Mat::identity(2)), a, b) }),
+        (0.1..3.0f64, 0usize..8).prop_map(|(t, q)| {
+            let ch = Kraus1::new(vec![Mat::rx(t)]).expect("unitary");
+            Step::Coupled1(ch.then(&Kraus1::depolarizing(0.1).unwrap()), q)
+        }),
+        (0.1..3.0f64, 0usize..8, 0usize..8).prop_map(|(t, a, b)| {
+            let u = Mat::ry(t).kron(&Mat::pauli_x());
+            Step::Coupled2(Kraus2::new(vec![u]).expect("unitary"), a, b)
+        }),
+    ]
+}
+
+/// Applies `step` to `rho`. Two-qubit steps are skipped on one qubit.
+fn apply_step(rho: &mut DensityMatrix, step: &Step) {
+    let n = rho.num_qubits();
+    let pair = |a: usize, b: usize| {
+        let (hi, lo) = (a % n, b % n);
+        (hi, if lo == hi { (hi + 1) % n } else { lo })
+    };
+    match step {
+        Step::Monomial1(u, q) | Step::Unitary1(u, q) => rho.apply_conjugation_1q(q % n, u),
+        Step::Channel1(ch, q) | Step::Coupled1(ch, q) => ch.apply(rho, q % n),
+        Step::Monomial2(u, a, b) | Step::Unitary2(u, a, b) if n > 1 => {
+            let (hi, lo) = pair(*a, *b);
+            rho.apply_conjugation_2q(hi, lo, u);
+        }
+        Step::Channel2(ch, a, b) | Step::Coupled2(ch, a, b) if n > 1 => {
+            let (hi, lo) = pair(*a, *b);
+            ch.apply(rho, hi, lo);
+        }
+        Step::Measure(q, u) => {
+            measure::measure_z_with(rho, q % n, *u);
+        }
+        _ => {}
+    }
+}
+
+/// Runs `steps` from `start` twice: once as built, where the state is
+/// known to be diagonal and the diagonal passes run until a step creates
+/// coherences, and once on a copy whose diagonal flag was cleared through
+/// `as_mut_slice`, so that every step takes the dense path. The two must
+/// agree entry for entry (`==`, so `+0 == -0`).
+fn assert_diagonal_path_matches_dense(start: &DensityMatrix, steps: &[Step]) {
+    let mut fast = start.clone();
+    let mut dense = start.clone();
+    let _ = dense.as_mut_slice();
+    for step in steps {
+        apply_step(&mut fast, step);
+        apply_step(&mut dense, step);
+        assert_states_equal(&fast, dense.as_slice());
+    }
+}
+
+/// A diagonal starting state: `|0…0⟩` or `I/2^n`, then X on the qubits in
+/// `ones`.
+fn diagonal_start(n: usize, mixed: bool, ones: usize) -> DensityMatrix {
+    let mut rho = if mixed {
+        DensityMatrix::maximally_mixed(n)
+    } else {
+        DensityMatrix::zero_state(n)
+    };
+    for q in (0..n).filter(|q| ones >> q & 1 == 1) {
+        gates::x(&mut rho, q);
+    }
+    rho
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Classical-input circuits of monomial gates, decoupled one-qubit
+    /// channels, diagonal-keeping two-qubit channels and Z measurements at
+    /// n = 1..8: the diagonal passes equal the dense passes exactly.
+    fn diagonal_paths_match_dense_paths(
+        n in 1usize..=8,
+        mixed in (0u8..2).prop_map(|m| m == 1),
+        ones in 0usize..256,
+        steps in proptest::collection::vec(diagonal_step(), 1..10),
+    ) {
+        assert_diagonal_path_matches_dense(&diagonal_start(n, mixed, ones), &steps);
+    }
+
+    /// A step that creates coherences part-way through hands the state to
+    /// the dense path, and every later step stays on it.
+    fn dense_handoff_matches_dense_paths(
+        n in 1usize..=6,
+        ones in 0usize..64,
+        before in proptest::collection::vec(diagonal_step(), 0..5),
+        handoff in coherent_step(),
+        after in proptest::collection::vec(diagonal_step(), 0..5),
+    ) {
+        let steps: Vec<Step> = before.into_iter().chain([handoff]).chain(after).collect();
+        assert_diagonal_path_matches_dense(&diagonal_start(n, false, ones), &steps);
+    }
+}
+
+/// The USC weight-2 check on its four classical inputs: every step of the
+/// five-qubit circuit, channels built from the library's noise models,
+/// takes the diagonal passes and equals the dense passes exactly.
+#[test]
+fn usc_parity_circuit_matches_dense_paths() {
+    let idle = IdleParams::new(300e-6, 150e-6)
+        .unwrap()
+        .channel(400e-9)
+        .unwrap();
+    let depol = Kraus2::depolarizing(0.01).unwrap();
+    let mut steps = Vec::new();
+    for (a, b) in [(0, 1), (2, 3), (1, 4), (3, 4), (0, 1), (2, 3)] {
+        let gate = if b == 4 { Mat::cnot() } else { Mat::swap() };
+        steps.push(Step::Monomial2(gate, a, b));
+        steps.push(Step::Channel2(depol.clone(), a, b));
+        steps.extend((0..5).map(|q| Step::Channel1(idle.clone(), q)));
+    }
+    steps.push(Step::Measure(4, 0.5));
+    for input in 0..4 {
+        assert_diagonal_path_matches_dense(
+            &diagonal_start(5, false, (input & 1) | (input & 2) << 1),
+            &steps,
+        );
+    }
+}
+
 /// Fixed rotation angles for `random_state` on `n` qubits.
 fn fixed_angles(n: usize) -> Vec<f64> {
     (0..3 * n).map(|i| 0.11 + 0.37 * i as f64).collect()
@@ -342,7 +532,7 @@ fn kernel1_matches_reference_on_every_qubit_of_six() {
         let mut via_kernel = random_state(6, &fixed_angles(6), 0.05);
         let mut via_reference = via_kernel.clone();
         ch.apply(&mut via_kernel, q);
-        ch.apply_reference(&mut via_reference, q);
+        apply_kraus_sum_1q(&ch, &mut via_reference, q);
         assert_states_close(&via_kernel, &via_reference);
     }
 }
@@ -367,7 +557,7 @@ fn kernel2_matches_reference_on_far_pairs_of_eight() {
             let mut via_kernel = start.clone();
             let mut via_reference = start.clone();
             ch.apply(&mut via_kernel, hi, lo);
-            ch.apply_reference(&mut via_reference, hi, lo);
+            apply_kraus_sum_2q(ch, &mut via_reference, hi, lo);
             assert_states_close(&via_kernel, &via_reference);
         }
     }
