@@ -253,6 +253,28 @@ fn distill_trace_snapshot() -> Snapshot {
     s
 }
 
+/// Distillation in the regime where the memories churn: 10 MHz arrivals
+/// keep the raw memory full, so most arrivals decay every stored pair and
+/// evict the worst one, and a 1 MHz run sits between the evicting and the
+/// starving regimes. Each run covers 2 ms of simulated time at seed 11.
+fn distill_churn_snapshot() -> Snapshot {
+    let mut s = Snapshot::new(
+        "distillation churn: heterogeneous 10 MHz at ts=0.5ms and ts=12.5ms, \
+         1 MHz at ts=2.5ms (seed 11, 2 ms each)",
+    );
+    for (label, ts, rate_hz) in [
+        ("10MHz ts=0.5ms", 0.5e-3, 10e6),
+        ("10MHz ts=12.5ms", 12.5e-3, 10e6),
+        ("1MHz ts=2.5ms", 2.5e-3, 1e6),
+    ] {
+        let report = DistillModule::new(DistillConfig::heterogeneous(ts, rate_hz, 11)).run(2e-3);
+        s.section(label);
+        distill_report_fields(&mut s, &report);
+        s.serde_hex("serde", &report);
+    }
+    s
+}
+
 /// Weight-stratified rare-event report for a d=5 surface memory at a
 /// pinned seed: headline estimate, error budget and the full per-stratum
 /// tallies (prior, conditional failure rate, shots, enumeration flag).
@@ -417,6 +439,14 @@ fn distill_trace_golden_is_bit_stable() {
     let second = distill_trace_snapshot();
     assert_eq!(first.render(), second.render());
     assert_golden(&golden_dir(), "distill_trace", &first);
+}
+
+#[test]
+fn distill_churn_golden_is_bit_stable() {
+    let first = distill_churn_snapshot();
+    let second = distill_churn_snapshot();
+    assert_eq!(first.render(), second.render());
+    assert_golden(&golden_dir(), "distill_churn", &first);
 }
 
 /// Calibration-snapshot sweep golden: the committed fleet fixture drives a
