@@ -5,6 +5,6 @@ pub mod memory;
 pub mod module;
 pub mod scheduler;
 
-pub use memory::{PairMemory, StoredPair};
+pub use memory::PairMemory;
 pub use module::{DistillConfig, DistillModule, DistillReport, TracePoint};
 pub use scheduler::{choose_action, Action, Policy};

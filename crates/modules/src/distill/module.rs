@@ -15,10 +15,10 @@ use hetarch_devices::catalog::{
     coherence_limited_compute, coherence_limited_storage, homogeneous_pseudo_storage,
 };
 use hetarch_devices::DeviceSpec;
-use hetarch_qsim::bell::DejmpsTable;
+use hetarch_qsim::bell::{BellDiagonal, DejmpsTable};
 use hetarch_qsim::channels::PauliProbs;
 
-use crate::distill::memory::{PairMemory, StoredPair};
+use crate::distill::memory::PairMemory;
 use crate::distill::scheduler::{choose_action, Action, Policy};
 use crate::epsource::EpSource;
 
@@ -251,6 +251,12 @@ impl DistillModule {
     /// duration, a sample rescheduled at the same instant) or fail deep
     /// inside it (a negative interval).
     pub fn run(&self, duration: f64) -> DistillReport {
+        self.run_seeded(self.config.seed, duration)
+    }
+
+    /// [`Self::run`] with the RNG seeded from `seed` instead of
+    /// `config.seed`.
+    fn run_seeded(&self, seed: u64, duration: f64) -> DistillReport {
         let c = &self.config;
         assert!(
             duration.is_finite() && duration >= 0.0,
@@ -263,7 +269,7 @@ impl DistillModule {
             );
         }
         let span = obs::span!(DISTILL_RUN_NS);
-        let mut rng = StdRng::seed_from_u64(c.seed);
+        let mut rng = StdRng::seed_from_u64(seed);
         let mut queue = Timers::new();
         let mut raw = PairMemory::new(c.input_capacity, c.register.storage_idle);
         let mut staged = PairMemory::new(c.input_capacity, c.register.storage_idle);
@@ -279,7 +285,7 @@ impl DistillModule {
         let in_flight = round_time - c.parcheck.readout_time;
         let compute_round_twirl = c.parcheck.idle_a.twirl_probs(in_flight);
 
-        let mut busy: Option<(StoredPair, StoredPair)> = None;
+        let mut busy: Option<(BellDiagonal, BellDiagonal)> = None;
         let mut report = DistillReport {
             duration,
             arrivals: 0,
@@ -303,36 +309,36 @@ impl DistillModule {
             match ev {
                 Ev::Arrival => {
                     report.arrivals += 1;
-                    raw.decay_to(t);
-                    let mut pair = StoredPair::new(c.source.sample_pair(&mut rng), t);
+                    let mut pair = c.source.sample_pair(&mut rng);
                     // Priority 4: store the incoming pair (load through the
                     // register port).
-                    pair.pair.idle(move_noise, move_noise);
-                    raw.insert(pair);
+                    pair.idle(move_noise, move_noise);
+                    raw.insert(t, pair);
                     queue.schedule(t + c.source.next_interarrival(&mut rng), Ev::Arrival);
                 }
                 Ev::DistillDone => {
                     let (mut a, mut b) = busy.take().expect("distiller was busy");
                     // The halves sat on compute qubits during the round.
-                    a.pair.idle(compute_round_twirl, compute_round_twirl);
-                    b.pair.idle(compute_round_twirl, compute_round_twirl);
-                    if let Some(out) = self.table.round(&a.pair, &b.pair) {
+                    a.idle(compute_round_twirl, compute_round_twirl);
+                    b.idle(compute_round_twirl, compute_round_twirl);
+                    if let Some(out) = self.table.round(&a, &b) {
                         if rng.gen::<f64>() < out.success_prob {
                             report.rounds_succeeded += 1;
-                            let mut kept = StoredPair::new(out.pair, t);
-                            kept.rounds = a.rounds.max(b.rounds) + 1;
+                            let mut kept = out.pair;
                             // Priority 2: move to the appropriate memory.
-                            kept.pair.idle(move_noise, move_noise);
-                            report.best_fidelity = report.best_fidelity.max(kept.pair.fidelity());
-                            staged.decay_to(t);
+                            kept.idle(move_noise, move_noise);
+                            report.best_fidelity = report.best_fidelity.max(kept.fidelity());
+                            // The output memory takes one decay step per
+                            // successful round; idle steps do not compose
+                            // exactly, so these steps fix its bits.
                             output.decay_to(t);
-                            if kept.pair.fidelity() >= c.target_fidelity {
+                            if kept.fidelity() >= c.target_fidelity {
                                 report.delivered += 1;
                                 if !c.consume_output {
-                                    output.insert(kept);
+                                    output.insert(t, kept);
                                 }
                             } else {
-                                staged.insert(kept);
+                                staged.insert(t, kept);
                             }
                         }
                     }
@@ -369,8 +375,8 @@ impl DistillModule {
                 if let Some(pool) = pool {
                     let (mut a, mut b) = pool.take_best_two().expect("scheduler checked");
                     // Load both pairs onto the ParCheck cell.
-                    a.pair.idle(move_noise, move_noise);
-                    b.pair.idle(move_noise, move_noise);
+                    a.idle(move_noise, move_noise);
+                    b.idle(move_noise, move_noise);
                     busy = Some((a, b));
                     report.rounds_attempted += 1;
                     queue.schedule(t + round_time, Ev::DistillDone);
@@ -394,9 +400,9 @@ impl DistillModule {
     /// shard — so the batch is bit-identical for every worker count and
     /// each trial can be reproduced in isolation.
     ///
-    /// Every shard shares (by clone) the module's batch-built
-    /// [`DejmpsTable`], so the density-matrix work behind the pair states
-    /// runs once, in one batched pass, rather than once per shard;
+    /// Every shard reads the module's configuration and batch-built
+    /// [`DejmpsTable`] in place, so the density-matrix work behind the pair
+    /// states runs once, in one batched pass, rather than once per shard;
     /// the per-shard event loops then evaluate the bilinear form only.
     pub fn run_batch_on(
         &self,
@@ -405,13 +411,7 @@ impl DistillModule {
         trials: usize,
     ) -> Vec<DistillReport> {
         pool.map_indexed(trials, |t| {
-            let mut config = self.config.clone();
-            config.seed = shard_seed(self.config.seed, t as u64);
-            DistillModule {
-                config,
-                table: self.table.clone(),
-            }
-            .run(duration)
+            self.run_seeded(shard_seed(self.config.seed, t as u64), duration)
         })
     }
 }

@@ -49,20 +49,20 @@ impl Default for Policy {
 /// Predicts whether one DEJMPS round on the two best pairs of `pool` would
 /// improve on the better input. Pools must already be decayed to "now".
 fn round_improves(pool: &PairMemory, table: &DejmpsTable) -> Option<bool> {
-    let slots = pool.slots();
-    if slots.len() < 2 {
+    let pairs = pool.pairs();
+    if pairs.len() < 2 {
         return None;
     }
     // Allocation-free top-two scan. Strict `>` comparisons break ties toward
-    // the earliest slot, reproducing the stable descending sort this replaced
+    // the earliest pair, reproducing the stable descending sort this replaced
     // (the scheduler runs per event, so its pair choice must stay
     // bit-identical for the determinism contract).
     let mut best_i = 0usize;
-    let mut best_f = slots[0].pair.fidelity();
+    let mut best_f = pairs[0].fidelity();
     let mut second_i = usize::MAX;
     let mut second_f = f64::NEG_INFINITY;
-    for (i, s) in slots.iter().enumerate().skip(1) {
-        let f = s.pair.fidelity();
+    for (i, p) in pairs.iter().enumerate().skip(1) {
+        let f = p.fidelity();
         if f > best_f {
             second_i = best_i;
             second_f = best_f;
@@ -73,7 +73,7 @@ fn round_improves(pool: &PairMemory, table: &DejmpsTable) -> Option<bool> {
             second_f = f;
         }
     }
-    let out = table.round(&slots[best_i].pair, &slots[second_i].pair)?;
+    let out = table.round(&pairs[best_i], &pairs[second_i])?;
     Some(out.pair.fidelity() > best_f)
 }
 
@@ -103,7 +103,6 @@ pub fn choose_action(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distill::memory::StoredPair;
     use hetarch_qsim::bell::{BellDiagonal, DistillNoise};
     use hetarch_qsim::channels::IdleParams;
 
@@ -114,7 +113,7 @@ mod tests {
     fn pool(fids: &[f64]) -> PairMemory {
         let mut m = PairMemory::new(8, idle());
         for &f in fids {
-            m.insert(StoredPair::new(BellDiagonal::werner(f), 0.0));
+            m.insert(0.0, BellDiagonal::werner(f));
         }
         m
     }

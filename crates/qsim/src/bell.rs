@@ -95,6 +95,7 @@ impl BellDiagonal {
     /// # Panics
     ///
     /// Panics if any component is negative or the sum is zero.
+    #[inline]
     pub fn new(p: [f64; 4]) -> Self {
         let sum: f64 = p.iter().sum();
         assert!(
@@ -117,6 +118,7 @@ impl BellDiagonal {
     /// # Panics
     ///
     /// Panics if `f ∉ [0, 1]`.
+    #[inline]
     pub fn werner(f: f64) -> Self {
         assert!((0.0..=1.0).contains(&f), "fidelity {f} outside [0, 1]");
         let r = (1.0 - f) / 3.0;
@@ -180,6 +182,7 @@ impl BellDiagonal {
     /// Each component is `p0·own + px·X-partner + py·Y-partner +
     /// pz·Z-partner`, summed left to right, with the permutations written
     /// out literally.
+    #[inline]
     pub fn apply_pauli_noise(&mut self, probs: PauliProbs) {
         let p0 = (1.0 - probs.total()).max(0.0);
         let PauliProbs { px, py, pz } = probs;
@@ -194,6 +197,7 @@ impl BellDiagonal {
 
     /// Idles the pair for `t` seconds with (possibly different) twirled idle
     /// noise on the two halves.
+    #[inline]
     pub fn idle(&mut self, noise_a: PauliProbs, noise_b: PauliProbs) {
         self.apply_pauli_noise(noise_a);
         self.apply_pauli_noise(noise_b);
@@ -381,6 +385,7 @@ impl DejmpsTable {
     /// skipping zero weights would give the same bits.
     ///
     /// Returns `None` when the heralding probability is numerically zero.
+    #[inline]
     pub fn round(&self, pair1: &BellDiagonal, pair2: &BellDiagonal) -> Option<DistillOutcome> {
         let a = pair1.components();
         let b = pair2.components();

@@ -345,6 +345,7 @@ impl IdleParams {
     }
 
     /// Amplitude-damping probability after idling for `t` seconds.
+    #[inline]
     pub fn gamma(&self, t: f64) -> f64 {
         1.0 - (-t / self.t1).exp()
     }
@@ -381,6 +382,7 @@ impl IdleParams {
     ///
     /// `px = py = (1 − e^{−t/T1})/4`,
     /// `pz = (1 − e^{−t/T2})/2 − (1 − e^{−t/T1})/4` (clamped at 0).
+    #[inline]
     pub fn twirl_probs(&self, t: f64) -> PauliProbs {
         let pxy = self.gamma(t) / 4.0;
         let pz = (0.5 * (1.0 - (-t / self.t2).exp()) - pxy).max(0.0);
@@ -405,6 +407,7 @@ pub struct PauliProbs {
 
 impl PauliProbs {
     /// Total probability of any error.
+    #[inline]
     pub fn total(&self) -> f64 {
         self.px + self.py + self.pz
     }
